@@ -44,12 +44,15 @@ def build_rules(game: str, k: int | None, add_limit: int | None) -> RuleSet:
     return RuleSet(family, **kwargs)
 
 
-def solve_position(rules: RuleSet, convention: Convention, p) -> dict:
+def solve_position(
+    rules: RuleSet, convention: Convention, p, memo: solver.MemoTable | None = None
+) -> dict:
     """Outcome (and Grundy value for normal play) of a canonical position.
 
     The loopy extended families are answered via their non-extended
     closed forms, which the verify sweeps certify; everything else runs
-    through the brute-force engine.
+    through the brute-force engine, with ``memo`` shared across calls.
+    A normal-play position is P iff its Grundy value is 0.
     """
     if rules.family.loopy:
         slow = rules.family is Family.EXTENDED_SLOW_NIM
@@ -67,10 +70,13 @@ def solve_position(rules: RuleSet, convention: Convention, p) -> dict:
             else closedforms.nim_p_misere(p)
         )
         return {"outcome": "P" if is_p else "N", "grundy": None}
-    memo = solver.MemoTable()
+    if memo is None:
+        memo = solver.MemoTable()
+    if convention is Convention.NORMAL:
+        g = solver.grundy(rules, p, memo)
+        return {"outcome": "P" if g == 0 else "N", "grundy": g}
     out = solver.outcome(rules, convention, p, memo)
-    g = solver.grundy(rules, p, memo) if convention is Convention.NORMAL else None
-    return {"outcome": out.value, "grundy": g}
+    return {"outcome": out.value, "grundy": None}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("GAMESOLVE_THREADS", "1")),
+        help="worker processes (default: $GAMESOLVE_THREADS, else 1)",
     )
 
     return parser
@@ -448,13 +454,17 @@ def cmd_verify(opts) -> int:
 def _parse_a1_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty --a1 range {text!r}")
+        return values
     return [int(text)]
 
 
 def cmd_figure(opts) -> int:
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
+    a1_values = _parse_a1_range(opts.a1)
     out_dir = Path(opts.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,7 +472,7 @@ def cmd_figure(opts) -> int:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
     memo = solver.MemoTable()
-    for a1 in _parse_a1_range(opts.a1):
+    for a1 in a1_values:
         if opts.triangular:
             grid = _triangular_grid(rules, convention, a1, opts.width, opts.height, memo)
         else:
@@ -501,6 +511,9 @@ def cmd_period(opts) -> int:
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
     if opts.translation is not None:
+        if opts.translation < 1:
+            print("error: --translation must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
         positions = analysis.three_column_domain(opts.max_a1, opts.max_extent)
         report = analysis.translation_period_check(
             rules, convention, positions, opts.translation
@@ -523,36 +536,62 @@ def cmd_period(opts) -> int:
     return EXIT_OK
 
 
-def _solve_line(args) -> dict:
-    rules, convention, line = args
-    try:
-        p = canonicalize(parse_position(line), rules.family)
-    except (GameError, ValueError) as exc:
-        return {"input": line, "error": f"{type(exc).__name__}: {exc}"}
-    result = {"input": line, "position": list(p)}
-    result.update(solve_position(rules, convention, p))
-    return result
+def _solve_lines(rules: RuleSet, convention: Convention, lines: list) -> list:
+    """One result dict per line; all lines share one memo."""
+    memo = solver.MemoTable()
+    results = []
+    for line in lines:
+        try:
+            p = canonicalize(parse_position(line), rules.family)
+        except (GameError, ValueError) as exc:
+            results.append({"input": line, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        result = {"input": line, "position": list(p)}
+        result.update(solve_position(rules, convention, p, memo))
+        results.append(result)
+    return results
+
+
+def _thread_count(opts) -> int:
+    """Worker count asked for: --threads, else $GAMESOLVE_THREADS, else 1."""
+    if opts.threads is not None:
+        source, text = "--threads", str(opts.threads)
+    else:
+        source = "GAMESOLVE_THREADS"
+        text = os.environ.get(source, "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{source} must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def cmd_batch(opts) -> int:
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
+    threads = _thread_count(opts)
     try:
         lines = Path(opts.input).read_text().splitlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     work = [
-        (rules, convention, line.strip())
+        line.strip()
         for line in lines
         if line.strip() and not line.strip().startswith("#")
     ]
-    if opts.threads > 1 and len(work) > 1:
-        # workers own their memo tables; map preserves input order
-        with ProcessPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(_solve_line, work))
+    workers = min(threads, os.cpu_count() or 1, len(work))
+    if workers > 1:
+        # one interleaved shard, and so one memo, per worker; reassembled
+        # in input order
+        shards = [work[i::workers] for i in range(workers)]
+        results = [None] * len(work)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = pool.map(
+                _solve_lines, [rules] * workers, [convention] * workers, shards
+            )
+            for i, shard_results in enumerate(solved):
+                results[i::workers] = shard_results
     else:
-        results = [_solve_line(w) for w in work]
+        results = _solve_lines(rules, convention, work)
     errored = False
     for result in results:
         print(json.dumps(result))

@@ -97,12 +97,18 @@ def diet_chomp_moves(k: int, p: Position) -> list[Position]:
 
 
 def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
+    # Column j alone loses p[j-1]-r+1 squares, so only the top k heights
+    # can be legal; p is non-decreasing, so the cut reaches leftwards
+    # exactly as far as the columns of height >= r.
     records = []
-    n = len(p)
-    for j in range(1, n + 1):
-        for r in range(1, p[j - 1] + 1):
-            removed = sum(max(0, p[i] - (r - 1)) for i in range(j))
-            if 1 <= removed <= k:
+    for j in range(1, len(p) + 1):
+        for r in range(max(1, p[j - 1] - k + 1), p[j - 1] + 1):
+            removed = 0
+            i = j - 1
+            while i >= 0 and p[i] >= r and removed <= k:
+                removed += p[i] - r + 1
+                i -= 1
+            if removed <= k:
                 result = canonicalize(
                     tuple(min(p[i], r - 1) for i in range(j)) + p[j:],
                     Family.DIET_CHOMP,

@@ -33,7 +33,9 @@ def mex(values: Iterable[int]) -> int:
 
 @dataclass
 class MemoTable:
-    """Write-once cache of solved positions, keyed by rules and convention."""
+    """Write-once cache of solved positions: ``grundy_values`` holds one
+    position-keyed dict per rule set, ``outcomes`` one per (rule set,
+    convention).  ``hits``/``misses`` count top-level queries."""
 
     grundy_values: dict = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
@@ -41,35 +43,43 @@ class MemoTable:
     misses: int = 0
 
 
-def grundy(rules: RuleSet, p: Position, memo: MemoTable | None = None) -> int:
-    """Grundy value of p: mex over successor values, terminal -> 0.
+def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, value):
+    """Value of p in ``tables[key]``, solving what it needs first.
 
     Iterative post-order over the (acyclic) game DAG, so large domains
-    never hit the interpreter recursion limit.
+    never hit the interpreter recursion limit.  A frame keeps its
+    successor list, so each position is expanded once, when pushed, and
+    valued by ``value`` over its successors' values once none is
+    left unsolved.  A position on the stack is an ancestor of the top,
+    so without cycles none is pushed twice.
     """
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    table = tables.setdefault(key, {})
+    if p in table:
+        memo.hits += 1
+        return table[p]
+    memo.misses += 1
+    succ = successors(rules, p)
+    stack = [(p, succ, iter(succ))]
+    while stack:
+        cur, succ, unvisited = stack[-1]
+        for s in unvisited:
+            if s not in table:
+                nxt = successors(rules, s)
+                stack.append((s, nxt, iter(nxt)))
+                break
+        else:
+            table[cur] = value([table[s] for s in succ])
+            stack.pop()
+    return table[p]
+
+
+def grundy(rules: RuleSet, p: Position, memo: MemoTable | None = None) -> int:
+    """Grundy value of p: mex over successor values, terminal -> 0."""
     if memo is None:
         memo = MemoTable()
-    table = memo.grundy_values
-    if (rules, p) in table:
-        memo.hits += 1
-        return table[(rules, p)]
-    memo.misses += 1
-    stack = [p]
-    while stack:
-        cur = stack[-1]
-        if (rules, cur) in table:
-            stack.pop()
-            continue
-        succ = successors(rules, cur)
-        pending = [s for s in succ if (rules, s) not in table]
-        if pending:
-            stack.extend(pending)
-        else:
-            table[(rules, cur)] = mex(table[(rules, s)] for s in succ)
-            stack.pop()
-    return table[(rules, p)]
+    return _solve(rules, p, memo, memo.grundy_values, rules, mex)
 
 
 def outcome(
@@ -84,36 +94,16 @@ def outcome(
     player made the last move); a nonterminal position is N iff some
     successor is P.
     """
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     if memo is None:
         memo = MemoTable()
-    table = memo.outcomes
-    key = (rules, convention, p)
-    if key in table:
-        memo.hits += 1
-        return table[key]
-    memo.misses += 1
-    terminal_outcome = Outcome.P if convention is Convention.NORMAL else Outcome.N
-    stack = [p]
-    while stack:
-        cur = stack[-1]
-        if (rules, convention, cur) in table:
-            stack.pop()
-            continue
-        succ = successors(rules, cur)
-        if not succ:
-            table[(rules, convention, cur)] = terminal_outcome
-            stack.pop()
-            continue
-        pending = [s for s in succ if (rules, convention, s) not in table]
-        if pending:
-            stack.extend(pending)
-        else:
-            any_p = any(table[(rules, convention, s)] is Outcome.P for s in succ)
-            table[(rules, convention, cur)] = Outcome.N if any_p else Outcome.P
-            stack.pop()
-    return table[key]
+    terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
+
+    def node_value(values: list) -> Outcome:
+        if not values:
+            return terminal
+        return Outcome.N if Outcome.P in values else Outcome.P
+
+    return _solve(rules, p, memo, memo.outcomes, (rules, convention), node_value)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gamesolve import cli
 from gamesolve.cli import main
 
 
@@ -246,3 +247,110 @@ def test_threads_env_override(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "batch", "--game", "nim", "--input", str(path))
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+def test_batch_shared_memo_matches_threads_and_outcome(capsys, tmp_path):
+    path = tmp_path / "positions.txt"
+    lines = ["5,7,9", "3,5,7", "7", "400", "300", "3,5,7", "2,1"]
+    path.write_text("\n".join(lines) + "\n")
+    args = [
+        "batch", "--game", "diet-chomp", "--k", "2", "--convention", "misere",
+        "--input", str(path),
+    ]
+    code1, serial, _ = run(capsys, *args, "--threads", "1")
+    code2, parallel, _ = run(capsys, *args, "--threads", "2")
+    assert code1 == code2 == 1  # the non-monotone line is an error
+    assert serial == parallel
+    results = [json.loads(line) for line in serial.splitlines()]
+    assert [r["input"] for r in results] == lines
+    assert "NonMonotoneInput" in results[-1]["error"]
+    for r in results[:-1]:
+        code, out, _ = run(
+            capsys, "outcome", "--game", "diet-chomp", "--k", "2",
+            "--convention", "misere", "--position", r["input"],
+        )
+        assert code == 0
+        assert {"input": r["input"], **json.loads(out)} == r
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+def test_threads_env_invalid_exits_2(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("GAMESOLVE_THREADS", value)
+    path = tmp_path / "positions.txt"
+    path.write_text("1\n2\n")
+    code, out, err = run(capsys, "batch", "--game", "nim", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GAMESOLVE_THREADS")
+    # only batch reads the variable
+    code, out, _ = run(capsys, "outcome", "--game", "nim", "--position", "1,2")
+    assert code == 0
+
+
+def test_threads_option_nonpositive_exits_2(capsys, tmp_path):
+    path = tmp_path / "positions.txt"
+    path.write_text("1\n")
+    code, _, err = run(
+        capsys, "batch", "--game", "nim", "--input", str(path), "--threads", "0"
+    )
+    assert code == 2
+    assert err.startswith("error: --threads")
+
+
+@pytest.mark.parametrize(
+    "threads, n_lines, expected",
+    [(8, 5, 3), (8, 2, 2), (2, 5, 2), (8, 1, None), (1, 5, None)],
+)
+def test_batch_workers_clamped(
+    capsys, tmp_path, monkeypatch, threads, n_lines, expected
+):
+    created = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor without starting processes."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    path = tmp_path / "positions.txt"
+    path.write_text("".join(f"{i},{i + 1}\n" for i in range(1, n_lines + 1)))
+    args = ["batch", "--game", "nim", "--input", str(path)]
+    code, out, _ = run(capsys, *args, "--threads", str(threads))
+    assert code == 0
+    assert created == ([expected] if expected else [])
+    assert out == run(capsys, *args, "--threads", "1")[1]
+    assert len(out.splitlines()) == n_lines
+
+
+@pytest.mark.parametrize("translation", ["0", "-12"])
+def test_period_translation_nonpositive_exit_2(capsys, translation):
+    code, out, err = run(
+        capsys, "period", "--translation", translation,
+        "--max-a1", "2", "--max-extent", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_figure_empty_a1_range_exit_2(capsys, tmp_path):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(
+        capsys, "figure", "--a1", "3..1", "--width", "2", "--height", "2",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not out_dir.exists()

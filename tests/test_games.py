@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gamesolve import Family, RuleSet, canonicalize, successors
+from gamesolve import Family, MoveRecord, RuleSet, canonicalize, successors
 from gamesolve.games import (
     diet_chomp2_moves_explicit,
+    diet_chomp_move_records,
     diet_chomp_moves,
     extended_nim_moves,
     extended_slow_nim_moves,
@@ -47,6 +48,20 @@ def quadrant_oracle(k, p):
                 results.add(tuple(e for e in q if e))
                 break
     return results
+
+
+def all_cuts_records(p):
+    """Every (column j, height r) cut of p in generator order, each with
+    the number of squares it removes; the windowed generator must keep
+    exactly the cuts removing 1..k squares."""
+    for j in range(1, len(p) + 1):
+        for r in range(1, p[j - 1] + 1):
+            removed = sum(max(0, p[i] - (r - 1)) for i in range(j))
+            result = canonicalize(
+                tuple(min(p[i], r - 1) for i in range(j)) + p[j:],
+                Family.DIET_CHOMP,
+            )
+            yield removed, MoveRecord("chomp", j, r, result)
 
 
 def test_nim_moves_examples():
@@ -109,6 +124,21 @@ def test_diet_chomp2_explicit_examples():
 def test_diet_chomp_matches_quadrant_oracle(k):
     for p in young_positions(4, 5):
         assert set(diet_chomp_moves(k, p)) == quadrant_oracle(k, p), p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_windowed_records_equal_all_cuts(k):
+    for p in young_positions(4, 9):
+        expected = [rec for removed, rec in all_cuts_records(p) if 1 <= removed <= k]
+        assert diet_chomp_move_records(k, p) == expected, p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_single_tall_column_has_k_records(k):
+    records = diet_chomp_move_records(k, (700,))
+    assert [(r.index, r.amount) for r in records] == [
+        (1, r) for r in range(701 - k, 701)
+    ]
 
 
 def test_explicit_rules_equal_quadrant_moves():

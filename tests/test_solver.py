@@ -1,7 +1,10 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gamesolve import solver
 from gamesolve import (
     Convention,
     Domain,
@@ -14,6 +17,7 @@ from gamesolve import (
     grundy,
     mex,
     outcome,
+    canonicalize,
     successors,
     verify_grundy_consistency,
     verify_pset,
@@ -88,6 +92,71 @@ def test_solver_matches_naive_reference(rules):
             assert outcome(rules, conv, p, memo) is naive_outcome(rules, conv, p)
     for p in enumerate_positions(Domain(3, 6)):
         assert grundy(rules, p, memo) == naive_grundy(rules, p)
+
+
+ACYCLIC_RULES = [
+    RuleSet(Family.NIM),
+    RuleSet(Family.SLOW_NIM, k=2),
+    RuleSet(Family.SLOW_NIM, k=3),
+    RuleSet(Family.MONOTONIC_NIM),
+    RuleSet(Family.MONOTONIC_SLOW_NIM, k=1),
+    RuleSet(Family.MONOTONIC_SLOW_NIM, k=2),
+    RuleSet(Family.DIET_CHOMP, k=1),
+    RuleSet(Family.DIET_CHOMP, k=2),
+    RuleSet(Family.DIET_CHOMP, k=3),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ACYCLIC_RULES),
+    st.sampled_from(list(Convention)),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+)
+def test_engine_matches_naive_on_random_positions(rules, convention, entries):
+    raw = sorted(entries) if rules.family.ordered else entries
+    p = canonicalize(raw, rules.family)
+    assert outcome(rules, convention, p) is naive_outcome(rules, convention, p)
+    assert grundy(rules, p) == naive_grundy(rules, p)
+
+
+def solve_into(rules, convention, p, memo):
+    """Grundy value (convention None) or outcome of p; returns the memo
+    table it was written to."""
+    if convention is None:
+        grundy(rules, p, memo)
+        return memo.grundy_values[rules]
+    outcome(rules, convention, p, memo)
+    return memo.outcomes[(rules, convention)]
+
+
+@pytest.mark.parametrize(
+    "rules, p",
+    [
+        (RuleSet(Family.NIM), (2, 3, 5)),
+        (RuleSet(Family.MONOTONIC_SLOW_NIM, k=2), (2, 4, 6)),
+        (RuleSet(Family.DIET_CHOMP, k=2), (3, 5, 7)),
+    ],
+)
+@pytest.mark.parametrize("convention", [None, *Convention])
+def test_cold_solve_expands_each_entry_once(monkeypatch, rules, p, convention):
+    expanded = Counter()
+    real = solver.successors
+
+    def counting(rules, q):
+        expanded[q] += 1
+        return real(rules, q)
+
+    monkeypatch.setattr(solver, "successors", counting)
+    memo = MemoTable()
+    table = solve_into(rules, convention, p, memo)
+    assert len(table) > 10
+    assert expanded == Counter(table.keys())
+    assert (memo.hits, memo.misses) == (0, 1)
+    # a warm query expands nothing
+    solve_into(rules, convention, p, memo)
+    assert sum(expanded.values()) == len(table)
+    assert (memo.hits, memo.misses) == (1, 1)
 
 
 def test_grundy_zero_iff_normal_p():
