@@ -13,7 +13,6 @@ from .core import (
     RuleSet,
     canonicalize,
     format_position,
-    is_terminal,
     parse_position,
     successors,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "enumerate_positions",
     "format_position",
     "grundy",
-    "is_terminal",
     "mex",
     "outcome",
     "parse_position",

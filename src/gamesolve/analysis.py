@@ -111,7 +111,8 @@ def translation_period_check(
 
 @dataclass(frozen=True)
 class FigureGrid:
-    """Boolean raster of P-positions; cells[y][x] covers (a1, a1+x, a1+x+y)."""
+    """Boolean raster of P-positions; cells[y][x] covers (a1, a1+x, a1+x+y),
+    or (a1, a1+x, a1+y) in a triangular raster."""
 
     a1: int
     width: int
@@ -129,11 +130,17 @@ def figure_grid(
     width: int,
     height: int,
     memo: solver.MemoTable | None = None,
+    triangular: bool = False,
 ) -> FigureGrid:
+    """P-positions with first column a1.  A triangular raster has y = a3 - a1
+    instead, and its cells below the diagonal (y < x) are not positions."""
     fn = lattice_outcome_fn(rules, convention, memo)
     rows = tuple(
         tuple(
-            fn((a1, a1 + x, a1 + x + y)) is Outcome.P for x in range(width)
+            (y >= x and fn((a1, a1 + x, a1 + y)) is Outcome.P)
+            if triangular
+            else fn((a1, a1 + x, a1 + x + y)) is Outcome.P
+            for x in range(width)
         )
         for y in range(height)
     )

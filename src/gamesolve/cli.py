@@ -11,7 +11,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analysis, closedforms, games, solver
 from .core import (
@@ -31,17 +33,11 @@ EXIT_USAGE = 2
 
 def build_rules(game: str, k: int | None, add_limit: int | None) -> RuleSet:
     family = Family(game)
-    kwargs = {}
-    if family in (
-        Family.SLOW_NIM,
-        Family.EXTENDED_SLOW_NIM,
-        Family.MONOTONIC_SLOW_NIM,
-        Family.DIET_CHOMP,
-    ):
-        kwargs["k"] = k if k is not None else 2
     if family is Family.EXTENDED_NIM:
-        kwargs["add_limit"] = add_limit if add_limit is not None else 1
-    return RuleSet(family, **kwargs)
+        return RuleSet(family, add_limit=add_limit if add_limit is not None else 1)
+    if family in (Family.NIM, Family.MONOTONIC_NIM):
+        return RuleSet(family)
+    return RuleSet(family, k=k if k is not None else 2)
 
 
 def solve_position(
@@ -55,21 +51,15 @@ def solve_position(
     A normal-play position is P iff its Grundy value is 0.
     """
     if rules.family.loopy:
-        slow = rules.family is Family.EXTENDED_SLOW_NIM
-        g = (
-            closedforms.slow_nim_grundy_formula(rules.k, p)
-            if slow
-            else closedforms.nim_grundy_formula(p)
-        )
+        if rules.family is Family.EXTENDED_SLOW_NIM:
+            grundy_of = partial(closedforms.slow_nim_grundy_formula, rules.k)
+            is_p = partial(closedforms.slow_nim_p_misere, rules.k)
+        else:
+            grundy_of, is_p = closedforms.nim_grundy_formula, closedforms.nim_p_misere
         if convention is Convention.NORMAL:
-            out = Outcome.P if g == 0 else Outcome.N
-            return {"outcome": out.value, "grundy": g}
-        is_p = (
-            closedforms.slow_nim_p_misere(rules.k, p)
-            if slow
-            else closedforms.nim_p_misere(p)
-        )
-        return {"outcome": "P" if is_p else "N", "grundy": None}
+            g = grundy_of(p)
+            return {"outcome": "P" if g == 0 else "N", "grundy": g}
+        return {"outcome": "P" if is_p(p) else "N", "grundy": None}
     if memo is None:
         memo = solver.MemoTable()
     if convention is Convention.NORMAL:
@@ -84,249 +74,166 @@ def solve_position(
 
 DEFAULT_KS = (1, 2, 3)
 DEFAULT_ADD_LIMITS = (1, 2)
+NIM = RuleSet(Family.NIM)
+DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
 
-def _merge(into: solver.VerificationReport, sub: solver.VerificationReport, tag: str):
-    into.checked_count += sub.checked_count
-    into.skipped_boundary_count += sub.skipped_boundary_count
-    for p, reason in sub.counterexamples:
-        into.add(p, f"{tag}: {reason}")
-
-
-def _compare_sweep(report, domain, tag, expected_fn, actual_fn):
-    for p in solver.enumerate_positions(domain):
+def _check_case(check, rules, convention, form, bounds) -> solver.VerificationReport:
+    """One (rules, convention, closed form) case, checked as ``check`` says."""
+    if check == "bulk":  # the formula is the one bulk_formula_agreement applies
+        positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
+        result = analysis.bulk_formula_agreement(
+            rules, convention, positions, analysis.PINNED_BULK_MARGINS
+        )
+        reason = "bulk formula disagrees with solver"
+        return solver.VerificationReport(
+            result.compared, result.excluded, [(p, reason) for p in result.mismatches]
+        )
+    domain = solver.Domain(**bounds)
+    if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
+        return solver.verify_pset(rules, convention, lambda p: form(p) == 0, domain)
+    if check == "labels":
+        return solver.verify_grundy_consistency(rules, form, domain)
+    # closed form vs engine at each position, one memo per case; "monotone"
+    # reads raw sequences (zeros allowed), as the difference map does
+    report = solver.VerificationReport()
+    memo = solver.MemoTable()
+    raw = check == "monotone"
+    for p in solver.enumerate_positions(domain, lo=0 if raw else 1):
         report.checked_count += 1
-        expected = expected_fn(p)
-        actual = actual_fn(p)
+        expected = form(p)
+        if check == "grundy":
+            actual = solver.grundy(rules, p, memo)
+        else:
+            q = canonicalize(p, rules.family) if raw else p
+            actual = solver.outcome(rules, convention, q, memo) is Outcome.P
         if expected != actual:
-            report.add(p, f"{tag}: closed form {expected} != solver {actual}")
-
-
-def verify_thm1(opts) -> solver.VerificationReport:
-    """Normal-play Nim Grundy values equal the XOR of heap sizes."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 4, opts.max_entry or 15)
-    rules = RuleSet(Family.NIM)
-    memo = solver.MemoTable()
-    _compare_sweep(
-        report,
-        domain,
-        "nim grundy",
-        closedforms.nim_grundy_formula,
-        lambda p: solver.grundy(rules, p, memo),
-    )
+            report.add(p, f"closed form {expected} != solver {actual}")
     return report
 
 
-def verify_cor2(opts) -> solver.VerificationReport:
-    """Normal-play Nim P-positions are exactly the XOR-zero positions."""
-    domain = solver.Domain(opts.max_piles or 4, opts.max_entry or 15)
-    return solver.verify_pset(
-        RuleSet(Family.NIM),
-        Convention.NORMAL,
-        lambda p: closedforms.nim_grundy_formula(p) == 0,
-        domain,
-    )
+class Theorem(NamedTuple):
+    """One ``verify --theorem`` sweep.  ``cases(opts)`` lists the (tag, rules,
+    convention, closed form) checked, in order; a counterexample's reason is
+    prefixed with its case's tag, if any.  ``check`` compares a closed form
+    with the engine's Grundy values ("grundy") or outcomes ("outcome"; and
+    "monotone", on raw sequences), locally as the loopy games need ("pset":
+    ``verify_pset``; "labels": ``verify_grundy_consistency``), or through
+    ``analysis.bulk_formula_agreement`` ("bulk")."""
+
+    check: str
+    bounds: dict  # each domain option the sweep reads -> its default
+    cases: Callable
+    fixed: dict = {}  # domain sizes that no option changes
+    fact: tuple | None = None  # (reason, positions, holds), checked last
 
 
-def verify_thm3(opts) -> solver.VerificationReport:
-    """Misere Nim outcomes match the XOR rule with the all-ones twist."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 4, opts.max_entry or 15)
-    rules = RuleSet(Family.NIM)
-    memo = solver.MemoTable()
-    _compare_sweep(
-        report,
-        domain,
-        "misere nim",
-        closedforms.nim_p_misere,
-        lambda p: solver.outcome(rules, Convention.MISERE, p, memo) is Outcome.P,
-    )
-    return report
+def _ks(opts):
+    return (opts.k,) if opts.k else DEFAULT_KS
 
 
-def verify_thm4(opts) -> solver.VerificationReport:
-    """Subtract-1..k Grundy values equal XOR of entries mod k+1."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 3, opts.max_entry or 15)
-    for k in (opts.k,) if opts.k else DEFAULT_KS:
-        rules = RuleSet(Family.SLOW_NIM, k=k)
-        memo = solver.MemoTable()
-        _compare_sweep(
-            report,
-            domain,
-            f"slow-nim k={k}",
-            lambda p, k=k: closedforms.slow_nim_grundy_formula(k, p),
-            lambda p: solver.grundy(rules, p, memo),
-        )
-    return report
-
-
-def verify_thm5(opts) -> solver.VerificationReport:
-    """Misere subtract-1..k outcomes match the mod-(k+1) misere rule."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 3, opts.max_entry or 15)
-    for k in (opts.k,) if opts.k else DEFAULT_KS:
-        rules = RuleSet(Family.SLOW_NIM, k=k)
-        memo = solver.MemoTable()
-        _compare_sweep(
-            report,
-            domain,
-            f"misere slow-nim k={k}",
-            lambda p, k=k: closedforms.slow_nim_p_misere(k, p),
-            lambda p: solver.outcome(rules, Convention.MISERE, p, memo)
-            is Outcome.P,
-        )
-    return report
-
-
-def _extended_rule_sets(opts):
-    pairs = []
-    for k in (opts.k,) if opts.k else DEFAULT_KS:
-        pairs.append(
-            (
-                RuleSet(Family.EXTENDED_SLOW_NIM, k=k),
-                lambda p, k=k: closedforms.slow_nim_grundy_formula(k, p),
-                f"extended-slow-nim k={k}",
-            )
-        )
-    for limit in (opts.add_limit,) if opts.add_limit else DEFAULT_ADD_LIMITS:
-        pairs.append(
-            (
-                RuleSet(Family.EXTENDED_NIM, add_limit=limit),
-                closedforms.nim_grundy_formula,
-                f"extended-nim add_limit={limit}",
-            )
-        )
-    return pairs
-
-
-def verify_thm6_grundy(opts) -> solver.VerificationReport:
-    """The non-extended Grundy labeling stays mex-consistent when the
-    add-moves are included."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 2, opts.max_entry or 12)
-    for rules, labeling, tag in _extended_rule_sets(opts):
-        _merge(report, solver.verify_grundy_consistency(rules, labeling, domain), tag)
-    return report
-
-
-def verify_thm6_pset(opts) -> solver.VerificationReport:
-    """The extended games keep the non-extended P-sets (normal play),
-    boundary-aware over a finite window."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 2, opts.max_entry or 12)
-    for rules, labeling, tag in _extended_rule_sets(opts):
-        sub = solver.verify_pset(
-            rules, Convention.NORMAL, lambda p: labeling(p) == 0, domain
-        )
-        _merge(report, sub, tag)
-    return report
-
-
-def verify_thm7(opts) -> solver.VerificationReport:
-    """Monotone-game outcomes match the difference-position reduction,
-    both conventions, over raw (zero-allowed) sequences."""
-    report = solver.VerificationReport()
-    max_len = opts.max_piles or 4
-    max_entry = opts.max_entry or 12
-    conventions = (
-        (Convention(opts.convention),) if opts.convention else tuple(Convention)
-    )
-    variants = [RuleSet(Family.MONOTONIC_NIM)] + [
-        RuleSet(Family.MONOTONIC_SLOW_NIM, k=k)
-        for k in ((opts.k,) if opts.k else DEFAULT_KS)
+def _extended_cases(opts):
+    # each extended game against its non-extended Grundy labeling
+    limits = (opts.add_limit,) if opts.add_limit else DEFAULT_ADD_LIMITS
+    variants = [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in _ks(opts)]
+    variants += [RuleSet(Family.EXTENDED_NIM, add_limit=n) for n in limits]
+    return [
+        (r.describe(), r, Convention.NORMAL,
+         partial(closedforms.slow_nim_grundy_formula, r.k) if r.k
+         else closedforms.nim_grundy_formula)
+        for r in variants
     ]
-    raws = list(solver.enumerate_raw_sequences(max_len, max_entry))
-    for rules in variants:
-        for convention in conventions:
-            memo = solver.MemoTable()
-            tag = f"{rules.describe()} {convention.value}"
-            for raw in raws:
-                report.checked_count += 1
-                expected = closedforms.monotonic_p(rules, convention, raw)
-                canon = canonicalize(raw, rules.family)
-                actual = (
-                    solver.outcome(rules, convention, canon, memo) is Outcome.P
-                )
-                if expected != actual:
-                    report.add(
-                        raw, f"{tag}: closed form {expected} != solver {actual}"
-                    )
-    return report
 
 
-def verify_lemma8(opts) -> solver.VerificationReport:
-    """Normal-play 2-square chomp is P exactly at totals divisible by 3,
-    and triangular numbers are never 2 mod 3."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(opts.max_piles or 4, opts.max_entry or 12)
-    rules = RuleSet(Family.DIET_CHOMP, k=2)
-    memo = solver.MemoTable()
-    _compare_sweep(
-        report,
-        domain,
-        "diet-chomp-2 normal",
-        closedforms.diet2_normal_p,
-        lambda p: solver.outcome(rules, Convention.NORMAL, p, memo) is Outcome.P,
-    )
-    for n in range(1001):
-        report.checked_count += 1
-        if closedforms.stairs_mod3_fact(n) == 2:
-            report.add((n,), "triangular number is 2 mod 3")
-    return report
+def _monotone_cases(opts):
+    conventions = [Convention(opts.convention)] if opts.convention else list(Convention)
+    variants = [RuleSet(Family.MONOTONIC_NIM)]
+    variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
+    return [
+        (f"{r.describe()} {c.value}", r, c, partial(closedforms.monotonic_p, r, c))
+        for r in variants
+        for c in conventions
+    ]
 
 
-def verify_lemma9(opts) -> solver.VerificationReport:
-    """Misere 2-square chomp on one or two columns matches the
-    difference-mod-3 rule."""
-    report = solver.VerificationReport()
-    domain = solver.Domain(2, opts.max_entry or 30)
-    rules = RuleSet(Family.DIET_CHOMP, k=2)
-    memo = solver.MemoTable()
-    _compare_sweep(
-        report,
-        domain,
-        "diet-chomp-2 misere narrow",
-        closedforms.diet2_misere_p_narrow,
-        lambda p: solver.outcome(rules, Convention.MISERE, p, memo) is Outcome.P,
-    )
-    return report
-
-
-def verify_bulk(opts) -> solver.VerificationReport:
-    """Bulk three-column formula exact away from the pinned margins."""
-    report = solver.VerificationReport()
-    positions = analysis.three_column_domain(
-        opts.max_a1 if opts.max_a1 is not None else 11,
-        opts.max_extent if opts.max_extent is not None else 20,
-    )
-    result = analysis.bulk_formula_agreement(
-        RuleSet(Family.DIET_CHOMP, k=2),
-        Convention.MISERE,
-        positions,
-        analysis.PINNED_BULK_MARGINS,
-    )
-    report.checked_count = result.compared
-    report.skipped_boundary_count = result.excluded
-    for p in result.mismatches:
-        report.add(p, "bulk formula disagrees with solver")
-    return report
-
+EXTENDED_DOMAIN = {"max_piles": 2, "max_entry": 12}
 
 THEOREMS = {
-    "thm1": verify_thm1,
-    "cor2": verify_cor2,
-    "thm3": verify_thm3,
-    "thm4": verify_thm4,
-    "thm5": verify_thm5,
-    "thm6-grundy": verify_thm6_grundy,
-    "thm6-pset": verify_thm6_pset,
-    "thm7": verify_thm7,
-    "lemma8": verify_lemma8,
-    "lemma9": verify_lemma9,
-    "bulk-conjecture": verify_bulk,
+    # Nim Grundy values are the XOR of the heap sizes
+    "thm1": Theorem("grundy", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        ("nim grundy", NIM, None, closedforms.nim_grundy_formula),
+    ]),
+    # normal-play Nim P-positions are exactly the XOR-zero positions
+    "cor2": Theorem("pset", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        (None, NIM, Convention.NORMAL, closedforms.nim_grundy_formula),
+    ]),
+    # misere Nim: the XOR rule with the all-ones twist
+    "thm3": Theorem("outcome", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        ("misere nim", NIM, Convention.MISERE, closedforms.nim_p_misere),
+    ]),
+    # subtract-1..k Grundy values are the XOR of the entries mod k+1
+    "thm4": Theorem("grundy", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+        (f"slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), None,
+         partial(closedforms.slow_nim_grundy_formula, k))
+        for k in _ks(opts)
+    ]),
+    # misere subtract-1..k: the misere Nim rule on the entries mod k+1
+    "thm5": Theorem("outcome", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+        (f"misere slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), Convention.MISERE,
+         partial(closedforms.slow_nim_p_misere, k))
+        for k in _ks(opts)
+    ]),
+    # the non-extended Grundy labeling stays mex-consistent with add-moves
+    "thm6-grundy": Theorem("labels", EXTENDED_DOMAIN, _extended_cases),
+    # the extended games keep the non-extended normal-play P-sets,
+    # boundary-aware over a finite window
+    "thm6-pset": Theorem("pset", EXTENDED_DOMAIN, _extended_cases),
+    # monotone games follow the difference-position reduction, both
+    # conventions, over raw (zero-allowed) sequences
+    "thm7": Theorem("monotone", {"max_piles": 4, "max_entry": 12}, _monotone_cases),
+    # normal-play 2-Diet Chomp is P exactly at totals divisible by 3, and
+    # triangular numbers are never 2 mod 3
+    "lemma8": Theorem("outcome", {"max_piles": 4, "max_entry": 12}, lambda opts: [
+        ("diet-chomp-2 normal", DC2, Convention.NORMAL, closedforms.diet2_normal_p),
+    ], fact=(
+        "triangular number is 2 mod 3",
+        [(n,) for n in range(1001)],
+        lambda p: closedforms.stairs_mod3_fact(p[0]) != 2,
+    )),
+    # misere 2-Diet Chomp on one or two columns: the difference-mod-3 rule
+    "lemma9": Theorem("outcome", {"max_entry": 30}, lambda opts: [
+        ("diet-chomp-2 misere narrow", DC2, Convention.MISERE,
+         closedforms.diet2_misere_p_narrow),
+    ], fixed={"max_piles": 2}),
+    # the bulk three-column formula is exact away from the pinned margins
+    "bulk-conjecture": Theorem("bulk", {"max_a1": 11, "max_extent": 20}, lambda opts: [
+        (None, DC2, Convention.MISERE, None),
+    ]),
 }
+
+
+def verify_theorem(name: str, opts) -> solver.VerificationReport:
+    """Run the THEOREMS entry ``name``; each domain bound is the option's
+    value, else the entry's default."""
+    theorem = THEOREMS[name]
+    bounds = dict(theorem.fixed)
+    for option, default in theorem.bounds.items():
+        value = getattr(opts, option)
+        bounds[option] = default if value is None else value
+    report = solver.VerificationReport()
+    for tag, rules, convention, form in theorem.cases(opts):
+        sub = _check_case(theorem.check, rules, convention, form, bounds)
+        report.checked_count += sub.checked_count
+        report.skipped_boundary_count += sub.skipped_boundary_count
+        for p, reason in sub.counterexamples:
+            report.add(p, f"{tag}: {reason}" if tag else reason)
+    if theorem.fact is not None:
+        reason, positions, holds = theorem.fact
+        for p in positions:
+            report.checked_count += 1
+            if not holds(p):
+                report.add(p, reason)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +347,21 @@ def cmd_outcome(opts) -> int:
     return EXIT_OK
 
 
-def cmd_verify(opts) -> int:
-    for name in ("max_piles", "max_entry", "k", "add_limit"):
+def _check_minimums(opts, minimums: dict) -> None:
+    """Reject each given option that is below its minimum."""
+    for name, least in minimums.items():
         value = getattr(opts, name)
-        if value is not None and value < 1:
-            print(f"error: --{name.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-    report = THEOREMS[opts.theorem](opts)
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+
+
+def cmd_verify(opts) -> int:
+    _check_minimums(
+        opts,
+        {"max_piles": 1, "max_entry": 1, "k": 1, "add_limit": 1, "max_a1": 0,
+         "max_extent": 0},
+    )
+    report = verify_theorem(opts.theorem, opts)
     print(json.dumps({"theorem": opts.theorem, **report.to_dict()}))
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
 
@@ -455,13 +370,17 @@ def _parse_a1_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty --a1 range {text!r}")
-        return values
-    return [int(text)]
+    else:
+        values = [int(text)]
+    if not values:
+        raise ValueError(f"empty --a1 range {text!r}")
+    if values[0] < 0:
+        raise ValueError(f"--a1 must be >= 0, not {text!r}")
+    return values
 
 
 def cmd_figure(opts) -> int:
+    _check_minimums(opts, {"width": 1, "height": 1})
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
     a1_values = _parse_a1_range(opts.a1)
@@ -473,12 +392,9 @@ def cmd_figure(opts) -> int:
         return EXIT_USAGE
     memo = solver.MemoTable()
     for a1 in a1_values:
-        if opts.triangular:
-            grid = _triangular_grid(rules, convention, a1, opts.width, opts.height, memo)
-        else:
-            grid = analysis.figure_grid(
-                rules, convention, a1, opts.width, opts.height, memo
-            )
+        grid = analysis.figure_grid(
+            rules, convention, a1, opts.width, opts.height, memo, opts.triangular
+        )
         ext = "pbm" if opts.format == "pbm" else "txt"
         path = out_dir / f"fig-a1-{a1}.{ext}"
         try:
@@ -493,27 +409,15 @@ def cmd_figure(opts) -> int:
     return EXIT_OK
 
 
-def _triangular_grid(rules, convention, a1, width, height, memo):
-    # Alternative axes for visual comparison: x = a2-a1, y = a3-a1; cells
-    # below the diagonal (a3 < a2) are not positions and render as 0.
-    fn = analysis.lattice_outcome_fn(rules, convention, memo)
-    rows = tuple(
-        tuple(
-            y >= x and fn((a1, a1 + x, a1 + y)) is Outcome.P
-            for x in range(width)
-        )
-        for y in range(height)
-    )
-    return analysis.FigureGrid(a1, width, height, rows)
-
-
 def cmd_period(opts) -> int:
+    _check_minimums(
+        opts,
+        {"translation": 1, "max_a1": 0, "max_extent": 0, "max_period": 1,
+         "max_preperiod": 0},
+    )
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
     if opts.translation is not None:
-        if opts.translation < 1:
-            print("error: --translation must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         positions = analysis.three_column_domain(opts.max_a1, opts.max_extent)
         report = analysis.translation_period_check(
             rules, convention, positions, opts.translation

@@ -146,11 +146,6 @@ def canonicalize(
     return canon
 
 
-def is_terminal(rules: RuleSet, p: Position) -> bool:
-    """A canonical position is terminal iff it is empty, for every family here."""
-    return len(p) == 0
-
-
 def successors(rules: RuleSet, p: Position) -> list[Position]:
     """Deduplicated, sorted canonical successors of p under the rule set."""
     from . import games  # dispatch target; imported late to avoid a cycle

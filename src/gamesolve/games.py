@@ -1,9 +1,10 @@
 """Successor generators for each game family.
 
-All generators take a canonical position and return deduplicated,
-lexicographically sorted canonical successors, so output is
-deterministic across platforms.  ``move_records`` exposes the same
-moves with human-readable annotations for the CLI.
+Each family has one record generator, which takes a canonical position
+and lists its legal moves with human-readable annotations and canonical
+results.  ``move_records`` dispatches on the rule set; ``moves`` returns
+the deduplicated, lexicographically sorted successors, so output is
+deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -11,12 +12,8 @@ from __future__ import annotations
 from .core import Family, MoveRecord, Position, RuleSet, canonicalize
 
 
-def nim_moves(p: Position) -> list[Position]:
-    """Reduce one heap from a to a' with 0 <= a' < a."""
-    return _finish(r.result for r in nim_move_records(p))
-
-
 def nim_move_records(p: Position) -> list[MoveRecord]:
+    """Reduce one heap from a to a' with 0 <= a' < a."""
     records = []
     for i, a in enumerate(p):
         for new in range(a):
@@ -25,12 +22,8 @@ def nim_move_records(p: Position) -> list[MoveRecord]:
     return records
 
 
-def slow_nim_moves(k: int, p: Position) -> list[Position]:
-    """Subtract s in 1..min(k, a) from one heap of size a."""
-    return _finish(r.result for r in slow_nim_move_records(k, p))
-
-
 def slow_nim_move_records(k: int, p: Position) -> list[MoveRecord]:
+    """Subtract s in 1..min(k, a) from one heap of size a."""
     records = []
     for i, a in enumerate(p):
         for s in range(1, min(k, a) + 1):
@@ -40,7 +33,9 @@ def slow_nim_move_records(k: int, p: Position) -> list[MoveRecord]:
 
 
 def _add_records(limit: int, p: Position) -> list[MoveRecord]:
-    # Additions go to exactly one existing heap; no new heaps are created.
+    """Add 1..limit tokens to one existing heap; no new heaps are created.
+    Extended Nim adds these to the Nim moves, Extended Slow Nim (limit k)
+    to the Slow-Nim moves."""
     records = []
     for i, a in enumerate(p):
         for j in range(1, limit + 1):
@@ -49,32 +44,10 @@ def _add_records(limit: int, p: Position) -> list[MoveRecord]:
     return records
 
 
-def extended_nim_moves(add_limit: int, p: Position) -> list[Position]:
-    """Nim moves plus adding 1..add_limit tokens to one existing heap."""
-    return _finish(
-        r.result for r in nim_move_records(p) + _add_records(add_limit, p)
-    )
-
-
-def extended_slow_nim_moves(k: int, p: Position) -> list[Position]:
-    """Slow-Nim moves plus adding 1..k tokens to one existing heap."""
-    return _finish(
-        r.result for r in slow_nim_move_records(k, p) + _add_records(k, p)
-    )
-
-
-def monotonic_nim_moves(p: Position) -> list[Position]:
-    """Reduce entry i to a' with left-neighbor <= a' < a_i (neighbor of the
-    first entry is 0); the result stays non-decreasing by construction."""
-    return _finish(r.result for r in monotonic_move_records(None, p))
-
-
-def monotonic_slow_nim_moves(k: int, p: Position) -> list[Position]:
-    """Monotonic Nim moves with subtraction amounts capped at k."""
-    return _finish(r.result for r in monotonic_move_records(k, p))
-
-
 def monotonic_move_records(k: int | None, p: Position) -> list[MoveRecord]:
+    """Reduce entry i to a' with left-neighbor <= a' < a_i (neighbor of the
+    first entry is 0), and with a_i - a' <= k unless k is None (Monotonic
+    Nim); the result stays non-decreasing by construction."""
     records = []
     for i, a in enumerate(p):
         left = p[i - 1] if i > 0 else 0
@@ -87,16 +60,12 @@ def monotonic_move_records(k: int | None, p: Position) -> list[MoveRecord]:
     return records
 
 
-def diet_chomp_moves(k: int, p: Position) -> list[Position]:
+def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
     """Quadrant chomp moves removing between 1 and k squares.
 
     A move at (column j, height r) truncates columns 1..j to height r-1;
     columns right of j are untouched.
     """
-    return _finish(r.result for r in diet_chomp_move_records(k, p))
-
-
-def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
     # Column j alone loses p[j-1]-r+1 squares, so only the top k heights
     # can be legal; p is non-decreasing, so the cut reaches leftwards
     # exactly as far as the columns of height >= r.
@@ -147,8 +116,8 @@ def _replace(p: Position, i: int, value: int) -> Position:
 
 
 def moves(rules: RuleSet, p: Position) -> list[Position]:
-    """Dispatch to the family generator."""
-    return _finish(r.result for r in move_records(rules, p))
+    """Deduplicated, sorted canonical successors of p under the rule set."""
+    return sorted({r.result for r in move_records(rules, p)})
 
 
 def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
@@ -168,7 +137,3 @@ def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
     if f is Family.DIET_CHOMP:
         return diet_chomp_move_records(rules.k, p)
     raise ValueError(f"unknown family {f}")
-
-
-def _finish(results) -> list[Position]:
-    return sorted(set(results))

@@ -113,7 +113,6 @@ class Domain:
 
     max_piles: int
     max_entry: int
-    ordered: bool = True
 
     def __contains__(self, p: Position) -> bool:
         return len(p) <= self.max_piles and all(
@@ -121,12 +120,12 @@ class Domain:
         )
 
 
-def enumerate_positions(domain: Domain) -> Iterator[Position]:
-    """Every canonical position in the domain, once, in lexicographic order.
-
-    Canonical positions are non-decreasing for ordered and order-free
-    families alike, so one enumeration serves both.
-    """
+def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
+    """Every non-decreasing sequence of at most max_piles entries in
+    lo..max_entry, once, in lexicographic order: with lo = 1 the canonical
+    positions of the domain (for ordered and order-free families alike),
+    with lo = 0 the raw sequences that the monotone-game difference map
+    reads, where zero padding and length parity matter."""
 
     def rec(prefix: list[int], lo: int) -> Iterator[Position]:
         yield tuple(prefix)
@@ -137,25 +136,7 @@ def enumerate_positions(domain: Domain) -> Iterator[Position]:
             yield from rec(prefix, v)
             prefix.pop()
 
-    yield from rec([], 1)
-
-
-def enumerate_raw_sequences(max_len: int, max_entry: int) -> Iterator[tuple]:
-    """Every non-decreasing raw sequence (zeros allowed) with at most
-    max_len entries, each <= max_entry, in lexicographic order.  Raw
-    sequences feed the monotone-game difference map, where zero padding
-    and length parity matter before canonicalization."""
-
-    def rec(prefix: list[int], lo: int) -> Iterator[tuple]:
-        yield tuple(prefix)
-        if len(prefix) == max_len:
-            return
-        for v in range(lo, max_entry + 1):
-            prefix.append(v)
-            yield from rec(prefix, v)
-            prefix.pop()
-
-    yield from rec([], 0)
+    yield from rec([], lo)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from gamesolve.closedforms import (
     nim_p_misere,
     slow_nim_p_misere,
 )
-from gamesolve.games import diet_chomp2_moves_explicit, diet_chomp_moves
+from gamesolve.games import diet_chomp2_moves_explicit, moves
 from gamesolve.solver import enumerate_positions
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
@@ -62,20 +62,20 @@ def check(n, desc, ok, elapsed, limit):
 
 def test_criterion_1_nim_grundy_closed_form():
     t0 = time.perf_counter()
-    report = cli.verify_thm1(opts(max_piles=4, max_entry=15))
+    report = cli.verify_theorem("thm1", opts(max_piles=4, max_entry=15))
     check(1, "Nim Grundy = XOR, <=4 heaps <=15", report.ok, time.perf_counter() - t0, 5)
 
 
 def test_criterion_2_misere_nim():
     t0 = time.perf_counter()
-    report = cli.verify_thm3(opts(max_piles=4, max_entry=15))
+    report = cli.verify_theorem("thm3", opts(max_piles=4, max_entry=15))
     check(2, "misere Nim outcomes match predicate", report.ok, time.perf_counter() - t0, 5)
 
 
 def test_criterion_3_slow_nim_closed_forms():
     t0 = time.perf_counter()
-    r4 = cli.verify_thm4(opts(max_piles=3, max_entry=15))
-    r5 = cli.verify_thm5(opts(max_piles=3, max_entry=15))
+    r4 = cli.verify_theorem("thm4", opts(max_piles=3, max_entry=15))
+    r5 = cli.verify_theorem("thm5", opts(max_piles=3, max_entry=15))
     check(
         3, "k-Slow Nim Grundy/misere closed forms, k in 1..3",
         r4.ok and r5.ok, time.perf_counter() - t0, 10,
@@ -84,8 +84,8 @@ def test_criterion_3_slow_nim_closed_forms():
 
 def test_criterion_4_extended_games():
     t0 = time.perf_counter()
-    rg = cli.verify_thm6_grundy(opts(max_piles=2, max_entry=12))
-    rp = cli.verify_thm6_pset(opts(max_piles=2, max_entry=12))
+    rg = cli.verify_theorem("thm6-grundy", opts(max_piles=2, max_entry=12))
+    rp = cli.verify_theorem("thm6-pset", opts(max_piles=2, max_entry=12))
     check(
         4, "extended games keep labels/P-sets (boundary-aware)",
         rg.ok and rp.ok, time.perf_counter() - t0, 10,
@@ -94,7 +94,7 @@ def test_criterion_4_extended_games():
 
 def test_criterion_5_monotonic_reduction():
     t0 = time.perf_counter()
-    report = cli.verify_thm7(opts(max_piles=4, max_entry=12))
+    report = cli.verify_theorem("thm7", opts(max_piles=4, max_entry=12))
     check(
         5, "monotone games match difference reduction, both conventions",
         report.ok, time.perf_counter() - t0, 30,
@@ -103,7 +103,7 @@ def test_criterion_5_monotonic_reduction():
 
 def test_criterion_6_diet_chomp_normal():
     t0 = time.perf_counter()
-    report = cli.verify_lemma8(opts(max_piles=4, max_entry=12))
+    report = cli.verify_theorem("lemma8", opts(max_piles=4, max_entry=12))
     check(
         6, "2-Diet Chomp normal P iff total divisible by 3; stairs fact",
         report.ok, time.perf_counter() - t0, 10,
@@ -112,7 +112,7 @@ def test_criterion_6_diet_chomp_normal():
 
 def test_criterion_7_diet_chomp_misere_narrow():
     t0 = time.perf_counter()
-    report = cli.verify_lemma9(opts(max_entry=30))
+    report = cli.verify_theorem("lemma9", opts(max_entry=30))
     check(
         7, "misere narrow boards match difference-mod-3 rule",
         report.ok, time.perf_counter() - t0, 5,
@@ -177,7 +177,7 @@ def test_criterion_10_bulk_formula_margins():
 def test_criterion_11_generator_cross_check():
     t0 = time.perf_counter()
     ok = all(
-        set(diet_chomp_moves(2, p)) == set(diet_chomp2_moves_explicit(p))
+        set(moves(DC2, p)) == set(diet_chomp2_moves_explicit(p))
         for p in enumerate_positions(Domain(5, 10))
     )
     check(

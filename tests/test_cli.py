@@ -154,15 +154,21 @@ def test_figure_deterministic(capsys, tmp_path):
 
 
 def test_figure_triangular_variant(capsys, tmp_path):
-    code, _, _ = run(
-        capsys, "figure", "--a1", "0", "--width", "4", "--height", "4",
+    code, out, _ = run(
+        capsys, "figure", "--a1", "0..2", "--width", "6", "--height", "6",
         "--format", "ascii", "--out", str(tmp_path), "--triangular",
     )
     assert code == 0
-    text = (tmp_path / "fig-a1-0.txt").read_text()
-    # cells strictly below the diagonal are not positions: bottom row has
-    # only x=0 live, which is the misere-N flat board
-    assert text.splitlines()[-1] == "...."
+    assert out.splitlines() == [str(tmp_path / f"fig-a1-{a1}.txt") for a1 in range(3)]
+    # cell (x, y) is the board (a1, a1+x, a1+y); cells below the diagonal
+    # (y < x) are not positions and render as '.', so the bottom row is
+    # all '.' (its only position, the flat board, is a misere N-position)
+    shifted = "#....#\n.#....\n...#..\n#.....\n.#....\n......\n"
+    assert [(tmp_path / f"fig-a1-{a1}.txt").read_text() for a1 in range(3)] == [
+        ".#..#.\n#..#..\n..#...\n.#....\n#.....\n......\n",
+        shifted,
+        shifted,
+    ]
 
 
 def test_period_translation(capsys):
@@ -354,3 +360,40 @@ def test_figure_empty_a1_range_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--a1", "-1"),
+        ("--a1=-2..1",),
+        ("--a1", "0", "--width", "-3"),
+        ("--a1", "0", "--width", "0"),
+        ("--a1", "0", "--height", "0"),
+    ],
+)
+def test_figure_bad_arguments_exit_2_before_writing(capsys, tmp_path, args):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, "figure", *args, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "-1"),
+        ("verify", "--theorem", "bulk-conjecture", "--max-extent", "-1"),
+        ("period", "--translation", "12", "--max-a1", "-1"),
+        ("period", "--translation", "12", "--max-extent", "-1"),
+        ("period", "--direction", "0,0,1", "--base", "2,3,3", "--max-period", "0"),
+        ("period", "--direction", "0,0,1", "--base", "2,3,3", "--max-preperiod", "-5"),
+    ],
+)
+def test_vacuous_sweep_bounds_exit_2(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {args[-2]} must be >= ")

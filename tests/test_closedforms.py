@@ -17,7 +17,6 @@ from gamesolve.closedforms import (
     stairs_mod3_fact,
 )
 from gamesolve.core import NonMonotoneInput
-from gamesolve.solver import enumerate_raw_sequences
 
 
 def test_nim_grundy_formula():
@@ -84,7 +83,7 @@ def test_monotonic_p_raw_vs_stripped_agree():
         RuleSet(Family.MONOTONIC_SLOW_NIM, k=2),
     ]:
         for conv in Convention:
-            for raw in enumerate_raw_sequences(4, 6):
+            for raw in enumerate_positions(Domain(4, 6), lo=0):
                 stripped = tuple(e for e in raw if e)
                 assert monotonic_p(rules, conv, raw) == monotonic_p(
                     rules, conv, stripped

@@ -8,7 +8,6 @@ from gamesolve import (
     RuleSet,
     canonicalize,
     format_position,
-    is_terminal,
     parse_position,
     successors,
 )
@@ -64,12 +63,6 @@ def test_bounds_enforced():
         canonicalize([2**32], Family.NIM)
     with pytest.raises(ValueError):
         canonicalize([-1], Family.NIM)
-
-
-def test_is_terminal():
-    assert is_terminal(RuleSet(Family.NIM), ())
-    assert not is_terminal(RuleSet(Family.DIET_CHOMP, k=2), (1,))
-    assert not is_terminal(RuleSet(Family.MONOTONIC_SLOW_NIM, k=3), (1, 1))
 
 
 def test_successors_empty_iff_terminal():

@@ -7,15 +7,32 @@ from gamesolve import Family, MoveRecord, RuleSet, canonicalize, successors
 from gamesolve.games import (
     diet_chomp2_moves_explicit,
     diet_chomp_move_records,
-    diet_chomp_moves,
-    extended_nim_moves,
-    extended_slow_nim_moves,
-    monotonic_nim_moves,
-    monotonic_slow_nim_moves,
     move_records,
-    nim_moves,
-    slow_nim_moves,
+    moves,
 )
+
+NIM = RuleSet(Family.NIM)
+MONOTONIC_NIM = RuleSet(Family.MONOTONIC_NIM)
+
+
+def slow_nim(k):
+    return RuleSet(Family.SLOW_NIM, k=k)
+
+
+def extended_nim(add_limit):
+    return RuleSet(Family.EXTENDED_NIM, add_limit=add_limit)
+
+
+def extended_slow_nim(k):
+    return RuleSet(Family.EXTENDED_SLOW_NIM, k=k)
+
+
+def monotonic_slow_nim(k):
+    return RuleSet(Family.MONOTONIC_SLOW_NIM, k=k)
+
+
+def diet_chomp(k):
+    return RuleSet(Family.DIET_CHOMP, k=k)
 
 
 def young_positions(max_cols, max_height):
@@ -65,45 +82,45 @@ def all_cuts_records(p):
 
 
 def test_nim_moves_examples():
-    assert nim_moves((2,)) == [(), (1,)]
-    assert nim_moves((1, 1)) == [(1,)]
-    assert set(nim_moves((1, 2))) == {(2,), (1, 1), (1,)}
+    assert moves(NIM, (2,)) == [(), (1,)]
+    assert moves(NIM, (1, 1)) == [(1,)]
+    assert set(moves(NIM, (1, 2))) == {(2,), (1, 1), (1,)}
 
 
 def test_slow_nim_moves_examples():
-    assert slow_nim_moves(2, (3,)) == [(1,), (2,)]
-    assert slow_nim_moves(1, (1, 1)) == [(1,)]
-    assert slow_nim_moves(3, (5,)) == [(2,), (3,), (4,)]
+    assert moves(slow_nim(2), (3,)) == [(1,), (2,)]
+    assert moves(slow_nim(1), (1, 1)) == [(1,)]
+    assert moves(slow_nim(3), (5,)) == [(2,), (3,), (4,)]
 
 
 def test_extended_nim_moves_examples():
-    assert extended_nim_moves(2, (1,)) == [(), (2,), (3,)]
-    assert extended_nim_moves(1, ()) == []
-    assert extended_nim_moves(1, (1, 1)) == [(1,), (1, 2)]
+    assert moves(extended_nim(2), (1,)) == [(), (2,), (3,)]
+    assert moves(extended_nim(1), ()) == []
+    assert moves(extended_nim(1), (1, 1)) == [(1,), (1, 2)]
 
 
 def test_extended_slow_nim_moves_examples():
-    assert extended_slow_nim_moves(1, (1,)) == [(), (2,)]
-    assert extended_slow_nim_moves(2, (2,)) == [(), (1,), (3,), (4,)]
-    assert extended_slow_nim_moves(2, ()) == []
+    assert moves(extended_slow_nim(1), (1,)) == [(), (2,)]
+    assert moves(extended_slow_nim(2), (2,)) == [(), (1,), (3,), (4,)]
+    assert moves(extended_slow_nim(2), ()) == []
 
 
 def test_monotonic_nim_moves_examples():
-    assert set(monotonic_nim_moves((1, 2))) == {(2,), (1, 1)}
-    assert set(monotonic_nim_moves((2, 2))) == {(1, 2), (2,)}
-    assert monotonic_nim_moves((1, 1)) == [(1,)]
+    assert set(moves(MONOTONIC_NIM, (1, 2))) == {(2,), (1, 1)}
+    assert set(moves(MONOTONIC_NIM, (2, 2))) == {(1, 2), (2,)}
+    assert moves(MONOTONIC_NIM, (1, 1)) == [(1,)]
 
 
 def test_monotonic_slow_nim_moves_examples():
-    assert set(monotonic_slow_nim_moves(1, (1, 2))) == {(2,), (1, 1)}
-    assert set(monotonic_slow_nim_moves(2, (3, 3))) == {(1, 3), (2, 3)}
-    assert monotonic_slow_nim_moves(5, (2,)) == [(), (1,)]
+    assert set(moves(monotonic_slow_nim(1), (1, 2))) == {(2,), (1, 1)}
+    assert set(moves(monotonic_slow_nim(2), (3, 3))) == {(1, 3), (2, 3)}
+    assert moves(monotonic_slow_nim(5), (2,)) == [(), (1,)]
 
 
 def test_diet_chomp_moves_examples():
-    assert set(diet_chomp_moves(2, (1, 2, 2))) == {(2, 2), (1, 1, 2), (1, 1, 1)}
-    assert diet_chomp_moves(1, (1, 1)) == [(1,)]
-    assert set(diet_chomp_moves(100, (2, 2))) == {(2,), (1, 2), (1, 1), ()}
+    assert set(moves(diet_chomp(2), (1, 2, 2))) == {(2, 2), (1, 1, 2), (1, 1, 1)}
+    assert moves(diet_chomp(1), (1, 1)) == [(1,)]
+    assert set(moves(diet_chomp(100), (2, 2))) == {(2,), (1, 2), (1, 1), ()}
 
 
 def test_diet_chomp2_explicit_examples():
@@ -123,7 +140,7 @@ def test_diet_chomp2_explicit_examples():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_diet_chomp_matches_quadrant_oracle(k):
     for p in young_positions(4, 5):
-        assert set(diet_chomp_moves(k, p)) == quadrant_oracle(k, p), p
+        assert set(moves(diet_chomp(k), p)) == quadrant_oracle(k, p), p
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -144,35 +161,35 @@ def test_single_tall_column_has_k_records(k):
 def test_explicit_rules_equal_quadrant_moves():
     # exhaustive cross-check at small scale; acceptance widens the box
     for p in young_positions(4, 6):
-        assert set(diet_chomp_moves(2, p)) == set(diet_chomp2_moves_explicit(p)), p
+        assert set(moves(diet_chomp(2), p)) == set(diet_chomp2_moves_explicit(p)), p
 
 
 def test_unrestricted_k_gives_all_quadrant_cuts():
     for p in young_positions(3, 4):
         total = sum(p)
         if total:
-            assert set(diet_chomp_moves(total, p)) == quadrant_oracle(total, p)
+            assert set(moves(diet_chomp(total), p)) == quadrant_oracle(total, p)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_slow_moves_are_subsets(k):
     for p in young_positions(3, 6):
-        assert set(slow_nim_moves(k, p)) <= set(nim_moves(p))
-        assert set(monotonic_slow_nim_moves(k, p)) <= set(monotonic_nim_moves(p))
+        assert set(moves(slow_nim(k), p)) <= set(moves(NIM, p))
+        assert set(moves(monotonic_slow_nim(k), p)) <= set(moves(MONOTONIC_NIM, p))
 
 
 def test_slow_equals_full_when_k_covers_max():
     for p in young_positions(3, 5):
-        assert slow_nim_moves(5, p) == nim_moves(p)
-        assert monotonic_slow_nim_moves(5, p) == monotonic_nim_moves(p)
+        assert moves(slow_nim(5), p) == moves(NIM, p)
+        assert moves(monotonic_slow_nim(5), p) == moves(MONOTONIC_NIM, p)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_extended_slow_decreasing_part_is_slow_nim(k):
     for p in young_positions(3, 6):
         total = sum(p)
-        dec = {q for q in extended_slow_nim_moves(k, p) if sum(q) < total}
-        assert dec == set(slow_nim_moves(k, p))
+        dec = {q for q in moves(extended_slow_nim(k), p) if sum(q) < total}
+        assert dec == set(moves(slow_nim(k), p))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -180,9 +197,9 @@ def test_add_moves_reach_back(k):
     # every add-successor has a subtraction move returning to the source
     for p in young_positions(2, 6):
         total = sum(p)
-        for q in extended_slow_nim_moves(k, p):
+        for q in moves(extended_slow_nim(k), p):
             if sum(q) > total:
-                assert p in slow_nim_moves(k, q)
+                assert p in moves(slow_nim(k), q)
 
 
 def test_successors_monotone_for_ordered_families():
@@ -227,5 +244,5 @@ def test_move_records_results_are_legal_successors():
 )
 def test_diet_chomp_output_sorted_dedup(entries, k):
     p = canonicalize(sorted(entries), Family.DIET_CHOMP)
-    out = diet_chomp_moves(k, p)
+    out = moves(diet_chomp(k), p)
     assert out == sorted(set(out))

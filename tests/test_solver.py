@@ -23,7 +23,6 @@ from gamesolve import (
     verify_pset,
 )
 from gamesolve.closedforms import nim_grundy_formula, slow_nim_grundy_formula
-from gamesolve.solver import enumerate_raw_sequences
 
 
 def naive_outcome(rules, convention, p):
@@ -202,7 +201,7 @@ def test_enumerate_positions_unique_and_lexicographic():
 
 
 def test_enumerate_raw_sequences_allows_zeros():
-    raws = list(enumerate_raw_sequences(2, 1))
+    raws = list(enumerate_positions(Domain(2, 1), lo=0))
     assert raws == [(), (0,), (0, 0), (0, 1), (1,), (1, 1)]
 
 
