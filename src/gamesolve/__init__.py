@@ -12,9 +12,7 @@ from .core import (
     Position,
     RuleSet,
     canonicalize,
-    format_position,
     parse_position,
-    successors,
 )
 from .solver import (
     Domain,
@@ -24,6 +22,7 @@ from .solver import (
     grundy,
     mex,
     outcome,
+    successors,
     verify_grundy_consistency,
     verify_pset,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "VerificationReport",
     "canonicalize",
     "enumerate_positions",
-    "format_position",
     "grundy",
     "mex",
     "outcome",

@@ -25,7 +25,6 @@ class PeriodReport:
     direction: tuple
     preperiod: int
     period: int | None
-    probe_length: int
 
     def to_dict(self) -> dict:
         return {
@@ -61,8 +60,8 @@ def directional_period(
     for pre in range(max_preperiod + 1):
         for per in range(1, max_period + 1):
             if all(seq[t] == seq[t + per] for t in range(pre, probe_length - per)):
-                return PeriodReport(base, direction, pre, per, probe_length)
-    return PeriodReport(base, direction, 0, None, probe_length)
+                return PeriodReport(base, direction, pre, per)
+    return PeriodReport(base, direction, 0, None)
 
 
 def lattice_outcome_fn(
@@ -109,20 +108,6 @@ def translation_period_check(
     return report
 
 
-@dataclass(frozen=True)
-class FigureGrid:
-    """Boolean raster of P-positions; cells[y][x] covers (a1, a1+x, a1+x+y),
-    or (a1, a1+x, a1+y) in a triangular raster."""
-
-    a1: int
-    width: int
-    height: int
-    cells: tuple  # tuple of rows, row y=0 first (bottom)
-
-    def cell(self, x: int, y: int) -> bool:
-        return self.cells[y][x]
-
-
 def figure_grid(
     rules: RuleSet,
     convention: Convention,
@@ -131,11 +116,13 @@ def figure_grid(
     height: int,
     memo: solver.MemoTable | None = None,
     triangular: bool = False,
-) -> FigureGrid:
-    """P-positions with first column a1.  A triangular raster has y = a3 - a1
-    instead, and its cells below the diagonal (y < x) are not positions."""
+) -> tuple:
+    """Rows of booleans, bottom row (y = 0) first, marking the P-positions
+    with first column a1: cell x of row y covers (a1, a1+x, a1+x+y).  A
+    triangular raster has y = a3 - a1 instead, and its cells below the
+    diagonal (y < x) are not positions."""
     fn = lattice_outcome_fn(rules, convention, memo)
-    rows = tuple(
+    return tuple(
         tuple(
             (y >= x and fn((a1, a1 + x, a1 + y)) is Outcome.P)
             if triangular
@@ -144,39 +131,21 @@ def figure_grid(
         )
         for y in range(height)
     )
-    return FigureGrid(a1, width, height, rows)
 
 
-def render_pbm(grid: FigureGrid) -> bytes:
+def render_pbm(rows: tuple) -> bytes:
     """Plain PBM (P1): top row first, bit 1 = P-position (black)."""
-    lines = [f"P1", f"{grid.width} {grid.height}"]
-    for y in reversed(range(grid.height)):
-        lines.append(" ".join("1" if c else "0" for c in grid.cells[y]))
+    lines = ["P1", f"{len(rows[0])} {len(rows)}"]
+    for row in reversed(rows):
+        lines.append(" ".join("1" if c else "0" for c in row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def render_ascii(grid: FigureGrid) -> str:
+def render_ascii(rows: tuple) -> str:
     """'#' for P, '.' for N, top row first."""
     return "\n".join(
-        "".join("#" if c else "." for c in grid.cells[y])
-        for y in reversed(range(grid.height))
+        "".join("#" if c else "." for c in row) for row in reversed(rows)
     ) + "\n"
-
-
-def parse_pbm(data: bytes) -> FigureGrid:
-    """Inverse of render_pbm (a1 is not stored in the file; set to -1)."""
-    tokens = data.decode("ascii").split()
-    if tokens[0] != "P1":
-        raise ValueError("not a plain PBM")
-    width, height = int(tokens[1]), int(tokens[2])
-    bits = [t == "1" for t in tokens[3:]]
-    if len(bits) != width * height:
-        raise ValueError("bit count mismatch")
-    rows = [
-        tuple(bits[r * width : (r + 1) * width]) for r in range(height)
-    ]
-    rows.reverse()  # file stores top row first; cells store bottom first
-    return FigureGrid(-1, width, height, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -184,39 +153,12 @@ class Margins:
     """Exclusion margins for the bulk-formula comparison, in raster
     coordinates x = a2 - a1, y = a3 - a2."""
 
-    corner_radius: int = 0  # exclude x + y < corner_radius
     bottom_rows: int = 0  # exclude y < bottom_rows
     top_diagonals: int = 0  # exclude x < top_diagonals
 
     def excludes(self, p: tuple) -> bool:
         a1, a2, a3 = p
-        x, y = a2 - a1, a3 - a2
-        return (
-            x + y < self.corner_radius
-            or y < self.bottom_rows
-            or x < self.top_diagonals
-        )
-
-
-# Lattice directions whose outcome sequences reproduce the observed
-# period sets: {1, 3} along ROW_DIRECTION, {1, 2} along NE_DIAGONAL_DIRECTION.
-ROW_DIRECTION = (0, 0, 1)
-NE_DIAGONAL_DIRECTION = (0, 1, 1)
-ROW_PERIODS = frozenset({1, 3})
-NE_DIAGONAL_PERIODS = frozenset({1, 2})
-
-
-@dataclass
-class BulkAgreement:
-    compared: int
-    excluded: int
-    mismatches: list
-
-    @property
-    def ratio(self) -> float:
-        if self.compared == 0:
-            return 1.0
-        return 1.0 - len(self.mismatches) / self.compared
+        return a3 - a2 < self.bottom_rows or a2 - a1 < self.top_diagonals
 
 
 def bulk_formula_agreement(
@@ -224,26 +166,24 @@ def bulk_formula_agreement(
     convention: Convention,
     positions: Iterable[tuple],
     margins: Margins,
-    memo: solver.MemoTable | None = None,
-) -> BulkAgreement:
+) -> solver.VerificationReport:
     """Compare solver outcomes against the three-column bulk formula over
-    the domain minus the excluded margins."""
-    fn = lattice_outcome_fn(rules, convention, memo)
-    compared = excluded = 0
-    mismatches = []
+    the positions outside the margins; those inside are skipped."""
+    fn = lattice_outcome_fn(rules, convention)
+    report = solver.VerificationReport()
     for p in positions:
         if margins.excludes(p):
-            excluded += 1
+            report.skipped_boundary_count += 1
             continue
-        compared += 1
+        report.checked_count += 1
         actual = fn(p) is Outcome.P
         if actual != closedforms.diet2_misere_bulk_conjecture(p):
-            mismatches.append(p)
-    return BulkAgreement(compared, excluded, mismatches)
+            report.add(p, "bulk formula disagrees with solver")
+    return report
 
 
 # Measured on the three-column misere raster (a1 <= 13, extent <= 26):
 # the bulk formula is exact once the three columns nearest the flat-board
 # edge (x < 3) and the three bottom rows (y < 3) are excluded; with zero
 # margins it fails on those fringes only.
-PINNED_BULK_MARGINS = Margins(corner_radius=0, bottom_rows=3, top_diagonals=3)
+PINNED_BULK_MARGINS = Margins(bottom_rows=3, top_diagonals=3)

@@ -32,12 +32,14 @@ EXIT_USAGE = 2
 
 
 def build_rules(game: str, k: int | None, add_limit: int | None) -> RuleSet:
+    """The rule set asked for; a parameter the family takes defaults to 2
+    (k) or 1 (add_limit), one it does not take is rejected by RuleSet."""
     family = Family(game)
     if family is Family.EXTENDED_NIM:
-        return RuleSet(family, add_limit=add_limit if add_limit is not None else 1)
-    if family in (Family.NIM, Family.MONOTONIC_NIM):
-        return RuleSet(family)
-    return RuleSet(family, k=k if k is not None else 2)
+        add_limit = 1 if add_limit is None else add_limit
+    elif family not in (Family.NIM, Family.MONOTONIC_NIM) and k is None:
+        k = 2
+    return RuleSet(family, k, add_limit)
 
 
 def solve_position(
@@ -46,8 +48,9 @@ def solve_position(
     """Outcome (and Grundy value for normal play) of a canonical position.
 
     The loopy extended families are answered via their non-extended
-    closed forms, which the verify sweeps certify; everything else runs
-    through the brute-force engine, with ``memo`` shared across calls.
+    closed forms (``verify --theorem thm6-*`` certifies the normal-play
+    ones); everything else runs through the brute-force engine, with
+    ``memo`` shared across calls.
     A normal-play position is P iff its Grundy value is 0.
     """
     if rules.family.loopy:
@@ -82,12 +85,8 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
     """One (rules, convention, closed form) case, checked as ``check`` says."""
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
         positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
-        result = analysis.bulk_formula_agreement(
+        return analysis.bulk_formula_agreement(
             rules, convention, positions, analysis.PINNED_BULK_MARGINS
-        )
-        reason = "bulk formula disagrees with solver"
-        return solver.VerificationReport(
-            result.compared, result.excluded, [(p, reason) for p in result.mismatches]
         )
     domain = solver.Domain(**bounds)
     if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
@@ -124,6 +123,7 @@ class Theorem(NamedTuple):
     check: str
     bounds: dict  # each domain option the sweep reads -> its default
     cases: Callable
+    params: tuple = ()  # each of k, add_limit, convention that cases reads
     fixed: dict = {}  # domain sizes that no option changes
     fact: tuple | None = None  # (reason, positions, holds), checked last
 
@@ -176,21 +176,28 @@ THEOREMS = {
         (f"slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), None,
          partial(closedforms.slow_nim_grundy_formula, k))
         for k in _ks(opts)
-    ]),
+    ], ("k",)),
     # misere subtract-1..k: the misere Nim rule on the entries mod k+1
     "thm5": Theorem("outcome", {"max_piles": 3, "max_entry": 15}, lambda opts: [
         (f"misere slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), Convention.MISERE,
          partial(closedforms.slow_nim_p_misere, k))
         for k in _ks(opts)
-    ]),
+    ], ("k",)),
     # the non-extended Grundy labeling stays mex-consistent with add-moves
-    "thm6-grundy": Theorem("labels", EXTENDED_DOMAIN, _extended_cases),
+    "thm6-grundy": Theorem(
+        "labels", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
+    ),
     # the extended games keep the non-extended normal-play P-sets,
     # boundary-aware over a finite window
-    "thm6-pset": Theorem("pset", EXTENDED_DOMAIN, _extended_cases),
+    "thm6-pset": Theorem(
+        "pset", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
+    ),
     # monotone games follow the difference-position reduction, both
     # conventions, over raw (zero-allowed) sequences
-    "thm7": Theorem("monotone", {"max_piles": 4, "max_entry": 12}, _monotone_cases),
+    "thm7": Theorem(
+        "monotone", {"max_piles": 4, "max_entry": 12}, _monotone_cases,
+        ("k", "convention"),
+    ),
     # normal-play 2-Diet Chomp is P exactly at totals divisible by 3, and
     # triangular numbers are never 2 mod 3
     "lemma8": Theorem("outcome", {"max_piles": 4, "max_entry": 12}, lambda opts: [
@@ -361,6 +368,12 @@ def cmd_verify(opts) -> int:
         {"max_piles": 1, "max_entry": 1, "k": 1, "add_limit": 1, "max_a1": 0,
          "max_extent": 0},
     )
+    theorem = THEOREMS[opts.theorem]
+    read = {"command", "theorem", *theorem.bounds, *theorem.fixed, *theorem.params}
+    for option, value in vars(opts).items():
+        if value is not None and option not in read:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {opts.theorem}")
     report = verify_theorem(opts.theorem, opts)
     print(json.dumps({"theorem": opts.theorem, **report.to_dict()}))
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES

@@ -75,11 +75,6 @@ def diet2_normal_p(p: Position) -> bool:
     return sum(p) % 3 == 0
 
 
-def is_perfect_stairs(p: Position) -> bool:
-    """True iff p = (1, 2, ..., n): the only shapes with no 2-square move."""
-    return all(a == i + 1 for i, a in enumerate(p))
-
-
 def stairs_mod3_fact(n: int) -> int:
     """n-th triangular number mod 3; never 2, which is why a 2-square move
     is always available when the total is 2 mod 3."""

@@ -82,7 +82,9 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """A game family plus its parameters; determines the successor function."""
+    """A game family plus its parameters; determines the successor function.
+    Only the Slow Nim families and Diet Chomp take ``k``, and only
+    extended-nim takes ``add_limit`` (extended-slow-nim adds up to k)."""
 
     family: Family
     k: int | None = None
@@ -92,17 +94,19 @@ class RuleSet:
         if self.family in _NEEDS_K:
             if self.k is None or self.k < 1:
                 raise ValueError(f"{self.family.value} requires k >= 1")
+        elif self.k is not None:
+            raise ValueError(f"{self.family.value} takes no k")
         if self.family is Family.EXTENDED_NIM:
             if self.add_limit is None or self.add_limit < 1:
                 raise ValueError("extended-nim requires add_limit >= 1")
-        if self.family is Family.EXTENDED_SLOW_NIM and self.add_limit not in (None, self.k):
-            raise ValueError("extended-slow-nim add bound equals k")
+        elif self.add_limit is not None:
+            raise ValueError(f"{self.family.value} takes no add_limit")
 
     def describe(self) -> str:
         parts = [self.family.value]
         if self.k is not None:
             parts.append(f"k={self.k}")
-        if self.family is Family.EXTENDED_NIM:
+        if self.add_limit is not None:
             parts.append(f"add_limit={self.add_limit}")
         return " ".join(parts)
 
@@ -117,13 +121,7 @@ class MoveRecord:
     result: Position
 
 
-def canonicalize(
-    entries: Iterable[int],
-    family: Family,
-    *,
-    max_piles: int = MAX_PILES,
-    max_entry: int = MAX_ENTRY,
-) -> Position:
+def canonicalize(entries: Iterable[int], family: Family) -> Position:
     """Return the canonical form of a raw entry sequence.
 
     Order-free families: sort non-decreasing, drop zeros.  Ordered
@@ -133,24 +131,17 @@ def canonicalize(
     for e in seq:
         if e < 0:
             raise ValueError(f"negative entry {e}")
-        if e > max_entry:
-            raise BoundsExceeded(f"entry {e} exceeds limit {max_entry}")
+        if e > MAX_ENTRY:
+            raise BoundsExceeded(f"entry {e} exceeds limit {MAX_ENTRY}")
     if family.ordered:
         if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
             raise NonMonotoneInput(f"sequence {seq} is not non-decreasing")
         canon = tuple(e for e in seq if e > 0)
     else:
         canon = tuple(sorted(e for e in seq if e > 0))
-    if len(canon) > max_piles:
-        raise BoundsExceeded(f"{len(canon)} piles exceeds limit {max_piles}")
+    if len(canon) > MAX_PILES:
+        raise BoundsExceeded(f"{len(canon)} piles exceeds limit {MAX_PILES}")
     return canon
-
-
-def successors(rules: RuleSet, p: Position) -> list[Position]:
-    """Deduplicated, sorted canonical successors of p under the rule set."""
-    from . import games  # dispatch target; imported late to avoid a cycle
-
-    return games.moves(rules, p)
 
 
 def parse_position(text: str) -> Position:
@@ -162,7 +153,3 @@ def parse_position(text: str) -> Position:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad position text {text!r}") from exc
-
-
-def format_position(p: Position) -> str:
-    return ",".join(str(e) for e in p) if p else "0"

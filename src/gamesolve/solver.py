@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .core import (
-    Convention,
-    LoopyFamily,
-    Outcome,
-    Position,
-    RuleSet,
-    successors,
-)
+from .core import Convention, LoopyFamily, Outcome, Position, RuleSet
+from .games import moves as successors
 
 
 def mex(values: Iterable[int]) -> int:

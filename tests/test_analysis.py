@@ -2,7 +2,6 @@ import pytest
 
 from gamesolve import Convention, Family, MemoTable, Outcome, RuleSet
 from gamesolve.analysis import (
-    FigureGrid,
     InsufficientProbe,
     Margins,
     PINNED_BULK_MARGINS,
@@ -10,7 +9,6 @@ from gamesolve.analysis import (
     directional_period,
     figure_grid,
     lattice_outcome_fn,
-    parse_pbm,
     render_ascii,
     render_pbm,
     three_column_domain,
@@ -18,6 +16,20 @@ from gamesolve.analysis import (
 )
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
+
+
+def parse_pbm(data: bytes) -> tuple:
+    """Inverse of render_pbm: the raster's rows, bottom row first."""
+    tokens = data.decode("ascii").split()
+    if tokens[0] != "P1":
+        raise ValueError("not a plain PBM")
+    width, height = int(tokens[1]), int(tokens[2])
+    bits = [t == "1" for t in tokens[3:]]
+    if len(bits) != width * height:
+        raise ValueError("bit count mismatch")
+    rows = [tuple(bits[r * width : (r + 1) * width]) for r in range(height)]
+    rows.reverse()  # the file stores the top row first
+    return tuple(rows)
 
 
 @pytest.fixture(scope="module")
@@ -75,32 +87,27 @@ def test_translation_period_three_normal():
 
 
 def test_figure_grid_corner_cells():
-    grid = figure_grid(DC2, Convention.MISERE, 0, 2, 2)
-    assert grid.cell(0, 0) is False  # (0,0,0) terminal is N in misere
-    assert grid.cell(0, 1) is True  # (0,0,1) -> single square, P
+    rows = figure_grid(DC2, Convention.MISERE, 0, 2, 2)
+    assert rows[0][0] is False  # (0,0,0) terminal is N in misere
+    assert rows[1][0] is True  # (0,0,1) -> single square, P
     fn = lattice_outcome_fn(DC2, Convention.MISERE)
-    assert grid.cell(1, 0) == (fn((0, 1, 1)) is Outcome.P)
+    assert rows[0][1] == (fn((0, 1, 1)) is Outcome.P)
 
 
 def test_render_pbm_examples():
-    g = FigureGrid(0, 1, 1, ((True,),))
-    assert render_pbm(g) == b"P1\n1 1\n1\n"
-    g = FigureGrid(0, 2, 1, ((False, True),))
-    assert render_pbm(g) == b"P1\n2 1\n0 1\n"
-    g = FigureGrid(0, 1, 2, ((True,), (False,)))
-    assert render_pbm(g) == b"P1\n1 2\n0\n1\n"
+    assert render_pbm(((True,),)) == b"P1\n1 1\n1\n"
+    assert render_pbm(((False, True),)) == b"P1\n2 1\n0 1\n"
+    assert render_pbm(((True,), (False,))) == b"P1\n1 2\n0\n1\n"
 
 
 def test_render_ascii():
-    g = FigureGrid(0, 2, 2, ((True, False), (False, True)))
-    assert render_ascii(g) == ".#\n#.\n"
+    assert render_ascii(((True, False), (False, True))) == ".#\n#.\n"
 
 
 def test_pbm_round_trip():
-    grid = figure_grid(DC2, Convention.MISERE, 3, 7, 5)
-    parsed = parse_pbm(render_pbm(grid))
-    assert parsed.cells == grid.cells
-    assert (parsed.width, parsed.height) == (grid.width, grid.height)
+    rows = figure_grid(DC2, Convention.MISERE, 3, 7, 5)
+    assert (len(rows), len(rows[0])) == (5, 7)
+    assert parse_pbm(render_pbm(rows)) == rows
 
 
 def test_bulk_agreement_pinned_margins():
@@ -108,21 +115,21 @@ def test_bulk_agreement_pinned_margins():
     result = bulk_formula_agreement(
         DC2, Convention.MISERE, domain, PINNED_BULK_MARGINS
     )
-    assert result.ratio == 1.0
-    assert result.compared > 0
+    assert result.ok
+    assert result.checked_count > 0
 
 
 def test_bulk_agreement_zero_margins_fails():
     domain = list(three_column_domain(8, 16))
     result = bulk_formula_agreement(DC2, Convention.MISERE, domain, Margins())
-    assert result.ratio < 1.0
-    assert result.mismatches
+    assert not result.ok
+    assert result.counterexamples
 
 
 def test_bulk_single_interior_point():
     result = bulk_formula_agreement(
         DC2, Convention.MISERE, [(5, 6, 8)], PINNED_BULK_MARGINS
     )
-    assert result.compared == 0 or not result.mismatches
+    assert result.checked_count == 0 or result.ok
     # (5,6,8): x=1 < 3, so it sits in the excluded fringe
     assert PINNED_BULK_MARGINS.excludes((5, 6, 8))

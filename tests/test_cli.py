@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gamesolve import cli
+from gamesolve import Convention, Domain, Family, RuleSet, cli, verify_pset
 from gamesolve.cli import main
 
 
@@ -114,6 +114,28 @@ def test_verify_bad_bounds_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("thm1", "--k", "2", "--convention", "misere", "--max-a1", "3",
+         "--max-entry", "2"),
+        ("bulk-conjecture", "--max-piles", "2", "--max-a1", "1",
+         "--max-extent", "1"),
+        ("thm1", "--convention", "misere"),
+        ("thm4", "--add-limit", "2"),
+        ("lemma9", "--k", "2"),
+        ("thm3", "--max-extent", "4"),
+        ("lemma8", "--max-a1", "1"),
+        ("bulk-conjecture", "--max-entry", "3"),
+    ],
+)
+def test_verify_option_the_theorem_never_reads_exit_2(capsys, args):
+    code, out, err = run(capsys, "verify", "--theorem", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and f"does not apply to {args[0]}" in err
+
+
 def test_verify_unknown_theorem_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "thm99"])
@@ -169,6 +191,72 @@ def test_figure_triangular_variant(capsys, tmp_path):
         shifted,
         shifted,
     ]
+
+
+@pytest.mark.parametrize(
+    "fmt, ext, expected",
+    [
+        ("pbm", "pbm", [
+            "P1\n5 4\n0 0 0 0 0\n0 0 0 0 0\n1 1 1 1 1\n0 0 0 0 0\n",
+            "P1\n5 4\n0 1 0 1 1\n1 0 0 0 0\n0 0 0 0 0\n0 1 0 1 0\n",
+        ]),
+        ("ascii", "txt", [
+            ".....\n.....\n#####\n.....\n",
+            ".#.##\n#....\n.....\n.#.#.\n",
+        ]),
+    ],
+)
+def test_figure_full_bytes(capsys, tmp_path, fmt, ext, expected):
+    # a 5-wide, 4-high raster, so a swapped width and height shows
+    code, out, _ = run(
+        capsys, "figure", "--a1", "0..1", "--width", "5", "--height", "4",
+        "--format", fmt, "--out", str(tmp_path),
+    )
+    assert code == 0
+    paths = [tmp_path / f"fig-a1-{a1}.{ext}" for a1 in range(2)]
+    assert out.splitlines() == [str(p) for p in paths]
+    assert [p.read_bytes().decode("ascii") for p in paths] == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("outcome", "--game", "nim", "--k", "7", "--position", "1,2"),
+        ("outcome", "--game", "extended-slow-nim", "--k", "2", "--add-limit", "5",
+         "--position", "3,3"),
+        ("outcome", "--game", "extended-nim", "--k", "2", "--position", "3"),
+        ("figure", "--game", "nim", "--k", "3", "--a1", "0"),
+        ("period", "--game", "nim", "--k", "3", "--translation", "12"),
+    ],
+)
+def test_parameter_the_game_takes_not_exit_2(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # where figure writes by default
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "takes no" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_misere_extended_answers_are_a_consistent_p_set(capsys):
+    # outcome answers the loopy extended games with the misere (Slow) Nim
+    # rule; that rule must be a locally consistent misere P-set for them
+    rule_sets = [RuleSet(Family.EXTENDED_NIM, add_limit=n) for n in (1, 2)]
+    rule_sets += [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in (1, 2, 3)]
+    for rules in rule_sets:
+        def claimed_p(p, rules=rules):
+            answer = cli.solve_position(rules, Convention.MISERE, p)
+            return answer["outcome"] == "P"
+
+        report = verify_pset(rules, Convention.MISERE, claimed_p, Domain(2, 12))
+        assert report.ok, rules.describe()
+        assert report.checked_count == 91
+    code, out, _ = run(
+        capsys, "outcome", "--game", "extended-nim", "--convention", "misere",
+        "--position", "1",
+    )
+    assert code == 0
+    assert json.loads(out) == {"position": [1], "outcome": "P", "grundy": None}
 
 
 def test_period_translation(capsys):

@@ -8,7 +8,6 @@ from gamesolve.closedforms import (
     diet2_misere_p_narrow,
     diet2_normal_p,
     difference_position,
-    is_perfect_stairs,
     monotonic_p,
     nim_grundy_formula,
     nim_p_misere,
@@ -97,9 +96,6 @@ def test_diet2_normal_p():
 
 
 def test_perfect_stairs():
-    assert is_perfect_stairs((1, 2, 3)) is True
-    assert is_perfect_stairs((1, 2, 2)) is False
-    assert is_perfect_stairs(()) is True
     assert stairs_mod3_fact(4) == 1
 
 

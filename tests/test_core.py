@@ -7,7 +7,6 @@ from gamesolve import (
     NonMonotoneInput,
     RuleSet,
     canonicalize,
-    format_position,
     parse_position,
     successors,
 )
@@ -90,11 +89,26 @@ def test_ruleset_validation():
         RuleSet(Family.EXTENDED_SLOW_NIM, k=2, add_limit=3)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        (Family.NIM, {"k": 2}),
+        (Family.MONOTONIC_NIM, {"k": 1}),
+        (Family.EXTENDED_NIM, {"k": 2, "add_limit": 1}),
+        (Family.NIM, {"add_limit": 1}),
+        (Family.SLOW_NIM, {"k": 2, "add_limit": 1}),
+        (Family.EXTENDED_SLOW_NIM, {"k": 2, "add_limit": 2}),
+        (Family.DIET_CHOMP, {"k": 2, "add_limit": 2}),
+    ],
+)
+def test_ruleset_rejects_parameters_the_family_takes_not(family, params):
+    with pytest.raises(ValueError, match="takes no"):
+        RuleSet(family, **params)
+
+
 def test_position_text_round_trip():
     assert parse_position("1,3,4") == (1, 3, 4)
     assert parse_position("") == ()
     assert parse_position("0") == ()
-    assert format_position((1, 3, 4)) == "1,3,4"
-    assert format_position(()) == "0"
     with pytest.raises(ValueError):
         parse_position("1,x")

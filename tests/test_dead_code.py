@@ -1,0 +1,56 @@
+"""Every public module-level name in src/gamesolve is used somewhere in the
+package other than its own definition, or exported through
+``gamesolve.__all__``: code that only tests use belongs in the tests."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import gamesolve
+
+SRC = Path(gamesolve.__file__).parent
+
+ALLOWED = {
+    # the explicit three-rule 2-Diet Chomp generator: the independent route
+    # that criterion 11 cross-checks against the quadrant generator
+    "diet_chomp2_moves_explicit",
+}
+
+
+def _definitions(tree):
+    """(name, defining node) for each public module-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _references(node):
+    """Names, attribute names and imported names anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_public_name_in_src_has_a_use_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    uses = Counter(ref for tree in trees.values() for ref in _references(tree))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in sorted(trees.items())
+        for name, node in _definitions(tree)
+        if not name.startswith("_")
+        and name not in gamesolve.__all__
+        and name not in ALLOWED
+        and uses[name] == Counter(_references(node))[name]
+    ]
+    assert unused == []
