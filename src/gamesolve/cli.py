@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -310,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(convention="misere")
     p.add_argument("--base")
     p.add_argument("--direction")
-    p.add_argument("--probe", type=int, default=60)
-    p.add_argument("--max-period", type=int, default=16, dest="max_period")
-    p.add_argument("--max-preperiod", type=int, default=24, dest="max_preperiod")
+    p.add_argument("--probe", type=int)
+    p.add_argument("--max-period", type=int, dest="max_period")
+    p.add_argument("--max-preperiod", type=int, dest="max_preperiod")
     p.add_argument("--translation", type=int)
-    p.add_argument("--max-a1", type=int, default=12, dest="max_a1")
-    p.add_argument("--max-extent", type=int, default=20, dest="max_extent")
+    p.add_argument("--max-a1", type=int, dest="max_a1")
+    p.add_argument("--max-extent", type=int, dest="max_extent")
 
     p = sub.add_parser("batch", help="solve one position per input line")
     _add_game_args(p)
@@ -422,12 +421,31 @@ def cmd_figure(opts) -> int:
     return EXIT_OK
 
 
+# each period mode's own options -> their defaults
+TRANSLATION_OPTIONS = {"max_a1": 12, "max_extent": 20}
+DIRECTIONAL_OPTIONS = {
+    "base": None, "direction": None, "probe": 60, "max_period": 16, "max_preperiod": 24
+}
+
+
 def cmd_period(opts) -> int:
     _check_minimums(
         opts,
         {"translation": 1, "max_a1": 0, "max_extent": 0, "max_period": 1,
          "max_preperiod": 0},
     )
+    own, other = TRANSLATION_OPTIONS, DIRECTIONAL_OPTIONS
+    mode = "the translation check"
+    if opts.translation is None:
+        own, other = other, own
+        mode = "the directional scan"
+    for option in other:
+        if getattr(opts, option) is not None:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {mode}")
+    for option, default in own.items():
+        if getattr(opts, option) is None:
+            setattr(opts, option, default)
     rules = build_rules(opts.game, opts.k, opts.add_limit)
     convention = Convention(opts.convention)
     if opts.translation is not None:
@@ -499,6 +517,8 @@ def cmd_batch(opts) -> int:
     if workers > 1:
         # one interleaved shard, and so one memo, per worker; reassembled
         # in input order
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
+
         shards = [work[i::workers] for i in range(workers)]
         results = [None] * len(work)
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,8 +10,9 @@ is the unique terminal position for every family.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 Position = Tuple[int, ...]
 
@@ -111,8 +112,7 @@ class RuleSet:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One legal move, in human-readable terms, with its resulting position."""
 
     kind: str  # "subtract" | "add" | "chomp"
@@ -128,17 +128,19 @@ def canonicalize(entries: Iterable[int], family: Family) -> Position:
     families: require non-decreasing input, strip zeros from the front.
     """
     seq = tuple(entries)
-    for e in seq:
-        if e < 0:
-            raise ValueError(f"negative entry {e}")
-        if e > MAX_ENTRY:
-            raise BoundsExceeded(f"entry {e} exceeds limit {MAX_ENTRY}")
+    if seq and (min(seq) < 0 or max(seq) > MAX_ENTRY):
+        for e in seq:  # report the first bad entry
+            if e < 0:
+                raise ValueError(f"negative entry {e}")
+            if e > MAX_ENTRY:
+                raise BoundsExceeded(f"entry {e} exceeds limit {MAX_ENTRY}")
     if family.ordered:
-        if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
+        if not all(map(operator.le, seq, seq[1:])):
             raise NonMonotoneInput(f"sequence {seq} is not non-decreasing")
-        canon = tuple(e for e in seq if e > 0)
     else:
-        canon = tuple(sorted(e for e in seq if e > 0))
+        seq = tuple(sorted(seq))
+    # non-negative and non-decreasing: the zeros lead
+    canon = seq[seq.count(0) :]
     if len(canon) > MAX_PILES:
         raise BoundsExceeded(f"{len(canon)} piles exceeds limit {MAX_PILES}")
     return canon

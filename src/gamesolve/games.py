@@ -1,50 +1,73 @@
 """Successor generators for each game family.
 
-Each family has one record generator, which takes a canonical position
-and lists its legal moves with human-readable annotations and canonical
-results.  ``move_records`` dispatches on the rule set; ``moves`` returns
-the deduplicated, lexicographically sorted successors, so output is
-deterministic across platforms.
+Each family has one move generator, which takes a canonical position and
+lists its legal moves as ``(kind, index, amount, result)`` tuples, the
+fields of ``MoveRecord``.  Every legal move keeps a position's shape (a
+multiset, or a non-decreasing sequence), so each result is built in
+canonical form directly.  ``moves`` returns the deduplicated,
+lexicographically sorted results, so output is deterministic across
+platforms; ``move_records`` the annotated moves.
 """
 
 from __future__ import annotations
 
-from .core import Family, MoveRecord, Position, RuleSet, canonicalize
+from bisect import bisect
+
+from .core import (
+    MAX_ENTRY,
+    BoundsExceeded,
+    Family,
+    MoveRecord,
+    Position,
+    RuleSet,
+    canonicalize,
+)
 
 
-def nim_move_records(p: Position) -> list[MoveRecord]:
+def nim_move_records(p: Position) -> list[tuple]:
     """Reduce one heap from a to a' with 0 <= a' < a."""
     records = []
     for i, a in enumerate(p):
-        for new in range(a):
-            result = canonicalize(p[:i] + (new,) + p[i + 1 :], Family.NIM)
-            records.append(MoveRecord("subtract", i + 1, a - new, result))
+        rest = p[:i] + p[i + 1 :]
+        records.append(("subtract", i + 1, a, rest))
+        for new in range(1, a):
+            j = bisect(rest, new, 0, i)  # p is sorted and new < a
+            records.append(("subtract", i + 1, a - new, rest[:j] + (new,) + rest[j:]))
     return records
 
 
-def slow_nim_move_records(k: int, p: Position) -> list[MoveRecord]:
+def slow_nim_move_records(k: int, p: Position) -> list[tuple]:
     """Subtract s in 1..min(k, a) from one heap of size a."""
     records = []
     for i, a in enumerate(p):
+        rest = p[:i] + p[i + 1 :]
         for s in range(1, min(k, a) + 1):
-            result = canonicalize(p[:i] + (a - s,) + p[i + 1 :], Family.NIM)
-            records.append(MoveRecord("subtract", i + 1, s, result))
+            new = a - s
+            if new:
+                j = bisect(rest, new, 0, i)  # p is sorted and new < a
+                records.append(("subtract", i + 1, s, rest[:j] + (new,) + rest[j:]))
+            else:
+                records.append(("subtract", i + 1, s, rest))
     return records
 
 
-def _add_records(limit: int, p: Position) -> list[MoveRecord]:
+def add_move_records(limit: int, p: Position) -> list[tuple]:
     """Add 1..limit tokens to one existing heap; no new heaps are created.
     Extended Nim adds these to the Nim moves, Extended Slow Nim (limit k)
     to the Slow-Nim moves."""
     records = []
     for i, a in enumerate(p):
-        for j in range(1, limit + 1):
-            result = canonicalize(p[:i] + (a + j,) + p[i + 1 :], Family.NIM)
-            records.append(MoveRecord("add", i + 1, j, result))
+        rest = p[:i] + p[i + 1 :]
+        for s in range(1, limit + 1):
+            new = a + s
+            if new > MAX_ENTRY:
+                raise BoundsExceeded(f"entry {new} exceeds limit {MAX_ENTRY}")
+            j = bisect(rest, new, i)  # p is sorted and new > a
+            records.append(("add", i + 1, s, rest[:j] + (new,) + rest[j:]))
     return records
 
 
-def monotonic_move_records(k: int | None, p: Position) -> list[MoveRecord]:
+def monotonic_move_records(k: int | None, p: Position) -> list[tuple]:
     """Reduce entry i to a' with left-neighbor <= a' < a_i (neighbor of the
     first entry is 0), and with a_i - a' <= k unless k is None (Monotonic
     Nim); the result stays non-decreasing by construction."""
@@ -52,15 +75,15 @@ def monotonic_move_records(k: int | None, p: Position) -> list[MoveRecord]:
     for i, a in enumerate(p):
         left = p[i - 1] if i > 0 else 0
         lo = a - k if k is not None else left
+        head, tail = p[:i], p[i + 1 :]
         for new in range(max(left, lo), a):
-            result = canonicalize(
-                p[:i] + (new,) + p[i + 1 :], Family.MONOTONIC_NIM
-            )
-            records.append(MoveRecord("subtract", i + 1, a - new, result))
+            # only the first entry can drop to 0, which canonical form strips
+            result = head + (new,) + tail if new else tail
+            records.append(("subtract", i + 1, a - new, result))
     return records
 
 
-def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
+def diet_chomp_move_records(k: int, p: Position) -> list[tuple]:
     """Quadrant chomp moves removing between 1 and k squares.
 
     A move at (column j, height r) truncates columns 1..j to height r-1;
@@ -68,9 +91,11 @@ def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
     """
     # Column j alone loses p[j-1]-r+1 squares, so only the top k heights
     # can be legal; p is non-decreasing, so the cut reaches leftwards
-    # exactly as far as the columns of height >= r.
+    # exactly as far as the columns of height >= r, and leaves the
+    # columns left of those alone.
     records = []
     for j in range(1, len(p) + 1):
+        tail = p[j:]
         for r in range(max(1, p[j - 1] - k + 1), p[j - 1] + 1):
             removed = 0
             i = j - 1
@@ -78,11 +103,10 @@ def diet_chomp_move_records(k: int, p: Position) -> list[MoveRecord]:
                 removed += p[i] - r + 1
                 i -= 1
             if removed <= k:
-                result = canonicalize(
-                    tuple(min(p[i], r - 1) for i in range(j)) + p[j:],
-                    Family.DIET_CHOMP,
-                )
-                records.append(MoveRecord("chomp", j, r, result))
+                # columns i+1..j-1 become r-1; for r = 1 every column left
+                # of j is cut to nothing
+                result = p[: i + 1] + (r - 1,) * (j - 1 - i) + tail if r > 1 else tail
+                records.append(("chomp", j, r, result))
     return records
 
 
@@ -116,20 +140,25 @@ def _replace(p: Position, i: int, value: int) -> Position:
 
 
 def moves(rules: RuleSet, p: Position) -> list[Position]:
-    """Deduplicated, sorted canonical successors of p under the rule set."""
-    return sorted({r.result for r in move_records(rules, p)})
+    """Deduplicated, sorted canonical successors of canonical p."""
+    return sorted({r[3] for r in _records(rules, p)})
 
 
 def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
+    """The legal moves of canonical p, in generator order, duplicates kept."""
+    return [MoveRecord(*r) for r in _records(rules, p)]
+
+
+def _records(rules: RuleSet, p: Position) -> list[tuple]:
     f = rules.family
     if f is Family.NIM:
         return nim_move_records(p)
     if f is Family.SLOW_NIM:
         return slow_nim_move_records(rules.k, p)
     if f is Family.EXTENDED_NIM:
-        return nim_move_records(p) + _add_records(rules.add_limit, p)
+        return nim_move_records(p) + add_move_records(rules.add_limit, p)
     if f is Family.EXTENDED_SLOW_NIM:
-        return slow_nim_move_records(rules.k, p) + _add_records(rules.k, p)
+        return slow_nim_move_records(rules.k, p) + add_move_records(rules.k, p)
     if f is Family.MONOTONIC_NIM:
         return monotonic_move_records(None, p)
     if f is Family.MONOTONIC_SLOW_NIM:

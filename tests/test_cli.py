@@ -1,8 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
-from gamesolve import Convention, Domain, Family, RuleSet, cli, verify_pset
+from gamesolve import Convention, Domain, Family, RuleSet, analysis, cli, verify_pset
 from gamesolve.cli import main
 
 
@@ -286,6 +287,45 @@ def test_period_bad_direction_exit_2(capsys):
     assert code == 2
 
 
+TRANSLATION = ("--translation", "12", "--max-a1", "1", "--max-extent", "2")
+DIRECTIONAL = ("--base", "2,3,3", "--direction", "0,0,1")
+
+
+@pytest.mark.parametrize(
+    "mode_args, option, value, mode",
+    [
+        (TRANSLATION, "--base", "2,3,3", "the translation check"),
+        (TRANSLATION, "--direction", "0,0,1", "the translation check"),
+        (TRANSLATION, "--probe", "5", "the translation check"),
+        (TRANSLATION, "--max-period", "16", "the translation check"),
+        (TRANSLATION, "--max-preperiod", "24", "the translation check"),
+        (DIRECTIONAL, "--max-a1", "1", "the directional scan"),
+        (DIRECTIONAL, "--max-extent", "2", "the directional scan"),
+    ],
+)
+def test_period_option_of_the_other_mode_exit_2(capsys, mode_args, option, value, mode):
+    code, out, err = run(capsys, "period", *mode_args, option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} does not apply to {mode}\n"
+
+
+def test_period_defaults_fill_in_only_their_own_mode(capsys, monkeypatch):
+    given = run(capsys, "period", *DIRECTIONAL)
+    explicit = run(
+        capsys, "period", *DIRECTIONAL, "--probe", "60", "--max-period", "16",
+        "--max-preperiod", "24",
+    )
+    assert given == explicit and given[0] == 0
+    domains = []
+    monkeypatch.setattr(
+        analysis, "three_column_domain", lambda *args: domains.append(args) or []
+    )
+    code, _, _ = run(capsys, "period", "--translation", "12")
+    assert code == 0
+    assert domains == [(12, 20)]
+
+
 def test_batch(capsys, tmp_path):
     path = tmp_path / "positions.txt"
     path.write_text("1,2,3\n4\n")
@@ -415,7 +455,7 @@ def test_batch_workers_clamped(
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     path = tmp_path / "positions.txt"
     path.write_text("".join(f"{i},{i + 1}\n" for i in range(1, n_lines + 1)))
@@ -485,3 +525,85 @@ def test_vacuous_sweep_bounds_exit_2(capsys, args):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {args[-2]} must be >= ")
+
+
+# the exact stdout of `outcome --moves` for one position per family, as the
+# generators that canonicalized each successor printed it: Nim's equal heaps
+# give duplicate results, the extended games list their add moves last
+MOVES_BYTES = {
+    "--game nim --position 1,1": (
+        '{"position": [1, 1], "outcome": "P", "grundy": 0, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1]}]}\n'
+    ),
+    "--game nim --position 3,1,2": (
+        '{"position": [1, 2, 3], "outcome": "P", "grundy": 0, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [2, 3]}, '
+        '{"kind": "subtract", "index": 2, "amount": 2, "result": [1, 3]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1, 1, 3]}, '
+        '{"kind": "subtract", "index": 3, "amount": 3, "result": [1, 2]}, '
+        '{"kind": "subtract", "index": 3, "amount": 2, "result": [1, 1, 2]}, '
+        '{"kind": "subtract", "index": 3, "amount": 1, "result": [1, 2, 2]}]}\n'
+    ),
+    "--game slow-nim --k 2 --position 2,4,4": (
+        '{"position": [2, 4, 4], "outcome": "N", "grundy": 2, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1, 4, 4]}, '
+        '{"kind": "subtract", "index": 1, "amount": 2, "result": [4, 4]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [2, 3, 4]}, '
+        '{"kind": "subtract", "index": 2, "amount": 2, "result": [2, 2, 4]}, '
+        '{"kind": "subtract", "index": 3, "amount": 1, "result": [2, 3, 4]}, '
+        '{"kind": "subtract", "index": 3, "amount": 2, "result": [2, 2, 4]}]}\n'
+    ),
+    "--game extended-nim --add-limit 2 --position 1,1": (
+        '{"position": [1, 1], "outcome": "P", "grundy": 0, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1]}, '
+        '{"kind": "add", "index": 1, "amount": 1, "result": [1, 2]}, '
+        '{"kind": "add", "index": 1, "amount": 2, "result": [1, 3]}, '
+        '{"kind": "add", "index": 2, "amount": 1, "result": [1, 2]}, '
+        '{"kind": "add", "index": 2, "amount": 2, "result": [1, 3]}]}\n'
+    ),
+    "--game extended-slow-nim --k 2 --position 3,1": (
+        '{"position": [1, 3], "outcome": "N", "grundy": 1, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [3]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1, 2]}, '
+        '{"kind": "subtract", "index": 2, "amount": 2, "result": [1, 1]}, '
+        '{"kind": "add", "index": 1, "amount": 1, "result": [2, 3]}, '
+        '{"kind": "add", "index": 1, "amount": 2, "result": [3, 3]}, '
+        '{"kind": "add", "index": 2, "amount": 1, "result": [1, 4]}, '
+        '{"kind": "add", "index": 2, "amount": 2, "result": [1, 5]}]}\n'
+    ),
+    "--game monotonic-nim --position 0,2,2,3": (
+        '{"position": [2, 2, 3], "outcome": "N", "grundy": 3, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 2, "result": [2, 3]}, '
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1, 2, 3]}, '
+        '{"kind": "subtract", "index": 3, "amount": 1, "result": [2, 2, 2]}]}\n'
+    ),
+    "--game monotonic-slow-nim --k 2 --convention misere --position 1,3,4": (
+        '{"position": [1, 3, 4], "outcome": "N", "grundy": null, "moves": ['
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [3, 4]}, '
+        '{"kind": "subtract", "index": 2, "amount": 2, "result": [1, 1, 4]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1, 2, 4]}, '
+        '{"kind": "subtract", "index": 3, "amount": 1, "result": [1, 3, 3]}]}\n'
+    ),
+    "--game diet-chomp --k 2 --position 1,2,2": (
+        '{"position": [1, 2, 2], "outcome": "N", "grundy": 2, "moves": ['
+        '{"kind": "chomp", "index": 1, "amount": 1, "result": [2, 2]}, '
+        '{"kind": "chomp", "index": 2, "amount": 2, "result": [1, 1, 2]}, '
+        '{"kind": "chomp", "index": 3, "amount": 2, "result": [1, 1, 1]}]}\n'
+    ),
+    "--game diet-chomp --k 3 --convention misere --position 2,2,3": (
+        '{"position": [2, 2, 3], "outcome": "N", "grundy": null, "moves": ['
+        '{"kind": "chomp", "index": 1, "amount": 1, "result": [2, 3]}, '
+        '{"kind": "chomp", "index": 1, "amount": 2, "result": [1, 2, 3]}, '
+        '{"kind": "chomp", "index": 2, "amount": 2, "result": [1, 1, 3]}, '
+        '{"kind": "chomp", "index": 3, "amount": 3, "result": [2, 2, 2]}]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("args", MOVES_BYTES)
+def test_outcome_moves_bytes(capsys, args):
+    code, out, _ = run(capsys, "outcome", "--moves", *args.split())
+    assert code == 0
+    assert out == MOVES_BYTES[args]

@@ -3,8 +3,22 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gamesolve import Family, MoveRecord, RuleSet, canonicalize, successors
+from gamesolve import (
+    BoundsExceeded,
+    Convention,
+    Family,
+    MemoTable,
+    MoveRecord,
+    RuleSet,
+    canonicalize,
+    games,
+    grundy,
+    outcome,
+    successors,
+)
+from gamesolve.core import MAX_ENTRY
 from gamesolve.games import (
+    add_move_records,
     diet_chomp2_moves_explicit,
     diet_chomp_move_records,
     move_records,
@@ -81,6 +95,115 @@ def all_cuts_records(p):
             yield removed, MoveRecord("chomp", j, r, result)
 
 
+# Slow reference generators: each builds the raw successor and canonicalizes
+# it, as the generators did before they built canonical results directly
+# (Diet Chomp's reference is the all-cuts enumerator above).
+
+
+def ref_nim_records(p):
+    records = []
+    for i, a in enumerate(p):
+        for new in range(a):
+            result = canonicalize(p[:i] + (new,) + p[i + 1 :], Family.NIM)
+            records.append(MoveRecord("subtract", i + 1, a - new, result))
+    return records
+
+
+def ref_slow_nim_records(k, p):
+    records = []
+    for i, a in enumerate(p):
+        for s in range(1, min(k, a) + 1):
+            result = canonicalize(p[:i] + (a - s,) + p[i + 1 :], Family.NIM)
+            records.append(MoveRecord("subtract", i + 1, s, result))
+    return records
+
+
+def ref_add_records(limit, p):
+    records = []
+    for i, a in enumerate(p):
+        for j in range(1, limit + 1):
+            result = canonicalize(p[:i] + (a + j,) + p[i + 1 :], Family.NIM)
+            records.append(MoveRecord("add", i + 1, j, result))
+    return records
+
+
+def ref_monotonic_records(k, p):
+    records = []
+    for i, a in enumerate(p):
+        left = p[i - 1] if i > 0 else 0
+        lo = a - k if k is not None else left
+        for new in range(max(left, lo), a):
+            result = canonicalize(p[:i] + (new,) + p[i + 1 :], Family.MONOTONIC_NIM)
+            records.append(MoveRecord("subtract", i + 1, a - new, result))
+    return records
+
+
+def ref_move_records(rules, p):
+    f, k = rules.family, rules.k
+    if f is Family.NIM:
+        return ref_nim_records(p)
+    if f is Family.SLOW_NIM:
+        return ref_slow_nim_records(k, p)
+    if f is Family.EXTENDED_NIM:
+        return ref_nim_records(p) + ref_add_records(rules.add_limit, p)
+    if f is Family.EXTENDED_SLOW_NIM:
+        return ref_slow_nim_records(k, p) + ref_add_records(k, p)
+    if f is Family.MONOTONIC_NIM:
+        return ref_monotonic_records(None, p)
+    if f is Family.MONOTONIC_SLOW_NIM:
+        return ref_monotonic_records(k, p)
+    return [rec for removed, rec in all_cuts_records(p) if 1 <= removed <= k]
+
+
+ALL_RULE_SETS = [NIM, MONOTONIC_NIM] + [
+    rules
+    for k in (1, 2, 3, 5)
+    for rules in (
+        slow_nim(k), extended_slow_nim(k), monotonic_slow_nim(k), diet_chomp(k)
+    )
+] + [extended_nim(n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("rules", ALL_RULE_SETS, ids=RuleSet.describe)
+def test_canonical_generators_equal_slow_reference(rules):
+    for p in young_positions(4, 8):
+        expected = ref_move_records(rules, p)
+        records = move_records(rules, p)
+        assert records == expected, p
+        assert all(type(r) is MoveRecord for r in records)
+        assert moves(rules, p) == sorted({r.result for r in expected}), p
+
+
+@pytest.mark.parametrize(
+    "rules", [NIM, MONOTONIC_NIM, diet_chomp(2)], ids=RuleSet.describe
+)
+def test_cold_solve_never_canonicalizes(monkeypatch, rules):
+    def forbidden(*args):
+        raise AssertionError(f"canonicalize{args} called")
+
+    monkeypatch.setattr(games, "canonicalize", forbidden)
+    p = (2, 3, 5, 6)
+    memo = MemoTable()
+    grundy(rules, p, memo)
+    for convention in Convention:
+        outcome(rules, convention, p, memo)
+    sizes = {len(table) for table in memo.outcomes.values()}
+    assert sizes == {len(memo.grundy_values[rules])}
+    assert min(sizes) > 50
+
+
+def test_add_moves_past_max_entry_raise_like_canonicalize():
+    p = (3, MAX_ENTRY - 1)
+    with pytest.raises(BoundsExceeded) as reference:
+        ref_add_records(2, p)
+    with pytest.raises(BoundsExceeded) as fast:
+        add_move_records(2, p)
+    assert str(fast.value) == str(reference.value)
+    assert str(fast.value) == f"entry {MAX_ENTRY + 1} exceeds limit {MAX_ENTRY}"
+    assert add_move_records(1, p) == ref_add_records(1, p)
+    assert add_move_records(1, p)[-1] == ("add", 2, 1, (3, MAX_ENTRY))
+
+
 def test_nim_moves_examples():
     assert moves(NIM, (2,)) == [(), (1,)]
     assert moves(NIM, (1, 1)) == [(1,)]
@@ -152,7 +275,7 @@ def test_windowed_records_equal_all_cuts(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_single_tall_column_has_k_records(k):
-    records = diet_chomp_move_records(k, (700,))
+    records = move_records(diet_chomp(k), (700,))
     assert [(r.index, r.amount) for r in records] == [
         (1, r) for r in range(701 - k, 701)
     ]
