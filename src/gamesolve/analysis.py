@@ -9,9 +9,11 @@ bottom-left cell is the flat board (a1, a1, a1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import le, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Convention, GameError, Outcome, RuleSet, canonicalize
+from .core import Convention, Family, GameError, Outcome, RuleSet, canonicalize
 from . import closedforms, solver
 
 
@@ -64,19 +66,57 @@ def directional_period(
     return PeriodReport(base, direction, 0, None)
 
 
+def lattice_table(
+    rules: RuleSet, convention: Convention, caps: tuple, memo: solver.MemoTable
+) -> tuple | None:
+    """(caps, place values, bytes) of a ``solver.outcome_table`` whose caps
+    cover ``caps``: the memo's, else a new one over ``caps``, kept in the
+    memo.  None for other families, and for boxes of more than
+    ``solver.TABLE_CELL_LIMIT`` cells, whose sweeps run the DFS."""
+    held = memo.tables.get((rules, convention))
+    if held and len(held[0]) == len(caps) and all(map(le, caps, held[0])):
+        return held
+    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
+    if (
+        rules.family is not Family.DIET_CHOMP
+        or min(caps, default=0) < 0
+        or radix[-1] > solver.TABLE_CELL_LIMIT
+    ):
+        return None
+    held = (tuple(caps), radix, solver.outcome_table(rules, convention, caps))
+    memo.tables[rules, convention] = held
+    return held
+
+
 def lattice_outcome_fn(
     rules: RuleSet,
     convention: Convention,
     memo: solver.MemoTable | None = None,
+    caps: tuple | None = None,
 ) -> Callable[[tuple], Outcome]:
-    """Outcome of a raw lattice point, canonicalized; one shared memo."""
+    """Outcome of a raw lattice point, canonicalized; one shared memo.
+
+    ``caps`` bounds each column of the points to come, aligned on the
+    last column.  Given it, the first point builds (or finds in the memo)
+    a ``lattice_table`` over it, and every point inside the table is read
+    from it; other points, and the families without a table, run the DFS.
+    """
     if memo is None:
         memo = solver.MemoTable()
+    held = None
 
     def fn(raw: tuple) -> Outcome:
-        return solver.outcome(
-            rules, convention, canonicalize(raw, rules.family), memo
-        )
+        nonlocal held, caps
+        p = canonicalize(raw, rules.family)
+        if caps is not None:
+            held, caps = lattice_table(rules, convention, caps, memo), None
+        if held:
+            box, radix, cells = held
+            skip = len(box) - len(p)  # p is aligned on the last column
+            if skip >= 0 and all(map(le, p, box[skip:])):
+                index = sum(map(mul, p, radix[skip:]))
+                return Outcome.P if cells[index] else Outcome.N
+        return solver.outcome(rules, convention, p, memo)
 
     return fn
 
@@ -98,7 +138,9 @@ def translation_period_check(
 ) -> solver.VerificationReport:
     """Compare each position's outcome with the all-coordinates +period
     translate; counterexamples are the positions where they differ."""
-    fn = lattice_outcome_fn(rules, convention, memo)
+    positions = list(positions)
+    caps = tuple(max(column) + max(period, 0) for column in zip(*positions))
+    fn = lattice_outcome_fn(rules, convention, memo, caps)
     report = solver.VerificationReport()
     for p in positions:
         report.checked_count += 1
@@ -121,7 +163,8 @@ def figure_grid(
     with first column a1: cell x of row y covers (a1, a1+x, a1+x+y).  A
     triangular raster has y = a3 - a1 instead, and its cells below the
     diagonal (y < x) are not positions."""
-    fn = lattice_outcome_fn(rules, convention, memo)
+    caps = figure_caps(a1, width, height, triangular)
+    fn = lattice_outcome_fn(rules, convention, memo, caps)
     return tuple(
         tuple(
             (y >= x and fn((a1, a1 + x, a1 + y)) is Outcome.P)
@@ -131,6 +174,13 @@ def figure_grid(
         )
         for y in range(height)
     )
+
+
+def figure_caps(a1: int, width: int, height: int, triangular: bool = False) -> tuple:
+    """Per-column maxima of the boards that ``figure_grid`` reads."""
+    if triangular:
+        return (a1, a1 + min(width, height) - 1, a1 + height - 1)
+    return (a1, a1 + width - 1, a1 + width + height - 2)
 
 
 def render_pbm(rows: tuple) -> bytes:
@@ -169,7 +219,9 @@ def bulk_formula_agreement(
 ) -> solver.VerificationReport:
     """Compare solver outcomes against the three-column bulk formula over
     the positions outside the margins; those inside are skipped."""
-    fn = lattice_outcome_fn(rules, convention)
+    positions = list(positions)
+    caps = tuple(map(max, zip(*positions)))
+    fn = lattice_outcome_fn(rules, convention, caps=caps)
     report = solver.VerificationReport()
     for p in positions:
         if margins.excludes(p):

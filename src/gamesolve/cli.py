@@ -93,18 +93,23 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
     if check == "labels":
         return solver.verify_grundy_consistency(rules, form, domain)
     # closed form vs engine at each position, one memo per case; "monotone"
-    # reads raw sequences (zeros allowed), as the difference map does
+    # reads raw sequences (zeros allowed), as the difference map does, and
+    # Diet Chomp outcomes come from one table over the domain's box
     report = solver.VerificationReport()
     memo = solver.MemoTable()
-    raw = check == "monotone"
+    raw, fn = check == "monotone", None
+    if raw or rules.family is Family.DIET_CHOMP:
+        caps = (domain.max_entry,) * domain.max_piles
+        fn = analysis.lattice_outcome_fn(rules, convention, memo, caps)
     for p in solver.enumerate_positions(domain, lo=0 if raw else 1):
         report.checked_count += 1
         expected = form(p)
         if check == "grundy":
             actual = solver.grundy(rules, p, memo)
+        elif fn:
+            actual = fn(p) is Outcome.P
         else:
-            q = canonicalize(p, rules.family) if raw else p
-            actual = solver.outcome(rules, convention, q, memo) is Outcome.P
+            actual = solver.outcome(rules, convention, p, memo) is Outcome.P
         if expected != actual:
             report.add(p, f"closed form {expected} != solver {actual}")
     return report
@@ -403,6 +408,9 @@ def cmd_figure(opts) -> int:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
     memo = solver.MemoTable()
+    # one table for every raster: the last a1 reads the highest boards
+    box = analysis.figure_caps(a1_values[-1], opts.width, opts.height, opts.triangular)
+    analysis.lattice_table(rules, convention, box, memo)
     for a1 in a1_values:
         grid = analysis.figure_grid(
             rules, convention, a1, opts.width, opts.height, memo, opts.triangular
@@ -463,7 +471,9 @@ def cmd_period(opts) -> int:
     if len(direction) != len(base):
         print("error: direction arity must match base", file=sys.stderr)
         return EXIT_USAGE
-    fn = analysis.lattice_outcome_fn(rules, convention)
+    # the box of the points base + t*direction, t < probe
+    caps = tuple(max(b, b + (opts.probe - 1) * d) for b, d in zip(base, direction))
+    fn = analysis.lattice_outcome_fn(rules, convention, caps=caps)
     report = analysis.directional_period(
         fn, base, direction, opts.probe, opts.max_period, opts.max_preperiod
     )

@@ -10,6 +10,8 @@ claimed labeling without ever solving the loopy graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .core import Convention, LoopyFamily, Outcome, Position, RuleSet
@@ -29,10 +31,13 @@ def mex(values: Iterable[int]) -> int:
 class MemoTable:
     """Write-once cache of solved positions: ``grundy_values`` holds one
     position-keyed dict per rule set, ``outcomes`` one per (rule set,
-    convention).  ``hits``/``misses`` count top-level queries."""
+    convention), ``tables`` the last retrograde table per (rule set,
+    convention) that ``analysis.lattice_table`` built.  ``hits``/``misses``
+    count top-level queries."""
 
     grundy_values: dict = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -98,6 +103,52 @@ def outcome(
         return Outcome.N if Outcome.P in values else Outcome.P
 
     return _solve(rules, p, memo, memo.outcomes, (rules, convention), node_value)
+
+
+# One byte per cell: a table of 2**24 cells takes 16 MiB.  Sweeps over a
+# larger box run the DFS instead.
+TABLE_CELL_LIMIT = 2**24
+
+
+def outcome_table(rules: RuleSet, convention: Convention, caps: tuple) -> bytearray:
+    """Outcomes (1 = P) of the raw, zero-padded, non-decreasing k-Diet Chomp
+    boards of len(caps) columns with column c at most caps[c].  Board a
+    sits at index sum(a_c * R_c), where R_c is the product of caps[i] + 1
+    over i < c; the cells of other boards hold 0.
+
+    A cut at (column j, height r) lowers the columns i..j of height >= r
+    to r - 1, so its successor sits sum((a_c - r + 1) * R_c) lower.  As in
+    ``games.diet_chomp_move_records``, only the top k heights of a column
+    can be legal.  A move lowers columns and raises none, so filling the
+    boards in lexicographic order fills every successor first: one pass,
+    with no stack and no hashing.
+    """
+    k, m = rules.k, len(caps)
+    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
+    table = bytearray(radix[m])
+    table[0] = convention is Convention.NORMAL  # the empty board
+
+    def fill(a: tuple, index: int, offsets: list) -> None:
+        # a: the columns before c; offsets: the index drops of their cuts
+        c = len(a)
+        for v in range(a[-1] if a else 0, caps[c] + 1):
+            here, cuts = index + v * radix[c], offsets[:]
+            for r in range(max(1, v - k + 1), v + 1):
+                removed, drop, i = v - r + 1, (v - r + 1) * radix[c], c - 1
+                while i >= 0 and a[i] >= r and removed <= k:
+                    removed += a[i] - r + 1
+                    drop += (a[i] - r + 1) * radix[i]
+                    i -= 1
+                if removed <= k:
+                    cuts.append(drop)
+            if c + 1 < m:
+                fill(a + (v,), here, cuts)
+            elif here:  # P iff no move reaches a P-board
+                table[here] = not any([table[here - d] for d in cuts])
+
+    if m:
+        fill((), 0, [])
+    return table
 
 
 @dataclass(frozen=True)

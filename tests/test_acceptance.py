@@ -177,6 +177,20 @@ def test_criterion_10_bulk_formula_margins():
     )
 
 
+def test_criterion_10_bulk_formula_wide_window():
+    # the README's computed observation, read from one retrograde table
+    t0 = time.perf_counter()
+    domain = list(three_column_domain(40, 80))
+    report = bulk_formula_agreement(
+        DC2, Convention.MISERE, domain, PINNED_BULK_MARGINS
+    )
+    counts = (report.checked_count, report.skipped_boundary_count)
+    check(
+        10, "bulk formula exact inside pinned margins, a1 <= 40, extent <= 80",
+        report.ok and counts == (116_850, 19_311), time.perf_counter() - t0, 30,
+    )
+
+
 def test_criterion_11_generator_cross_check():
     t0 = time.perf_counter()
     ok = all(

@@ -287,6 +287,26 @@ def test_period_bad_direction_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "base, direction, message",
+    [
+        ("5,5,5", "0,0,-1", "sequence (5, 5, 4) is not non-decreasing"),
+        ("5,6,7", "1,0,0", "sequence (7, 6, 7) is not non-decreasing"),
+        ("5,5,5", "0,-1,0", "sequence (5, 4, 5) is not non-decreasing"),
+        ("2,2,2", "-1,0,0", "negative entry -1"),
+        # (-1, 4, 3) is both negative and out of order: the sign is reported
+        ("1,2,3", "-1,1,0", "negative entry -1"),
+    ],
+)
+def test_period_directional_reports_first_bad_point(capsys, base, direction, message):
+    # the scan's box spans every point up to --probe; the error is still
+    # the one of the first bad point along the direction
+    code, out, err = run(capsys, "period", "--base", base, f"--direction={direction}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 TRANSLATION = ("--translation", "12", "--max-a1", "1", "--max-extent", "2")
 DIRECTIONAL = ("--base", "2,3,3", "--direction", "0,0,1")
 

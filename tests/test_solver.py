@@ -1,10 +1,12 @@
+from argparse import Namespace
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import solver
+from gamesolve import analysis, cli, solver
 from gamesolve import (
     Convention,
     Domain,
@@ -283,3 +285,117 @@ def test_verify_grundy_consistency_sensitivity():
         RuleSet(Family.EXTENDED_NIM, add_limit=1), wrong, Domain(2, 8)
     )
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# retrograde outcome tables against the DFS
+
+DC2 = RuleSet(Family.DIET_CHOMP, k=2)
+
+
+def raw_boards(caps):
+    """Every zero-padded non-decreasing board of len(caps) columns inside
+    the caps, with its mixed-radix table index."""
+    for board in combinations_with_replacement(range(max(caps) + 1), len(caps)):
+        if all(a <= cap for a, cap in zip(board, caps)):
+            index, place = 0, 1
+            for a, cap in zip(board, caps):
+                index, place = index + a * place, place * (cap + 1)
+            yield board, index
+
+
+@pytest.mark.parametrize("caps, count", [((20, 20, 20), 1771), ((9, 9, 9, 9), 715)])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_outcome_table_matches_dfs(k, convention, caps, count):
+    rules = RuleSet(Family.DIET_CHOMP, k=k)
+    table = solver.outcome_table(rules, convention, caps)
+    dfs = analysis.lattice_outcome_fn(rules, convention, MemoTable())
+    boards = list(raw_boards(caps))
+    assert len(boards) == count
+    mismatches = [b for b, i in boards if (table[i] == 1) != (dfs(b) is Outcome.P)]
+    assert mismatches == []
+    # the cells of no board stay 0
+    assert sum(table) == sum(dfs(b) is Outcome.P for b, _ in boards)
+
+
+@pytest.mark.parametrize("caps", [(2, 3, 4), (4, 1, 6), (0, 9), ()])
+def test_lattice_points_outside_the_caps_run_the_dfs(caps):
+    # triples with leading zeros canonicalize to shorter boards, which
+    # the table reads aligned on its last column
+    dfs = analysis.lattice_outcome_fn(DC2, Convention.MISERE, MemoTable())
+    fn = analysis.lattice_outcome_fn(DC2, Convention.MISERE, MemoTable(), caps)
+    boards = list(combinations_with_replacement(range(7), 3))
+    assert [fn(b) for b in boards] == [dfs(b) for b in boards]
+
+
+def lattice_sweeps():
+    """The lattice sweeps that read tables, as comparable values."""
+    domain = list(analysis.three_column_domain(4, 10))
+    return [
+        analysis.figure_grid(DC2, Convention.MISERE, a1, 9, 7, MemoTable(), tri)
+        for a1 in (0, 5)
+        for tri in (False, True)
+    ] + [
+        analysis.translation_period_check(
+            DC2, Convention.MISERE, domain, period
+        ).to_dict()
+        for period in (12, 3)
+    ] + [
+        analysis.bulk_formula_agreement(
+            DC2, Convention.MISERE, domain, margins
+        ).to_dict()
+        for margins in (analysis.PINNED_BULK_MARGINS, analysis.Margins())
+    ]
+
+
+def test_sweeps_over_the_cell_limit_run_the_dfs(monkeypatch):
+    from_tables = lattice_sweeps()
+    expanded = Counter()
+    real = solver.successors
+
+    def counting(rules, q):
+        expanded[q] += 1
+        return real(rules, q)
+
+    monkeypatch.setattr(solver, "successors", counting)
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
+    assert lattice_sweeps() == from_tables
+    assert len(expanded) > 100
+
+
+def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
+    def forbidden(*args):
+        raise AssertionError(f"successors{args} called")
+
+    builds = []
+    real = solver.outcome_table
+
+    def counting(rules, convention, caps):
+        builds.append(caps)
+        return real(rules, convention, caps)
+
+    monkeypatch.setattr(solver, "successors", forbidden)
+    monkeypatch.setattr(solver, "outcome_table", counting)
+    sweeps = lattice_sweeps()
+    assert sweeps[4]["ok"] and not sweeps[5]["ok"] and sweeps[6]["ok"]
+    assert len(builds) == 8  # one per fresh memo or sweep
+    for name in ("lemma8", "lemma9"):
+        builds.clear()
+        report = cli.verify_theorem(name, Namespace(max_piles=4, max_entry=12))
+        assert report.ok and report.checked_count >= 91
+        assert len(builds) == 1
+    commands = [
+        ("figure", "--a1", "0..3", "--width", "8", "--height", "8",
+         "--out", str(tmp_path)),
+        ("figure", "--a1", "0..3", "--width", "8", "--height", "5",
+         "--triangular", "--out", str(tmp_path)),
+        ("period", "--translation", "12", "--max-a1", "3", "--max-extent", "8"),
+        ("period", "--base", "2,3,3", "--direction", "0,1,1"),
+        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
+         "--max-extent", "10"),
+    ]
+    for args in commands:
+        builds.clear()
+        assert cli.main(list(args)) == 0
+        assert len(builds) == 1, args
