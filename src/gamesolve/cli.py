@@ -30,15 +30,16 @@ EXIT_COUNTEREXAMPLES = 1
 EXIT_USAGE = 2
 
 
-def build_rules(game: str, k: int | None, add_limit: int | None) -> RuleSet:
-    """The rule set asked for; a parameter the family takes defaults to 2
-    (k) or 1 (add_limit), one it does not take is rejected by RuleSet."""
-    family = Family(game)
+def game_of(opts) -> tuple[RuleSet, Convention]:
+    """The rule set and convention the --game options ask for; a parameter
+    the family takes defaults to 2 (k) or 1 (add_limit), one it does not
+    take is rejected by RuleSet."""
+    family, k, add_limit = Family(opts.game), opts.k, opts.add_limit
     if family is Family.EXTENDED_NIM:
         add_limit = 1 if add_limit is None else add_limit
     elif family not in (Family.NIM, Family.MONOTONIC_NIM) and k is None:
         k = 2
-    return RuleSet(family, k, add_limit)
+    return RuleSet(family, k, add_limit), Convention(opts.convention)
 
 
 def solve_position(
@@ -248,136 +249,22 @@ def verify_theorem(name: str, opts) -> solver.VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_game_args(p: argparse.ArgumentParser, default_game=None):
-    p.add_argument(
-        "--game",
-        choices=[f.value for f in Family],
-        default=default_game,
-        required=default_game is None,
-    )
-    p.add_argument("--k", type=int)
-    p.add_argument("--add-limit", type=int, dest="add_limit")
-    p.add_argument(
-        "--convention",
-        choices=[c.value for c in Convention],
-        default="normal",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gamesolve",
-        description="Solve and verify Nim variants, monotonic games, and Diet Chomp.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("outcome", help="outcome/Grundy value of one position")
-    _add_game_args(p)
-    p.add_argument("--position", required=True)
-    p.add_argument("--moves", action="store_true", help="also list legal moves")
-
-    p = sub.add_parser("verify", help="check a closed form against the solver")
-    p.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
-    p.add_argument(
-        "--max-piles",
-        "--max-cols",
-        "--max-heaps",
-        type=int,
-        dest="max_piles",
-    )
-    p.add_argument("--max-height", "--max-entry", type=int, dest="max_entry")
-    p.add_argument("--k", type=int)
-    p.add_argument("--add-limit", type=int, dest="add_limit")
-    p.add_argument("--convention", choices=[c.value for c in Convention])
-    p.add_argument("--max-a1", type=int, dest="max_a1")
-    p.add_argument("--max-extent", type=int, dest="max_extent")
-
-    p = sub.add_parser("figure", help="emit P-position rasters")
-    _add_game_args(p, default_game="diet-chomp")
-    p.set_defaults(convention="misere")
-    p.add_argument("--a1", required=True, help="single value or lo..hi range")
-    p.add_argument("--width", type=int, default=30)
-    p.add_argument("--height", type=int, default=30)
-    p.add_argument("--format", choices=["pbm", "ascii"], default="pbm")
-    p.add_argument("--out", default=".")
-    p.add_argument(
-        "--triangular",
-        action="store_true",
-        help="render on (a2-a1, a3-a1) axes instead of (a2-a1, a3-a2)",
-    )
-
-    p = sub.add_parser("period", help="directional/translation periodicity")
-    _add_game_args(p, default_game="diet-chomp")
-    p.set_defaults(convention="misere")
-    p.add_argument("--base")
-    p.add_argument("--direction")
-    p.add_argument("--probe", type=int)
-    p.add_argument("--max-period", type=int, dest="max_period")
-    p.add_argument("--max-preperiod", type=int, dest="max_preperiod")
-    p.add_argument("--translation", type=int)
-    p.add_argument("--max-a1", type=int, dest="max_a1")
-    p.add_argument("--max-extent", type=int, dest="max_extent")
-
-    p = sub.add_parser("batch", help="solve one position per input line")
-    _add_game_args(p)
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--threads",
-        type=int,
-        help="worker processes (default: $GAMESOLVE_THREADS, else 1)",
-    )
-
-    return parser
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_outcome(opts) -> int:
-    rules = build_rules(opts.game, opts.k, opts.add_limit)
-    convention = Convention(opts.convention)
+    rules, convention = game_of(opts)
     raw = parse_position(opts.position)
     p = canonicalize(raw, rules.family)
     result = {"position": list(p)}
     result.update(solve_position(rules, convention, p))
     if opts.moves:
-        result["moves"] = [
-            {
-                "kind": r.kind,
-                "index": r.index,
-                "amount": r.amount,
-                "result": list(r.result),
-            }
-            for r in games.move_records(rules, p)
-        ]
+        result["moves"] = [r._asdict() for r in games.move_records(rules, p)]
     print(json.dumps(result))
     return EXIT_OK
 
 
-def _check_minimums(opts, minimums: dict) -> None:
-    """Reject each given option that is below its minimum."""
-    for name, least in minimums.items():
-        value = getattr(opts, name)
-        if value is not None and value < least:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
-
-
 def cmd_verify(opts) -> int:
-    _check_minimums(
-        opts,
-        {"max_piles": 1, "max_entry": 1, "k": 1, "add_limit": 1, "max_a1": 0,
-         "max_extent": 0},
-    )
-    theorem = THEOREMS[opts.theorem]
-    read = {"command", "theorem", *theorem.bounds, *theorem.fixed, *theorem.params}
-    for option, value in vars(opts).items():
-        if value is not None and option not in read:
-            flag = "--" + option.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to {opts.theorem}")
     report = verify_theorem(opts.theorem, opts)
     print(json.dumps({"theorem": opts.theorem, **report.to_dict()}))
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
@@ -397,9 +284,7 @@ def _parse_a1_range(text: str) -> list[int]:
 
 
 def cmd_figure(opts) -> int:
-    _check_minimums(opts, {"width": 1, "height": 1})
-    rules = build_rules(opts.game, opts.k, opts.add_limit)
-    convention = Convention(opts.convention)
+    rules, convention = game_of(opts)
     a1_values = _parse_a1_range(opts.a1)
     out_dir = Path(opts.out)
     try:
@@ -429,33 +314,8 @@ def cmd_figure(opts) -> int:
     return EXIT_OK
 
 
-# each period mode's own options -> their defaults
-TRANSLATION_OPTIONS = {"max_a1": 12, "max_extent": 20}
-DIRECTIONAL_OPTIONS = {
-    "base": None, "direction": None, "probe": 60, "max_period": 16, "max_preperiod": 24
-}
-
-
 def cmd_period(opts) -> int:
-    _check_minimums(
-        opts,
-        {"translation": 1, "max_a1": 0, "max_extent": 0, "max_period": 1,
-         "max_preperiod": 0},
-    )
-    own, other = TRANSLATION_OPTIONS, DIRECTIONAL_OPTIONS
-    mode = "the translation check"
-    if opts.translation is None:
-        own, other = other, own
-        mode = "the directional scan"
-    for option in other:
-        if getattr(opts, option) is not None:
-            flag = "--" + option.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to {mode}")
-    for option, default in own.items():
-        if getattr(opts, option) is None:
-            setattr(opts, option, default)
-    rules = build_rules(opts.game, opts.k, opts.add_limit)
-    convention = Convention(opts.convention)
+    rules, convention = game_of(opts)
     if opts.translation is not None:
         positions = analysis.three_column_domain(opts.max_a1, opts.max_extent)
         report = analysis.translation_period_check(
@@ -463,11 +323,10 @@ def cmd_period(opts) -> int:
         )
         print(json.dumps({"translation": opts.translation, **report.to_dict()}))
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
-    if not opts.direction or not opts.base:
+    base, direction = opts.base, opts.direction
+    if base is None or direction is None:
         print("error: need --base and --direction (or --translation)", file=sys.stderr)
         return EXIT_USAGE
-    base = parse_position(opts.base)
-    direction = tuple(int(t) for t in opts.direction.split(","))
     if len(direction) != len(base):
         print("error: direction arity must match base", file=sys.stderr)
         return EXIT_USAGE
@@ -500,18 +359,15 @@ def _solve_lines(rules: RuleSet, convention: Convention, lines: list) -> list:
 def _thread_count(opts) -> int:
     """Worker count asked for: --threads, else $GAMESOLVE_THREADS, else 1."""
     if opts.threads is not None:
-        source, text = "--threads", str(opts.threads)
-    else:
-        source = "GAMESOLVE_THREADS"
-        text = os.environ.get(source, "1")
+        return opts.threads
+    text = os.environ.get("GAMESOLVE_THREADS", "1")
     if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"{source} must be a positive integer, not {text!r}")
+        raise ValueError(f"GAMESOLVE_THREADS must be a positive integer, not {text!r}")
     return int(text)
 
 
 def cmd_batch(opts) -> int:
-    rules = build_rules(opts.game, opts.k, opts.add_limit)
-    convention = Convention(opts.convention)
+    rules, convention = game_of(opts)
     threads = _thread_count(opts)
     try:
         lines = Path(opts.input).read_text().splitlines()
@@ -547,18 +403,153 @@ def cmd_batch(opts) -> int:
     return EXIT_COUNTEREXAMPLES if errored else EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    opts = parser.parse_args(argv)
-    handlers = {
-        "outcome": cmd_outcome,
-        "verify": cmd_verify,
-        "figure": cmd_figure,
-        "period": cmd_period,
-        "batch": cmd_batch,
-    }
+# ---------------------------------------------------------------------------
+# the option table
+
+
+def _integers(text: str) -> tuple:
+    """The comma-separated integers of a --base or --direction, as given:
+    unlike a position, "0" is one zero, not the empty board."""
     try:
-        return handlers[opts.command](opts)
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, not {text!r}"
+        ) from None
+
+
+class Option(NamedTuple):
+    """One command-line option."""
+
+    flags: tuple  # the first is the one usage shows
+    kwargs: dict = {}  # its type or choices, or its action
+    least: int | None = None  # its least value, if it has one
+    help: str | None = None
+
+
+INT = {"type": int}
+FLAG = {"action": "store_true"}
+OPTIONS = {
+    "game": Option(("--game",), {"choices": [f.value for f in Family]}),
+    "k": Option(("--k",), INT, 1),
+    "add_limit": Option(("--add-limit",), INT, 1),
+    "convention": Option(("--convention",), {"choices": [c.value for c in Convention]}),
+    "position": Option(("--position",)),
+    "moves": Option(("--moves",), FLAG, help="also list legal moves"),
+    "theorem": Option(("--theorem",), {"choices": sorted(THEOREMS)}),
+    "max_piles": Option(("--max-piles", "--max-cols", "--max-heaps"), INT, 1),
+    "max_entry": Option(("--max-height", "--max-entry"), INT, 1),
+    "max_a1": Option(("--max-a1",), INT, 0),
+    "max_extent": Option(("--max-extent",), INT, 0),
+    "a1": Option(("--a1",), help="single value or lo..hi range"),
+    "width": Option(("--width",), INT, 1),
+    "height": Option(("--height",), INT, 1),
+    "format": Option(("--format",), {"choices": ["pbm", "ascii"]}),
+    "out": Option(("--out",)),
+    "triangular": Option(("--triangular",), FLAG, help=(
+        "render on (a2-a1, a3-a1) axes instead of (a2-a1, a3-a2)")),
+    "base": Option(("--base",), {"type": _integers}),
+    "direction": Option(("--direction",), {"type": _integers}),
+    "probe": Option(("--probe",), INT),
+    "max_period": Option(("--max-period",), INT, 1),
+    "max_preperiod": Option(("--max-preperiod",), INT, 0),
+    "translation": Option(("--translation",), INT, 1),
+    "input": Option(("--input",)),
+    "threads": Option(("--threads",), INT, 1, help=(
+        "worker processes (default: $GAMESOLVE_THREADS, else 1)")),
+}
+REQUIRED = object()  # the default of an option that must be given
+
+
+class Command(NamedTuple):
+    """One subcommand.  A subcommand whose runs read different options
+    names each run in ``modes``, and ``mode(opts)`` picks the one asked for."""
+
+    run: Callable
+    help: str
+    options: dict  # each option every run reads -> its default
+    mode: Callable = lambda opts: None
+    modes: dict = {}  # each run -> each further option it reads -> its default
+
+    def parser_options(self) -> dict:
+        """Each option of the subcommand -> its argparse default."""
+        further = [name for reads in self.modes.values() for name in reads]
+        return {**self.options, **dict.fromkeys(further)}
+
+
+# the --game options -> their defaults; figure and period default to
+# misere Diet Chomp
+GAME = {"game": REQUIRED, "k": None, "add_limit": None, "convention": "normal"}
+LATTICE_GAME = {**GAME, "game": "diet-chomp", "convention": "misere"}
+COMMANDS = {
+    "outcome": Command(cmd_outcome, "outcome/Grundy value of one position",
+                       {**GAME, "position": REQUIRED, "moves": False}),
+    # a run reads what its THEOREMS entry reads; verify_theorem applies
+    # the entry's defaults
+    "verify": Command(
+        cmd_verify, "check a closed form against the solver", {"theorem": REQUIRED},
+        lambda opts: opts.theorem,
+        {name: dict.fromkeys((*t.bounds, *t.fixed, *t.params))
+         for name, t in THEOREMS.items()},
+    ),
+    "figure": Command(cmd_figure, "emit P-position rasters", {
+        **LATTICE_GAME, "a1": REQUIRED, "width": 30, "height": 30, "format": "pbm",
+        "out": ".", "triangular": False,
+    }),
+    "period": Command(
+        cmd_period, "directional/translation periodicity", LATTICE_GAME,
+        lambda opts: "the directional scan" if opts.translation is None
+        else "the translation check",
+        {"the directional scan": {"base": None, "direction": None, "probe": 60,
+                                  "max_period": 16, "max_preperiod": 24},
+         "the translation check": {"translation": None, "max_a1": 12,
+                                   "max_extent": 20}},
+    ),
+    "batch": Command(cmd_batch, "solve one position per input line",
+                     {**GAME, "input": REQUIRED, "threads": None}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gamesolve",
+        description="Solve and verify Nim variants, monotonic games, and Diet Chomp.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, default in command.parser_options().items():
+            option, required = OPTIONS[dest], default is REQUIRED
+            p.add_argument(
+                *option.flags, dest=dest, required=required, help=option.help,
+                default=None if required else default, **option.kwargs,
+            )
+    return parser
+
+
+def check_options(opts) -> None:
+    """Reject each given option below its least value or not read by the
+    run asked for; give each option that run reads and that is not given
+    its default."""
+    command = COMMANDS[opts.command]
+    mode = command.mode(opts)
+    reads = {**command.options, **command.modes.get(mode, {})}
+    for name in command.parser_options():
+        value, least = getattr(opts, name), OPTIONS[name].least
+        flag = "--" + name.replace("_", "-")
+        if value is None:
+            setattr(opts, name, reads.get(name))
+        elif least is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+        elif name not in reads:
+            raise ValueError(f"{flag} does not apply to {mode}")
+
+
+def main(argv=None) -> int:
+    opts = build_parser().parse_args(argv)
+    try:
+        check_options(opts)
+        return COMMANDS[opts.command].run(opts)
     except (GameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

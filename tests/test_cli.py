@@ -627,3 +627,157 @@ def test_outcome_moves_bytes(capsys, args):
     code, out, _ = run(capsys, "outcome", "--moves", *args.split())
     assert code == 0
     assert out == MOVES_BYTES[args]
+
+
+GAMES = [f.value for f in Family]
+CONVENTIONS = ["normal", "misere"]
+GAME_OPTIONS = {
+    "k": (("--k",), None, False, None, True),
+    "add_limit": (("--add-limit",), None, False, None, True),
+}
+# subcommand -> dest -> (flags, default, required, choices, takes a value)
+PARSER_SURFACE = {
+    "outcome": {
+        "game": (("--game",), None, True, GAMES, True),
+        **GAME_OPTIONS,
+        "convention": (("--convention",), "normal", False, CONVENTIONS, True),
+        "position": (("--position",), None, True, None, True),
+        "moves": (("--moves",), False, False, None, False),
+    },
+    "verify": {
+        "theorem": (("--theorem",), None, True, sorted(cli.THEOREMS), True),
+        "max_piles": (
+            ("--max-piles", "--max-cols", "--max-heaps"), None, False, None, True
+        ),
+        "max_entry": (("--max-height", "--max-entry"), None, False, None, True),
+        **GAME_OPTIONS,
+        "convention": (("--convention",), None, False, CONVENTIONS, True),
+        "max_a1": (("--max-a1",), None, False, None, True),
+        "max_extent": (("--max-extent",), None, False, None, True),
+    },
+    "figure": {
+        "game": (("--game",), "diet-chomp", False, GAMES, True),
+        **GAME_OPTIONS,
+        "convention": (("--convention",), "misere", False, CONVENTIONS, True),
+        "a1": (("--a1",), None, True, None, True),
+        "width": (("--width",), 30, False, None, True),
+        "height": (("--height",), 30, False, None, True),
+        "format": (("--format",), "pbm", False, ["pbm", "ascii"], True),
+        "out": (("--out",), ".", False, None, True),
+        "triangular": (("--triangular",), False, False, None, False),
+    },
+    "period": {
+        "game": (("--game",), "diet-chomp", False, GAMES, True),
+        **GAME_OPTIONS,
+        "convention": (("--convention",), "misere", False, CONVENTIONS, True),
+        "base": (("--base",), None, False, None, True),
+        "direction": (("--direction",), None, False, None, True),
+        "probe": (("--probe",), None, False, None, True),
+        "max_period": (("--max-period",), None, False, None, True),
+        "max_preperiod": (("--max-preperiod",), None, False, None, True),
+        "translation": (("--translation",), None, False, None, True),
+        "max_a1": (("--max-a1",), None, False, None, True),
+        "max_extent": (("--max-extent",), None, False, None, True),
+    },
+    "batch": {
+        "game": (("--game",), None, True, GAMES, True),
+        **GAME_OPTIONS,
+        "convention": (("--convention",), "normal", False, CONVENTIONS, True),
+        "input": (("--input",), None, True, None, True),
+        "threads": (("--threads",), None, False, None, True),
+    },
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_parser_surface_is_pinned(capsys):
+    subparsers = _subparsers()
+    assert list(subparsers) == list(PARSER_SURFACE)
+    for command, subparser in subparsers.items():
+        surface = {
+            a.dest: (
+                tuple(a.option_strings),
+                a.default,
+                a.required,
+                None if a.choices is None else list(a.choices),
+                a.nargs != 0,
+            )
+            for a in subparser._actions
+            if a.dest != "help"
+        }
+        assert surface == PARSER_SURFACE[command], command
+    for args in [(), *((command,) for command in PARSER_SURFACE)]:
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--help"])
+        assert exc.value.code == 0, args
+        assert capsys.readouterr().out.startswith("usage: gamesolve")
+
+
+# each (subcommand, option) with a least value, and that value
+LEAST_VALUES = [
+    ("outcome", "--k", 1), ("outcome", "--add-limit", 1),
+    ("verify", "--max-piles", 1), ("verify", "--max-entry", 1), ("verify", "--k", 1),
+    ("verify", "--add-limit", 1), ("verify", "--max-a1", 0),
+    ("verify", "--max-extent", 0),
+    ("figure", "--k", 1), ("figure", "--add-limit", 1), ("figure", "--width", 1),
+    ("figure", "--height", 1),
+    ("period", "--k", 1), ("period", "--add-limit", 1), ("period", "--max-period", 1),
+    ("period", "--max-preperiod", 0), ("period", "--translation", 1),
+    ("period", "--max-a1", 0), ("period", "--max-extent", 0),
+    ("batch", "--k", 1), ("batch", "--add-limit", 1), ("batch", "--threads", 1),
+]
+
+
+def test_least_values_are_the_tables():
+    table = [
+        (command, "--" + name.replace("_", "-"), cli.OPTIONS[name].least)
+        for command, spec in cli.COMMANDS.items()
+        for name in spec.parser_options()
+        if cli.OPTIONS[name].least is not None
+    ]
+    assert sorted(table) == sorted(LEAST_VALUES)
+
+
+@pytest.mark.parametrize("command, option, least", LEAST_VALUES)
+def test_value_below_its_least_exit_2(capsys, tmp_path, command, option, least):
+    out_dir = tmp_path / "figs"
+    positions = tmp_path / "positions.txt"
+    positions.write_text("1\n")
+    given = {
+        "outcome": ("--game", "slow-nim", "--position", "1"),
+        "verify": ("--theorem", "thm1"),
+        "figure": ("--a1", "0", "--out", str(out_dir)),
+        "period": (),
+        "batch": ("--game", "nim", "--input", str(positions)),
+    }[command]
+    code, out, err = run(capsys, command, *given, option, str(least - 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must be >= {least}\n"
+    assert not out_dir.exists()
+
+
+def test_options_theorems_and_period_modes_read_are_parser_options():
+    subparsers = _subparsers()
+    verify = {a.dest for a in subparsers["verify"]._actions}
+    for name, theorem in cli.THEOREMS.items():
+        assert {*theorem.bounds, *theorem.params, *theorem.fixed} <= verify, name
+    period = {a.dest for a in subparsers["period"]._actions}
+    for mode, reads in cli.COMMANDS["period"].modes.items():
+        assert set(reads) <= period, mode
+
+
+def test_period_base_and_direction_are_raw_integers(capsys):
+    # "0" is one zero here, where a position reads it as the empty board
+    code, out, err = run(capsys, "period", "--base", "0", "--direction", "1")
+    assert code == 0
+    assert out == '{"base": [0], "direction": [1], "preperiod": 0, "period": 3}\n'
+    with pytest.raises(SystemExit) as exc:
+        main(["period", "--base", "2,3,3", "--direction", "1,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --direction: expected comma-separated integers, not '1,x'" in err
