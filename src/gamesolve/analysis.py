@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import le, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Convention, Family, GameError, Outcome, RuleSet, canonicalize
@@ -38,27 +38,29 @@ class PeriodReport:
 
 
 def directional_period(
-    outcome_fn: Callable[[tuple], object],
+    values_of: Callable[[list], list],
     base: Sequence[int],
     direction: Sequence[int],
     probe_length: int = 60,
     max_period: int = 16,
     max_preperiod: int = 24,
 ) -> PeriodReport:
-    """Minimal (preperiod, period), lexicographic, fitting the outcome
-    sequence sampled at base + t*direction for t = 0..probe_length-1."""
+    """Minimal (preperiod, period), lexicographic, fitting the values that
+    ``values_of`` gives the points base + t*direction, t = 0..probe_length-1."""
     base = tuple(base)
     direction = tuple(direction)
+    if len(direction) != len(base):
+        raise ValueError("direction arity must match base")
     if not any(direction):
         raise ValueError("direction must be nonzero")
     if probe_length < 2 * max_period + max_preperiod:
         raise InsufficientProbe(
             f"probe {probe_length} < 2*{max_period} + {max_preperiod}"
         )
-    seq = [
-        outcome_fn(tuple(b + t * d for b, d in zip(base, direction)))
+    seq = values_of([
+        tuple(b + t * d for b, d in zip(base, direction))
         for t in range(probe_length)
-    ]
+    ])
     for pre in range(max_preperiod + 1):
         for per in range(1, max_period + 1):
             if all(seq[t] == seq[t + per] for t in range(pre, probe_length - per)):
@@ -66,59 +68,34 @@ def directional_period(
     return PeriodReport(base, direction, 0, None)
 
 
-def lattice_table(
-    rules: RuleSet, convention: Convention, caps: tuple, memo: solver.MemoTable
-) -> tuple | None:
-    """(caps, place values, bytes) of a ``solver.outcome_table`` whose caps
-    cover ``caps``: the memo's, else a new one over ``caps``, kept in the
-    memo.  None for other families, and for boxes of more than
-    ``solver.TABLE_CELL_LIMIT`` cells, whose sweeps run the DFS."""
-    held = memo.tables.get((rules, convention))
-    if held and len(held[0]) == len(caps) and all(map(le, caps, held[0])):
-        return held
-    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
-    if (
-        rules.family is not Family.DIET_CHOMP
-        or min(caps, default=0) < 0
-        or radix[-1] > solver.TABLE_CELL_LIMIT
-    ):
-        return None
-    held = (tuple(caps), radix, solver.outcome_table(rules, convention, caps))
-    memo.tables[rules, convention] = held
-    return held
-
-
-def lattice_outcome_fn(
+def lattice_outcomes(
     rules: RuleSet,
     convention: Convention,
+    points: Iterable[tuple],
     memo: solver.MemoTable | None = None,
-    caps: tuple | None = None,
-) -> Callable[[tuple], Outcome]:
-    """Outcome of a raw lattice point, canonicalized; one shared memo.
+) -> list[Outcome]:
+    """Outcomes of raw lattice points, in order.  Every point is
+    canonicalized first, so the first bad point raises.
 
-    ``caps`` bounds each column of the points to come, aligned on the
-    last column.  Given it, the first point builds (or finds in the memo)
-    a ``lattice_table`` over it, and every point inside the table is read
-    from it; other points, and the families without a table, run the DFS.
+    Diet Chomp boards are read from one ``solver.outcome_table`` over the
+    per-column maxima of the canonical boards, aligned on the last column.
+    Other families, and boxes of more than ``solver.TABLE_CELL_LIMIT``
+    cells, run the DFS on one memo.
     """
-    if memo is None:
-        memo = solver.MemoTable()
-    held = None
-
-    def fn(raw: tuple) -> Outcome:
-        nonlocal held, caps
-        p = canonicalize(raw, rules.family)
-        if caps is not None:
-            held, caps = lattice_table(rules, convention, caps, memo), None
-        if held:
-            box, radix, cells = held
-            skip = len(box) - len(p)  # p is aligned on the last column
-            if skip >= 0 and all(map(le, p, box[skip:])):
-                index = sum(map(mul, p, radix[skip:]))
-                return Outcome.P if cells[index] else Outcome.N
-        return solver.outcome(rules, convention, p, memo)
-
-    return fn
+    boards = [canonicalize(p, rules.family) for p in points]
+    caps = [0] * max(map(len, boards), default=0)
+    for b in boards:
+        skip = len(caps) - len(b)
+        caps[skip:] = map(max, caps[skip:], b)
+    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
+    if rules.family is not Family.DIET_CHOMP or radix[-1] > solver.TABLE_CELL_LIMIT:
+        memo = solver.MemoTable() if memo is None else memo
+        return [solver.outcome(rules, convention, b, memo) for b in boards]
+    cells = solver.outcome_table(rules, convention, tuple(caps))
+    return [
+        Outcome.P if cells[sum(map(mul, b, radix[len(caps) - len(b) :]))] else Outcome.N
+        for b in boards
+    ]
 
 
 def three_column_domain(max_a1: int, max_extent: int) -> Iterator[tuple]:
@@ -138,49 +115,48 @@ def translation_period_check(
 ) -> solver.VerificationReport:
     """Compare each position's outcome with the all-coordinates +period
     translate; counterexamples are the positions where they differ."""
-    positions = list(positions)
-    caps = tuple(max(column) + max(period, 0) for column in zip(*positions))
-    fn = lattice_outcome_fn(rules, convention, memo, caps)
+    pairs = [(p, tuple(a + period for a in p)) for p in positions]
+    points = [q for pair in pairs for q in pair]
+    outcomes = iter(lattice_outcomes(rules, convention, points, memo))
     report = solver.VerificationReport()
-    for p in positions:
+    for p, shifted in pairs:
         report.checked_count += 1
-        shifted = tuple(a + period for a in p)
-        if fn(p) is not fn(shifted):
+        if next(outcomes) is not next(outcomes):
             report.add(p, f"outcome differs from translate {shifted}")
     return report
 
 
-def figure_grid(
+def figure_grids(
     rules: RuleSet,
     convention: Convention,
-    a1: int,
+    a1_values: Sequence[int],
     width: int,
     height: int,
-    memo: solver.MemoTable | None = None,
     triangular: bool = False,
-) -> tuple:
-    """Rows of booleans, bottom row (y = 0) first, marking the P-positions
-    with first column a1: cell x of row y covers (a1, a1+x, a1+x+y).  A
+) -> list:
+    """One raster per a1, from one ``lattice_outcomes`` call: rows of
+    booleans, bottom row (y = 0) first, marking the P-positions with first
+    column a1, where cell x of row y covers (a1, a1+x, a1+x+y).  A
     triangular raster has y = a3 - a1 instead, and its cells below the
     diagonal (y < x) are not positions."""
-    caps = figure_caps(a1, width, height, triangular)
-    fn = lattice_outcome_fn(rules, convention, memo, caps)
-    return tuple(
-        tuple(
-            (y >= x and fn((a1, a1 + x, a1 + y)) is Outcome.P)
-            if triangular
-            else fn((a1, a1 + x, a1 + x + y)) is Outcome.P
-            for x in range(width)
-        )
+    points = [
+        (a1, a1 + x, a1 + y if triangular else a1 + x + y)
+        for a1 in a1_values
         for y in range(height)
-    )
-
-
-def figure_caps(a1: int, width: int, height: int, triangular: bool = False) -> tuple:
-    """Per-column maxima of the boards that ``figure_grid`` reads."""
-    if triangular:
-        return (a1, a1 + min(width, height) - 1, a1 + height - 1)
-    return (a1, a1 + width - 1, a1 + width + height - 2)
+        for x in range(width)
+        if y >= x or not triangular
+    ]
+    outcomes = iter(lattice_outcomes(rules, convention, points))
+    return [
+        tuple(
+            tuple(
+                (y >= x or not triangular) and next(outcomes) is Outcome.P
+                for x in range(width)
+            )
+            for y in range(height)
+        )
+        for _ in a1_values
+    ]
 
 
 def render_pbm(rows: tuple) -> bytes:
@@ -220,16 +196,12 @@ def bulk_formula_agreement(
     """Compare solver outcomes against the three-column bulk formula over
     the positions outside the margins; those inside are skipped."""
     positions = list(positions)
-    caps = tuple(map(max, zip(*positions)))
-    fn = lattice_outcome_fn(rules, convention, caps=caps)
-    report = solver.VerificationReport()
-    for p in positions:
-        if margins.excludes(p):
-            report.skipped_boundary_count += 1
-            continue
-        report.checked_count += 1
-        actual = fn(p) is Outcome.P
-        if actual != closedforms.diet2_misere_bulk_conjecture(p):
+    inside = [p for p in positions if not margins.excludes(p)]
+    report = solver.VerificationReport(
+        checked_count=len(inside), skipped_boundary_count=len(positions) - len(inside)
+    )
+    for p, actual in zip(inside, lattice_outcomes(rules, convention, inside)):
+        if (actual is Outcome.P) != closedforms.diet2_misere_bulk_conjecture(p):
             report.add(p, "bulk formula disagrees with solver")
     return report
 

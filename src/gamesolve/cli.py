@@ -93,24 +93,19 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
         return solver.verify_pset(rules, convention, lambda p: form(p) == 0, domain)
     if check == "labels":
         return solver.verify_grundy_consistency(rules, form, domain)
-    # closed form vs engine at each position, one memo per case; "monotone"
-    # reads raw sequences (zeros allowed), as the difference map does, and
-    # Diet Chomp outcomes come from one table over the domain's box
-    report = solver.VerificationReport()
-    memo = solver.MemoTable()
-    raw, fn = check == "monotone", None
-    if raw or rules.family is Family.DIET_CHOMP:
-        caps = (domain.max_entry,) * domain.max_piles
-        fn = analysis.lattice_outcome_fn(rules, convention, memo, caps)
-    for p in solver.enumerate_positions(domain, lo=0 if raw else 1):
-        report.checked_count += 1
+    # closed form vs engine at each position; "monotone" reads raw
+    # sequences (zeros allowed), as the difference map does
+    lo = 0 if check == "monotone" else 1
+    points = list(solver.enumerate_positions(domain, lo))
+    if check == "grundy":
+        memo = solver.MemoTable()
+        actuals = [solver.grundy(rules, p, memo) for p in points]
+    else:
+        outcomes = analysis.lattice_outcomes(rules, convention, points)
+        actuals = [o is Outcome.P for o in outcomes]
+    report = solver.VerificationReport(checked_count=len(points))
+    for p, actual in zip(points, actuals):
         expected = form(p)
-        if check == "grundy":
-            actual = solver.grundy(rules, p, memo)
-        elif fn:
-            actual = fn(p) is Outcome.P
-        else:
-            actual = solver.outcome(rules, convention, p, memo) is Outcome.P
         if expected != actual:
             report.add(p, f"closed form {expected} != solver {actual}")
     return report
@@ -286,21 +281,17 @@ def _parse_a1_range(text: str) -> list[int]:
 def cmd_figure(opts) -> int:
     rules, convention = game_of(opts)
     a1_values = _parse_a1_range(opts.a1)
+    grids = analysis.figure_grids(
+        rules, convention, a1_values, opts.width, opts.height, opts.triangular
+    )
     out_dir = Path(opts.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    memo = solver.MemoTable()
-    # one table for every raster: the last a1 reads the highest boards
-    box = analysis.figure_caps(a1_values[-1], opts.width, opts.height, opts.triangular)
-    analysis.lattice_table(rules, convention, box, memo)
-    for a1 in a1_values:
-        grid = analysis.figure_grid(
-            rules, convention, a1, opts.width, opts.height, memo, opts.triangular
-        )
-        ext = "pbm" if opts.format == "pbm" else "txt"
+    ext = "pbm" if opts.format == "pbm" else "txt"
+    for a1, grid in zip(a1_values, grids):
         path = out_dir / f"fig-a1-{a1}.{ext}"
         try:
             if opts.format == "pbm":
@@ -327,14 +318,9 @@ def cmd_period(opts) -> int:
     if base is None or direction is None:
         print("error: need --base and --direction (or --translation)", file=sys.stderr)
         return EXIT_USAGE
-    if len(direction) != len(base):
-        print("error: direction arity must match base", file=sys.stderr)
-        return EXIT_USAGE
-    # the box of the points base + t*direction, t < probe
-    caps = tuple(max(b, b + (opts.probe - 1) * d) for b, d in zip(base, direction))
-    fn = analysis.lattice_outcome_fn(rules, convention, caps=caps)
     report = analysis.directional_period(
-        fn, base, direction, opts.probe, opts.max_period, opts.max_preperiod
+        partial(analysis.lattice_outcomes, rules, convention),
+        base, direction, opts.probe, opts.max_period, opts.max_preperiod,
     )
     print(json.dumps(report.to_dict()))
     return EXIT_OK

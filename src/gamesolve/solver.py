@@ -31,13 +31,10 @@ def mex(values: Iterable[int]) -> int:
 class MemoTable:
     """Write-once cache of solved positions: ``grundy_values`` holds one
     position-keyed dict per rule set, ``outcomes`` one per (rule set,
-    convention), ``tables`` the last retrograde table per (rule set,
-    convention) that ``analysis.lattice_table`` built.  ``hits``/``misses``
-    count top-level queries."""
+    convention).  ``hits``/``misses`` count top-level queries."""
 
     grundy_values: dict = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 

@@ -12,6 +12,8 @@ from gamesolve import (
     MemoTable,
     Outcome,
     RuleSet,
+    canonicalize,
+    outcome,
     verify_pset,
 )
 from gamesolve import cli
@@ -20,8 +22,7 @@ from gamesolve.analysis import (
     PINNED_BULK_MARGINS,
     bulk_formula_agreement,
     directional_period,
-    figure_grid,
-    lattice_outcome_fn,
+    figure_grids,
     render_pbm,
     three_column_domain,
     translation_period_check,
@@ -143,12 +144,18 @@ def test_criterion_9_figure_rasters_and_directional_periods():
     size = 16
     renders_ok = True
     for a1 in range(12):
-        grid = figure_grid(DC2, Convention.MISERE, a1, size, size, memo)
-        again = figure_grid(DC2, Convention.MISERE, a1, size, size, MemoTable())
-        shifted = figure_grid(DC2, Convention.MISERE, a1 + 12, size, size, memo)
+        grid = figure_grids(DC2, Convention.MISERE, [a1], size, size)[0]
+        again = figure_grids(DC2, Convention.MISERE, [a1], size, size)[0]
+        shifted = figure_grids(DC2, Convention.MISERE, [a1 + 12], size, size)[0]
         renders_ok &= render_pbm(grid) == render_pbm(again)
         renders_ok &= grid == shifted
-    fn = lattice_outcome_fn(DC2, Convention.MISERE, memo)
+
+    def fn(points):  # a per-point DFS over one memo: no table per scan
+        return [
+            outcome(DC2, Convention.MISERE, canonicalize(p, DC2.family), memo)
+            for p in points
+        ]
+
     periods_ok = True
     for a1 in range(12):
         for dx in range(13):

@@ -1,14 +1,14 @@
 import pytest
 
-from gamesolve import Convention, Family, MemoTable, Outcome, RuleSet
+from gamesolve import Convention, Family, Outcome, RuleSet
 from gamesolve.analysis import (
     InsufficientProbe,
     Margins,
     PINNED_BULK_MARGINS,
     bulk_formula_agreement,
     directional_period,
-    figure_grid,
-    lattice_outcome_fn,
+    figure_grids,
+    lattice_outcomes,
     render_ascii,
     render_pbm,
     three_column_domain,
@@ -34,7 +34,7 @@ def parse_pbm(data: bytes) -> tuple:
 
 @pytest.fixture(scope="module")
 def misere_fn():
-    return lattice_outcome_fn(DC2, Convention.MISERE, MemoTable())
+    return lambda points: lattice_outcomes(DC2, Convention.MISERE, points)
 
 
 def test_single_column_period_three(misere_fn):
@@ -43,7 +43,7 @@ def test_single_column_period_three(misere_fn):
 
 
 def test_constant_function_period_one():
-    report = directional_period(lambda p: "x", (0, 0, 0), (1, 1, 1), 60)
+    report = directional_period(lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1, 1), 60)
     assert report.period == 1
     assert report.preperiod == 0
 
@@ -65,10 +65,15 @@ def test_direction_must_be_nonzero(misere_fn):
         directional_period(misere_fn, (0, 0, 0), (0, 0, 0), 60)
 
 
+def test_direction_arity_must_match_base():
+    with pytest.raises(ValueError, match="direction arity must match base"):
+        directional_period(lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1), 60)
+
+
 def test_preperiod_preferred_over_period():
     # sequence: one-off head then all equal; (1,1) beats any (0,p)
     seq = [1, 0, 0, 0] + [0] * 60
-    report = directional_period(lambda p: seq[p[0]], (0,), (1,), 60)
+    report = directional_period(lambda ps: [seq[p[0]] for p in ps], (0,), (1,), 60)
     assert (report.preperiod, report.period) == (1, 1)
 
 
@@ -87,11 +92,11 @@ def test_translation_period_three_normal():
 
 
 def test_figure_grid_corner_cells():
-    rows = figure_grid(DC2, Convention.MISERE, 0, 2, 2)
+    rows = figure_grids(DC2, Convention.MISERE, [0], 2, 2)[0]
     assert rows[0][0] is False  # (0,0,0) terminal is N in misere
     assert rows[1][0] is True  # (0,0,1) -> single square, P
-    fn = lattice_outcome_fn(DC2, Convention.MISERE)
-    assert rows[0][1] == (fn((0, 1, 1)) is Outcome.P)
+    [corner] = lattice_outcomes(DC2, Convention.MISERE, [(0, 1, 1)])
+    assert rows[0][1] == (corner is Outcome.P)
 
 
 def test_render_pbm_examples():
@@ -105,7 +110,7 @@ def test_render_ascii():
 
 
 def test_pbm_round_trip():
-    rows = figure_grid(DC2, Convention.MISERE, 3, 7, 5)
+    rows = figure_grids(DC2, Convention.MISERE, [3], 7, 5)[0]
     assert (len(rows), len(rows[0])) == (5, 7)
     assert parse_pbm(render_pbm(rows)) == rows
 

@@ -288,6 +288,20 @@ def test_period_bad_direction_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--base", "1,2", "--direction", "1"), "direction arity must match base"),
+        (("--base", "1,2"), "need --base and --direction (or --translation)"),
+    ],
+)
+def test_period_direction_errors_exit_2(capsys, args, message):
+    code, out, err = run(capsys, "period", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "base, direction, message",
     [
         ("5,5,5", "0,0,-1", "sequence (5, 5, 4) is not non-decreasing"),
@@ -518,6 +532,8 @@ def test_figure_empty_a1_range_exit_2(capsys, tmp_path):
         ("--a1", "0", "--width", "-3"),
         ("--a1", "0", "--width", "0"),
         ("--a1", "0", "--height", "0"),
+        # solving fails: a loopy family has no outcomes to draw
+        ("--game", "extended-nim", "--a1", "0", "--width", "2", "--height", "2"),
     ],
 )
 def test_figure_bad_arguments_exit_2_before_writing(capsys, tmp_path, args):

@@ -310,7 +310,11 @@ def raw_boards(caps):
 def test_outcome_table_matches_dfs(k, convention, caps, count):
     rules = RuleSet(Family.DIET_CHOMP, k=k)
     table = solver.outcome_table(rules, convention, caps)
-    dfs = analysis.lattice_outcome_fn(rules, convention, MemoTable())
+    memo = MemoTable()
+
+    def dfs(board):
+        return outcome(rules, convention, canonicalize(board, rules.family), memo)
+
     boards = list(raw_boards(caps))
     assert len(boards) == count
     mismatches = [b for b, i in boards if (table[i] == 1) != (dfs(b) is Outcome.P)]
@@ -319,21 +323,44 @@ def test_outcome_table_matches_dfs(k, convention, caps, count):
     assert sum(table) == sum(dfs(b) is Outcome.P for b, _ in boards)
 
 
-@pytest.mark.parametrize("caps", [(2, 3, 4), (4, 1, 6), (0, 9), ()])
-def test_lattice_points_outside_the_caps_run_the_dfs(caps):
-    # triples with leading zeros canonicalize to shorter boards, which
-    # the table reads aligned on its last column
-    dfs = analysis.lattice_outcome_fn(DC2, Convention.MISERE, MemoTable())
-    fn = analysis.lattice_outcome_fn(DC2, Convention.MISERE, MemoTable(), caps)
-    boards = list(combinations_with_replacement(range(7), 3))
-    assert [fn(b) for b in boards] == [dfs(b) for b in boards]
+TRIPLES = list(combinations_with_replacement(range(7), 3))
+
+
+@pytest.mark.parametrize(
+    "rules, points, limit, tables",
+    [
+        # leading zeros canonicalize to 1-, 2- and 3-column boards, which
+        # the table reads aligned on its last column
+        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, 1),
+        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, 1),
+        (DC2, [], solver.TABLE_CELL_LIMIT, 1),  # the one cell of the empty box
+        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 0),
+        (DC2, TRIPLES, 7**3 - 1, 0),  # one cell short of the 7x7x7 box
+    ],
+)
+@pytest.mark.parametrize("convention", list(Convention))
+def test_lattice_outcomes_match_the_dfs(
+    monkeypatch, rules, points, limit, tables, convention
+):
+    builds = []
+    real = solver.outcome_table
+    monkeypatch.setattr(
+        solver, "outcome_table", lambda *args: builds.append(args) or real(*args)
+    )
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
+    memo = MemoTable()
+    expected = [
+        outcome(rules, convention, canonicalize(p, rules.family), memo) for p in points
+    ]
+    assert analysis.lattice_outcomes(rules, convention, points) == expected
+    assert len(builds) == tables
 
 
 def lattice_sweeps():
     """The lattice sweeps that read tables, as comparable values."""
     domain = list(analysis.three_column_domain(4, 10))
     return [
-        analysis.figure_grid(DC2, Convention.MISERE, a1, 9, 7, MemoTable(), tri)
+        analysis.figure_grids(DC2, Convention.MISERE, [a1], 9, 7, tri)[0]
         for a1 in (0, 5)
         for tri in (False, True)
     ] + [
