@@ -8,12 +8,11 @@ bottom-left cell is the flat board (a1, a1, a1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Convention, Family, GameError, Outcome, RuleSet, canonicalize
+from .core import Convention, GameError, Outcome, RuleSet, canonicalize
 from . import closedforms, solver
 
 
@@ -21,8 +20,7 @@ class InsufficientProbe(GameError):
     """Probe length too short to witness the requested period bounds twice."""
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     base: tuple
     direction: tuple
     preperiod: int
@@ -68,6 +66,25 @@ def directional_period(
     return PeriodReport(base, direction, 0, None)
 
 
+def _table_values(rules: RuleSet, convention: Convention | None, boards: list):
+    """The cells of canonical ``boards`` in one ``solver.lattice_table`` over
+    their per-column maxima, aligned on the last column; None for a loopy
+    family, a box of more than ``solver.TABLE_CELL_LIMIT`` cells, or a
+    Grundy box whose entry sum (which bounds every value) exceeds a byte."""
+    m = max(map(len, boards), default=0)
+    padded = [(0,) * (m - len(b)) + b for b in boards]
+    caps = tuple(map(max, zip(*padded)))
+    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
+    if (
+        rules.family.loopy
+        or radix[-1] > solver.TABLE_CELL_LIMIT
+        or (convention is None and sum(caps) > 255)
+    ):
+        return None
+    cells = solver.lattice_table(rules, convention, caps)
+    return [cells[sum(map(mul, b, radix))] for b in padded]
+
+
 def lattice_outcomes(
     rules: RuleSet,
     convention: Convention,
@@ -75,27 +92,26 @@ def lattice_outcomes(
     memo: solver.MemoTable | None = None,
 ) -> list[Outcome]:
     """Outcomes of raw lattice points, in order.  Every point is
-    canonicalized first, so the first bad point raises.
-
-    Diet Chomp boards are read from one ``solver.outcome_table`` over the
-    per-column maxima of the canonical boards, aligned on the last column.
-    Other families, and boxes of more than ``solver.TABLE_CELL_LIMIT``
-    cells, run the DFS on one memo.
-    """
+    canonicalized first, so the first bad point raises.  The boards are
+    read from one table; where ``_table_values`` builds none, they run the
+    DFS on one memo."""
     boards = [canonicalize(p, rules.family) for p in points]
-    caps = [0] * max(map(len, boards), default=0)
-    for b in boards:
-        skip = len(caps) - len(b)
-        caps[skip:] = map(max, caps[skip:], b)
-    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
-    if rules.family is not Family.DIET_CHOMP or radix[-1] > solver.TABLE_CELL_LIMIT:
+    cells = _table_values(rules, convention, boards)
+    if cells is None:
         memo = solver.MemoTable() if memo is None else memo
         return [solver.outcome(rules, convention, b, memo) for b in boards]
-    cells = solver.outcome_table(rules, convention, tuple(caps))
-    return [
-        Outcome.P if cells[sum(map(mul, b, radix[len(caps) - len(b) :]))] else Outcome.N
-        for b in boards
-    ]
+    return [Outcome.P if cell else Outcome.N for cell in cells]
+
+
+def lattice_grundy(rules: RuleSet, points: Iterable[tuple]) -> list[int]:
+    """Grundy values of raw lattice points, in order, as ``lattice_outcomes``
+    reads outcomes."""
+    boards = [canonicalize(p, rules.family) for p in points]
+    values = _table_values(rules, None, boards)
+    if values is None:
+        memo = solver.MemoTable()
+        return [solver.grundy(rules, b, memo) for b in boards]
+    return values
 
 
 def three_column_domain(max_a1: int, max_extent: int) -> Iterator[tuple]:
@@ -174,8 +190,7 @@ def render_ascii(rows: tuple) -> str:
     ) + "\n"
 
 
-@dataclass(frozen=True)
-class Margins:
+class Margins(NamedTuple):
     """Exclusion margins for the bulk-formula comparison, in raster
     coordinates x = a2 - a1, y = a3 - a2."""
 

@@ -98,8 +98,7 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
     lo = 0 if check == "monotone" else 1
     points = list(solver.enumerate_positions(domain, lo))
     if check == "grundy":
-        memo = solver.MemoTable()
-        actuals = [solver.grundy(rules, p, memo) for p in points]
+        actuals = analysis.lattice_grundy(rules, points)
     else:
         outcomes = analysis.lattice_outcomes(rules, convention, points)
         actuals = [o is Outcome.P for o in outcomes]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Tuple
 
 Position = Tuple[int, ...]
@@ -81,27 +80,34 @@ class Outcome(enum.Enum):
     N = "N"  # next player wins
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """A game family plus its parameters; determines the successor function.
-    Only the Slow Nim families and Diet Chomp take ``k``, and only
-    extended-nim takes ``add_limit`` (extended-slow-nim adds up to k)."""
-
+class _Rules(NamedTuple):  # a NamedTuple cannot define __new__ itself
     family: Family
     k: int | None = None
     add_limit: int | None = None
 
-    def __post_init__(self):
-        if self.family in _NEEDS_K:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.family.value} requires k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.family.value} takes no k")
-        if self.family is Family.EXTENDED_NIM:
-            if self.add_limit is None or self.add_limit < 1:
+
+class RuleSet(_Rules):
+    """A game family plus its parameters; determines the successor function.
+    Only the Slow Nim families and Diet Chomp take ``k``, and only
+    extended-nim takes ``add_limit`` (extended-slow-nim adds up to k)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(
+        cls, family: Family, k: int | None = None, add_limit: int | None = None
+    ):
+        if family in _NEEDS_K:
+            if k is None or k < 1:
+                raise ValueError(f"{family.value} requires k >= 1")
+        elif k is not None:
+            raise ValueError(f"{family.value} takes no k")
+        if family is Family.EXTENDED_NIM:
+            if add_limit is None or add_limit < 1:
                 raise ValueError("extended-nim requires add_limit >= 1")
-        elif self.add_limit is not None:
-            raise ValueError(f"{self.family.value} takes no add_limit")
+        elif add_limit is not None:
+            raise ValueError(f"{family.value} takes no add_limit")
+        return super().__new__(cls, family, k, add_limit)
 
     def describe(self) -> str:
         parts = [self.family.value]

@@ -9,12 +9,11 @@ claimed labeling without ever solving the loopy graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Convention, LoopyFamily, Outcome, Position, RuleSet
+from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
 from .games import moves as successors
 
 
@@ -27,16 +26,14 @@ def mex(values: Iterable[int]) -> int:
     return g
 
 
-@dataclass
 class MemoTable:
     """Write-once cache of solved positions: ``grundy_values`` holds one
     position-keyed dict per rule set, ``outcomes`` one per (rule set,
     convention).  ``hits``/``misses`` count top-level queries."""
 
-    grundy_values: dict = field(default_factory=dict)
-    outcomes: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
+    def __init__(self):
+        self.grundy_values, self.outcomes = {}, {}
+        self.hits = self.misses = 0
 
 
 def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, value):
@@ -107,49 +104,91 @@ def outcome(
 TABLE_CELL_LIMIT = 2**24
 
 
-def outcome_table(rules: RuleSet, convention: Convention, caps: tuple) -> bytearray:
-    """Outcomes (1 = P) of the raw, zero-padded, non-decreasing k-Diet Chomp
-    boards of len(caps) columns with column c at most caps[c].  Board a
-    sits at index sum(a_c * R_c), where R_c is the product of caps[i] + 1
-    over i < c; the cells of other boards hold 0.
+# Each _*_drops(k, a, v, radix) lists the index drops of the moves on
+# column c = len(a) of a board whose columns are a, then v at column c.
 
-    A cut at (column j, height r) lowers the columns i..j of height >= r
-    to r - 1, so its successor sits sum((a_c - r + 1) * R_c) lower.  As in
-    ``games.diet_chomp_move_records``, only the top k heights of a column
-    can be legal.  A move lowers columns and raises none, so filling the
-    boards in lexicographic order fills every successor first: one pass,
-    with no stack and no hashing.
+
+def _nim_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
+    # lower column c from v to w >= v - k (any w for Nim) and re-insert it
+    # sorted: the columns of a above w shift one place right
+    full, j, shift, drops = a + (v,), len(a), 0, []
+    for w in range(v - 1, max(0, v - k) - 1 if k else -1, -1):
+        while j and full[j - 1] > w:
+            shift += (full[j] - full[j - 1]) * radix[j]
+            j -= 1
+        drops.append(shift + (full[j] - w) * radix[j])
+    return drops
+
+
+def _monotone_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
+    # lower column c to w, with its left neighbour <= w and v - w <= k
+    left = a[-1] if a else 0
+    return [(v - w) * radix[len(a)] for w in range(max(left, v - k if k else 0), v)]
+
+
+def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
+    # a cut at (column c, height r) lowers the columns of height >= r to
+    # r - 1; only the top k heights of column c can be legal
+    c, drops = len(a), []
+    for r in range(max(1, v - k + 1), v + 1):
+        removed, drop, i = v - r + 1, (v - r + 1) * radix[c], c - 1
+        while i >= 0 and a[i] >= r and removed <= k:
+            removed += a[i] - r + 1
+            drop += (a[i] - r + 1) * radix[i]
+            i -= 1
+        if removed <= k:
+            drops.append(drop)
+    return drops
+
+
+_DROPS = {
+    Family.NIM: _nim_drops,
+    Family.SLOW_NIM: _nim_drops,
+    Family.MONOTONIC_NIM: _monotone_drops,
+    Family.MONOTONIC_SLOW_NIM: _monotone_drops,
+    Family.DIET_CHOMP: _diet_chomp_drops,
+}
+
+
+def lattice_table(
+    rules: RuleSet, convention: Convention | None, caps: tuple
+) -> bytearray:
+    """Values of the raw, zero-padded, non-decreasing boards of len(caps)
+    columns with column c at most caps[c], for an acyclic family: outcomes
+    (1 = P) under ``convention``, or normal-play Grundy values when it is
+    None.  Board a sits at index sum(a_c * R_c), where R_c is the product
+    of caps[i] + 1 over i < c; the cells of other boards hold 0.
+
+    Every move replaces a prefix a[:c+1] with an elementwise-lower one, so
+    its successor sits a fixed drop lower, and filling the boards in
+    lexicographic order fills every successor first: one pass, with no
+    stack and no hashing.  The drops of the moves on column c depend on
+    a[:c+1] alone, so they are computed once and shared by every extension.
+    The caller keeps Grundy values below 256: a mex is at most the move
+    count, which is at most the entry sum.
     """
-    k, m = rules.k, len(caps)
+    k, m, drops_of = rules.k, len(caps), _DROPS[rules.family]
     radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
     table = bytearray(radix[m])
-    table[0] = convention is Convention.NORMAL  # the empty board
+    table[0] = convention is Convention.NORMAL  # the empty board; Grundy 0
 
     def fill(a: tuple, index: int, offsets: list) -> None:
-        # a: the columns before c; offsets: the index drops of their cuts
         c = len(a)
         for v in range(a[-1] if a else 0, caps[c] + 1):
-            here, cuts = index + v * radix[c], offsets[:]
-            for r in range(max(1, v - k + 1), v + 1):
-                removed, drop, i = v - r + 1, (v - r + 1) * radix[c], c - 1
-                while i >= 0 and a[i] >= r and removed <= k:
-                    removed += a[i] - r + 1
-                    drop += (a[i] - r + 1) * radix[i]
-                    i -= 1
-                if removed <= k:
-                    cuts.append(drop)
+            here, drops = index + v * radix[c], offsets + drops_of(k, a, v, radix)
             if c + 1 < m:
-                fill(a + (v,), here, cuts)
-            elif here:  # P iff no move reaches a P-board
-                table[here] = not any([table[here - d] for d in cuts])
+                fill(a + (v,), here, drops)
+            elif here:
+                values = [table[here - d] for d in drops]
+                # P iff no move reaches a P-board
+                table[here] = mex(values) if convention is None else 1 not in values
 
     if m:
         fill((), 0, [])
     return table
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Finite set of canonical positions: length <= max_piles, entries in
     1..max_entry (canonical forms carry no zeros)."""
 
@@ -181,11 +220,11 @@ def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
     yield from rec([], lo)
 
 
-@dataclass
 class VerificationReport:
-    checked_count: int = 0
-    skipped_boundary_count: int = 0
-    counterexamples: list = field(default_factory=list)
+    def __init__(self, checked_count: int = 0, skipped_boundary_count: int = 0):
+        self.checked_count = checked_count
+        self.skipped_boundary_count = skipped_boundary_count
+        self.counterexamples = []
 
     @property
     def ok(self) -> bool:

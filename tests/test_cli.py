@@ -1,5 +1,9 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -797,3 +801,19 @@ def test_period_base_and_direction_are_raw_integers(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --direction: expected comma-separated integers, not '1,x'" in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every CLI call; -S keeps site's own
+    # imports out of the check
+    code = (
+        "import sys, gamesolve.cli; "
+        "print({'dataclasses', 'inspect'} & set(sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "set()\n", "")

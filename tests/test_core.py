@@ -106,6 +106,31 @@ def test_ruleset_rejects_parameters_the_family_takes_not(family, params):
         RuleSet(family, **params)
 
 
+def test_ruleset_value_semantics():
+    rules = RuleSet(Family.SLOW_NIM, k=2)
+    assert rules == RuleSet(Family.SLOW_NIM, 2) != RuleSet(Family.SLOW_NIM, k=3)
+    assert hash(rules) == hash(RuleSet(Family.SLOW_NIM, k=2))
+    assert {rules: 1}[RuleSet(Family.SLOW_NIM, k=2)] == 1
+    assert (rules.family, rules.k, rules.add_limit) == (Family.SLOW_NIM, 2, None)
+    assert rules.describe() == "slow-nim k=2"
+    assert RuleSet(Family.EXTENDED_NIM, add_limit=3).describe() == (
+        "extended-nim add_limit=3"
+    )
+    for args, message in [
+        ((Family.SLOW_NIM,), "slow-nim requires k >= 1"),
+        ((Family.DIET_CHOMP, 0), "diet-chomp requires k >= 1"),
+        ((Family.NIM, 2), "nim takes no k"),
+        ((Family.EXTENDED_NIM,), "extended-nim requires add_limit >= 1"),
+        ((Family.SLOW_NIM, 2, 1), "slow-nim takes no add_limit"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            RuleSet(*args)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="nim takes no k"):
+        RuleSet(Family.NIM)._replace(k=5)
+    assert rules._replace(k=3) == RuleSet(Family.SLOW_NIM, k=3)
+
+
 def test_position_text_round_trip():
     assert parse_position("1,3,4") == (1, 3, 4)
     assert parse_position("") == ()

@@ -309,7 +309,7 @@ def raw_boards(caps):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_outcome_table_matches_dfs(k, convention, caps, count):
     rules = RuleSet(Family.DIET_CHOMP, k=k)
-    table = solver.outcome_table(rules, convention, caps)
+    table = solver.lattice_table(rules, convention, caps)
     memo = MemoTable()
 
     def dfs(board):
@@ -323,6 +323,38 @@ def test_outcome_table_matches_dfs(k, convention, caps, count):
     assert sum(table) == sum(dfs(b) is Outcome.P for b, _ in boards)
 
 
+ACYCLIC_RULES = [
+    RuleSet(Family.NIM),
+    RuleSet(Family.MONOTONIC_NIM),
+    *(
+        RuleSet(family, k=k)
+        for family in (Family.SLOW_NIM, Family.MONOTONIC_SLOW_NIM, Family.DIET_CHOMP)
+        for k in (1, 2, 3, 5)
+    ),
+]
+
+
+@pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
+@pytest.mark.parametrize("rules", ACYCLIC_RULES, ids=RuleSet.describe)
+def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
+    caps = (9, 9, 9, 9)
+    table = solver.lattice_table(rules, convention, caps)
+    memo = MemoTable()
+
+    def dfs(board):
+        p = canonicalize(board, rules.family)
+        if convention is None:
+            return grundy(rules, p, memo)
+        return int(outcome(rules, convention, p, memo) is Outcome.P)
+
+    boards = list(raw_boards(caps))
+    assert len(boards) == 715
+    mismatches = [b for b, i in boards if table[i] != dfs(b)]
+    assert mismatches == []
+    # the cells of no board stay 0
+    assert sum(table) == sum(dfs(b) for b, _ in boards)
+
+
 TRIPLES = list(combinations_with_replacement(range(7), 3))
 
 
@@ -334,7 +366,7 @@ TRIPLES = list(combinations_with_replacement(range(7), 3))
         (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, 1),
         (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, 1),
         (DC2, [], solver.TABLE_CELL_LIMIT, 1),  # the one cell of the empty box
-        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 0),
+        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 1),
         (DC2, TRIPLES, 7**3 - 1, 0),  # one cell short of the 7x7x7 box
     ],
 )
@@ -343,9 +375,9 @@ def test_lattice_outcomes_match_the_dfs(
     monkeypatch, rules, points, limit, tables, convention
 ):
     builds = []
-    real = solver.outcome_table
+    real = solver.lattice_table
     monkeypatch.setattr(
-        solver, "outcome_table", lambda *args: builds.append(args) or real(*args)
+        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
     )
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
@@ -353,6 +385,34 @@ def test_lattice_outcomes_match_the_dfs(
         outcome(rules, convention, canonicalize(p, rules.family), memo) for p in points
     ]
     assert analysis.lattice_outcomes(rules, convention, points) == expected
+    assert len(builds) == tables
+
+
+SLOW1 = RuleSet(Family.SLOW_NIM, k=1)
+
+
+@pytest.mark.parametrize(
+    "rules, points, limit, tables",
+    [
+        # a mex is at most the entry sum: 255 still fits a byte, 256 not
+        (RuleSet(Family.NIM), [(255,)], solver.TABLE_CELL_LIMIT, 1),
+        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, 0),
+        (SLOW1, [(0, 127, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 1),
+        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 0),
+        (RuleSet(Family.NIM), TRIPLES, 7**3, 1),
+        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, 0),  # one cell short of the box
+    ],
+)
+def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, tables):
+    builds = []
+    real = solver.lattice_table
+    monkeypatch.setattr(
+        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
+    )
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
+    memo = MemoTable()
+    expected = [grundy(rules, canonicalize(p, rules.family), memo) for p in points]
+    assert analysis.lattice_grundy(rules, points) == expected
     assert len(builds) == tables
 
 
@@ -396,14 +456,14 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
         raise AssertionError(f"successors{args} called")
 
     builds = []
-    real = solver.outcome_table
+    real = solver.lattice_table
 
     def counting(rules, convention, caps):
         builds.append(caps)
         return real(rules, convention, caps)
 
     monkeypatch.setattr(solver, "successors", forbidden)
-    monkeypatch.setattr(solver, "outcome_table", counting)
+    monkeypatch.setattr(solver, "lattice_table", counting)
     sweeps = lattice_sweeps()
     assert sweeps[4]["ok"] and not sweeps[5]["ok"] and sweeps[6]["ok"]
     assert len(builds) == 8  # one per fresh memo or sweep
@@ -426,3 +486,9 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
         builds.clear()
         assert cli.main(list(args)) == 0
         assert len(builds) == 1, args
+    # the Nim-family sweeps: one table per case
+    nim_sweeps = [("thm1", 1), ("thm3", 1), ("thm4", 3), ("thm5", 3), ("thm7", 8)]
+    for name, cases in nim_sweeps:
+        builds.clear()
+        assert cli.main(["verify", "--theorem", name, "--max-entry", "7"]) == 0
+        assert len(builds) == cases, name
