@@ -8,11 +8,9 @@ bottom-left cell is the flat board (a1, a1, a1).
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Convention, GameError, Outcome, RuleSet, canonicalize
+from .core import Convention, GameError, RuleSet, canonicalize
 from . import closedforms, solver
 
 
@@ -66,52 +64,14 @@ def directional_period(
     return PeriodReport(base, direction, 0, None)
 
 
-def _table_values(rules: RuleSet, convention: Convention | None, boards: list):
-    """The cells of canonical ``boards`` in one ``solver.lattice_table`` over
-    their per-column maxima, aligned on the last column; None for a loopy
-    family, a box of more than ``solver.TABLE_CELL_LIMIT`` cells, or a
-    Grundy box whose entry sum (which bounds every value) exceeds a byte."""
-    m = max(map(len, boards), default=0)
-    padded = [(0,) * (m - len(b)) + b for b in boards]
-    caps = tuple(map(max, zip(*padded)))
-    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
-    if (
-        rules.family.loopy
-        or radix[-1] > solver.TABLE_CELL_LIMIT
-        or (convention is None and sum(caps) > 255)
-    ):
-        return None
-    cells = solver.lattice_table(rules, convention, caps)
-    return [cells[sum(map(mul, b, radix))] for b in padded]
-
-
-def lattice_outcomes(
-    rules: RuleSet,
-    convention: Convention,
-    points: Iterable[tuple],
-    memo: solver.MemoTable | None = None,
-) -> list[Outcome]:
-    """Outcomes of raw lattice points, in order.  Every point is
-    canonicalized first, so the first bad point raises.  The boards are
-    read from one table; where ``_table_values`` builds none, they run the
-    DFS on one memo."""
+def lattice_values(
+    rules: RuleSet, convention: Convention | None, points: Iterable[tuple]
+) -> list:
+    """``solver.board_values`` of raw lattice points, in order: P-booleans
+    under ``convention``, Grundy values when it is None.  Every point is
+    canonicalized first, so the first bad point raises."""
     boards = [canonicalize(p, rules.family) for p in points]
-    cells = _table_values(rules, convention, boards)
-    if cells is None:
-        memo = solver.MemoTable() if memo is None else memo
-        return [solver.outcome(rules, convention, b, memo) for b in boards]
-    return [Outcome.P if cell else Outcome.N for cell in cells]
-
-
-def lattice_grundy(rules: RuleSet, points: Iterable[tuple]) -> list[int]:
-    """Grundy values of raw lattice points, in order, as ``lattice_outcomes``
-    reads outcomes."""
-    boards = [canonicalize(p, rules.family) for p in points]
-    values = _table_values(rules, None, boards)
-    if values is None:
-        memo = solver.MemoTable()
-        return [solver.grundy(rules, b, memo) for b in boards]
-    return values
+    return solver.board_values(rules, convention, boards)
 
 
 def three_column_domain(max_a1: int, max_extent: int) -> Iterator[tuple]:
@@ -127,17 +87,15 @@ def translation_period_check(
     convention: Convention,
     positions: Iterable[tuple],
     period: int,
-    memo: solver.MemoTable | None = None,
 ) -> solver.VerificationReport:
     """Compare each position's outcome with the all-coordinates +period
     translate; counterexamples are the positions where they differ."""
     pairs = [(p, tuple(a + period for a in p)) for p in positions]
-    points = [q for pair in pairs for q in pair]
-    outcomes = iter(lattice_outcomes(rules, convention, points, memo))
+    is_p = iter(lattice_values(rules, convention, [q for pair in pairs for q in pair]))
     report = solver.VerificationReport()
     for p, shifted in pairs:
         report.checked_count += 1
-        if next(outcomes) is not next(outcomes):
+        if next(is_p) != next(is_p):
             report.add(p, f"outcome differs from translate {shifted}")
     return report
 
@@ -150,7 +108,7 @@ def figure_grids(
     height: int,
     triangular: bool = False,
 ) -> list:
-    """One raster per a1, from one ``lattice_outcomes`` call: rows of
+    """One raster per a1, from one ``lattice_values`` call: rows of
     booleans, bottom row (y = 0) first, marking the P-positions with first
     column a1, where cell x of row y covers (a1, a1+x, a1+x+y).  A
     triangular raster has y = a3 - a1 instead, and its cells below the
@@ -162,11 +120,11 @@ def figure_grids(
         for x in range(width)
         if y >= x or not triangular
     ]
-    outcomes = iter(lattice_outcomes(rules, convention, points))
+    is_p = iter(lattice_values(rules, convention, points))
     return [
         tuple(
             tuple(
-                (y >= x or not triangular) and next(outcomes) is Outcome.P
+                (y >= x or not triangular) and next(is_p)
                 for x in range(width)
             )
             for y in range(height)
@@ -215,8 +173,8 @@ def bulk_formula_agreement(
     report = solver.VerificationReport(
         checked_count=len(inside), skipped_boundary_count=len(positions) - len(inside)
     )
-    for p, actual in zip(inside, lattice_outcomes(rules, convention, inside)):
-        if (actual is Outcome.P) != closedforms.diet2_misere_bulk_conjecture(p):
+    for p, is_p in zip(inside, lattice_values(rules, convention, inside)):
+        if is_p != closedforms.diet2_misere_bulk_conjecture(p):
             report.add(p, "bulk formula disagrees with solver")
     return report
 

@@ -19,7 +19,6 @@ from .core import (
     Convention,
     Family,
     GameError,
-    Outcome,
     RuleSet,
     canonicalize,
     parse_position,
@@ -97,13 +96,8 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
     # sequences (zeros allowed), as the difference map does
     lo = 0 if check == "monotone" else 1
     points = list(solver.enumerate_positions(domain, lo))
-    if check == "grundy":
-        actuals = analysis.lattice_grundy(rules, points)
-    else:
-        outcomes = analysis.lattice_outcomes(rules, convention, points)
-        actuals = [o is Outcome.P for o in outcomes]
     report = solver.VerificationReport(checked_count=len(points))
-    for p, actual in zip(points, actuals):
+    for p, actual in zip(points, analysis.lattice_values(rules, convention, points)):
         expected = form(p)
         if expected != actual:
             report.add(p, f"closed form {expected} != solver {actual}")
@@ -114,9 +108,10 @@ class Theorem(NamedTuple):
     """One ``verify --theorem`` sweep.  ``cases(opts)`` lists the (tag, rules,
     convention, closed form) checked, in order; a counterexample's reason is
     prefixed with its case's tag, if any.  ``check`` compares a closed form
-    with the engine's Grundy values ("grundy") or outcomes ("outcome"; and
-    "monotone", on raw sequences), locally as the loopy games need ("pset":
-    ``verify_pset``; "labels": ``verify_grundy_consistency``), or through
+    with the engine's values ("values": Grundy values where the convention
+    is None, else P-booleans; "monotone": the same on raw sequences),
+    locally as the loopy games need ("pset": ``verify_pset``; "labels":
+    ``verify_grundy_consistency``), or through
     ``analysis.bulk_formula_agreement`` ("bulk")."""
 
     check: str
@@ -159,7 +154,7 @@ EXTENDED_DOMAIN = {"max_piles": 2, "max_entry": 12}
 
 THEOREMS = {
     # Nim Grundy values are the XOR of the heap sizes
-    "thm1": Theorem("grundy", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+    "thm1": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
         ("nim grundy", NIM, None, closedforms.nim_grundy_formula),
     ]),
     # normal-play Nim P-positions are exactly the XOR-zero positions
@@ -167,17 +162,17 @@ THEOREMS = {
         (None, NIM, Convention.NORMAL, closedforms.nim_grundy_formula),
     ]),
     # misere Nim: the XOR rule with the all-ones twist
-    "thm3": Theorem("outcome", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+    "thm3": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
         ("misere nim", NIM, Convention.MISERE, closedforms.nim_p_misere),
     ]),
     # subtract-1..k Grundy values are the XOR of the entries mod k+1
-    "thm4": Theorem("grundy", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+    "thm4": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
         (f"slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), None,
          partial(closedforms.slow_nim_grundy_formula, k))
         for k in _ks(opts)
     ], ("k",)),
     # misere subtract-1..k: the misere Nim rule on the entries mod k+1
-    "thm5": Theorem("outcome", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+    "thm5": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
         (f"misere slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), Convention.MISERE,
          partial(closedforms.slow_nim_p_misere, k))
         for k in _ks(opts)
@@ -199,7 +194,7 @@ THEOREMS = {
     ),
     # normal-play 2-Diet Chomp is P exactly at totals divisible by 3, and
     # triangular numbers are never 2 mod 3
-    "lemma8": Theorem("outcome", {"max_piles": 4, "max_entry": 12}, lambda opts: [
+    "lemma8": Theorem("values", {"max_piles": 4, "max_entry": 12}, lambda opts: [
         ("diet-chomp-2 normal", DC2, Convention.NORMAL, closedforms.diet2_normal_p),
     ], fact=(
         "triangular number is 2 mod 3",
@@ -207,7 +202,7 @@ THEOREMS = {
         lambda p: closedforms.stairs_mod3_fact(p[0]) != 2,
     )),
     # misere 2-Diet Chomp on one or two columns: the difference-mod-3 rule
-    "lemma9": Theorem("outcome", {"max_entry": 30}, lambda opts: [
+    "lemma9": Theorem("values", {"max_entry": 30}, lambda opts: [
         ("diet-chomp-2 misere narrow", DC2, Convention.MISERE,
          closedforms.diet2_misere_p_narrow),
     ], fixed={"max_piles": 2}),
@@ -284,22 +279,14 @@ def cmd_figure(opts) -> int:
         rules, convention, a1_values, opts.width, opts.height, opts.triangular
     )
     out_dir = Path(opts.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_dir.mkdir(parents=True, exist_ok=True)
     ext = "pbm" if opts.format == "pbm" else "txt"
     for a1, grid in zip(a1_values, grids):
         path = out_dir / f"fig-a1-{a1}.{ext}"
-        try:
-            if opts.format == "pbm":
-                path.write_bytes(analysis.render_pbm(grid))
-            else:
-                path.write_text(analysis.render_ascii(grid))
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        if opts.format == "pbm":
+            path.write_bytes(analysis.render_pbm(grid))
+        else:
+            path.write_text(analysis.render_ascii(grid))
         print(path)
     return EXIT_OK
 
@@ -318,7 +305,7 @@ def cmd_period(opts) -> int:
         print("error: need --base and --direction (or --translation)", file=sys.stderr)
         return EXIT_USAGE
     report = analysis.directional_period(
-        partial(analysis.lattice_outcomes, rules, convention),
+        partial(analysis.lattice_values, rules, convention),
         base, direction, opts.probe, opts.max_period, opts.max_preperiod,
     )
     print(json.dumps(report.to_dict()))
@@ -354,11 +341,7 @@ def _thread_count(opts) -> int:
 def cmd_batch(opts) -> int:
     rules, convention = game_of(opts)
     threads = _thread_count(opts)
-    try:
-        lines = Path(opts.input).read_text().splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lines = Path(opts.input).read_text().splitlines()
     work = [
         line.strip()
         for line in lines
@@ -535,7 +518,7 @@ def main(argv=None) -> int:
     try:
         check_options(opts)
         return COMMANDS[opts.command].run(opts)
-    except (GameError, ValueError) as exc:
+    except (GameError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

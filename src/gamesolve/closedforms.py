@@ -9,7 +9,7 @@ zero-padding step depends on raw length parity.
 from __future__ import annotations
 
 from functools import reduce
-from operator import xor
+from operator import le, sub, xor
 
 from .core import Convention, Family, GameError, NonMonotoneInput, Position, RuleSet
 
@@ -50,13 +50,13 @@ def difference_position(raw) -> Position:
     """Pairwise differences b_i = a_{2i} - a_{2i-1} after zero-padding the
     raw sequence in front to even length."""
     seq = tuple(raw)
-    if any(e < 0 for e in seq):
+    if min(seq, default=0) < 0:
         raise ValueError("entries must be non-negative")
-    if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
+    if not all(map(le, seq, seq[1:])):
         raise NonMonotoneInput(f"sequence {seq} is not non-decreasing")
     if len(seq) % 2 == 1:
         seq = (0,) + seq
-    return tuple(seq[2 * i + 1] - seq[2 * i] for i in range(len(seq) // 2))
+    return tuple(map(sub, seq[1::2], seq[::2]))
 
 
 def monotonic_p(rules: RuleSet, convention: Convention, raw) -> bool:

@@ -29,11 +29,10 @@ def mex(values: Iterable[int]) -> int:
 class MemoTable:
     """Write-once cache of solved positions: ``grundy_values`` holds one
     position-keyed dict per rule set, ``outcomes`` one per (rule set,
-    convention).  ``hits``/``misses`` count top-level queries."""
+    convention)."""
 
     def __init__(self):
         self.grundy_values, self.outcomes = {}, {}
-        self.hits = self.misses = 0
 
 
 def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, value):
@@ -50,9 +49,7 @@ def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, valu
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     table = tables.setdefault(key, {})
     if p in table:
-        memo.hits += 1
         return table[p]
-    memo.misses += 1
     succ = successors(rules, p)
     stack = [(p, succ, iter(succ))]
     while stack:
@@ -102,6 +99,11 @@ def outcome(
 # One byte per cell: a table of 2**24 cells takes 16 MiB.  Sweeps over a
 # larger box run the DFS instead.
 TABLE_CELL_LIMIT = 2**24
+
+
+def _radix(caps: tuple) -> list:
+    """R_c, the product of caps[i] + 1 over i < c, for c = 0..len(caps)."""
+    return list(accumulate([c + 1 for c in caps], mul, initial=1))
 
 
 # Each _*_drops(k, a, v, radix) lists the index drops of the moves on
@@ -167,8 +169,7 @@ def lattice_table(
     The caller keeps Grundy values below 256: a mex is at most the move
     count, which is at most the entry sum.
     """
-    k, m, drops_of = rules.k, len(caps), _DROPS[rules.family]
-    radix = list(accumulate([c + 1 for c in caps], mul, initial=1))
+    k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
     table = bytearray(radix[m])
     table[0] = convention is Convention.NORMAL  # the empty board; Grundy 0
 
@@ -186,6 +187,31 @@ def lattice_table(
     if m:
         fill((), 0, [])
     return table
+
+
+def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
+    """Values of canonical ``boards``, in order: True for a P-board under
+    ``convention``, or the normal-play Grundy value when it is None.  They
+    are read from one ``lattice_table`` over the boards' per-column maxima,
+    aligned on the last column.  A loopy family, a box of more than
+    ``TABLE_CELL_LIMIT`` cells, or a Grundy box whose entry sum (which
+    bounds every value) exceeds a byte runs the DFS on one memo instead."""
+    m = max(map(len, boards), default=0)
+    padded = [(0,) * (m - len(b)) + b for b in boards]
+    caps = tuple(map(max, zip(*padded)))
+    radix = _radix(caps)
+    if (
+        rules.family.loopy
+        or radix[-1] > TABLE_CELL_LIMIT
+        or (convention is None and sum(caps) > 255)
+    ):
+        memo = MemoTable()
+        if convention is None:
+            return [grundy(rules, b, memo) for b in boards]
+        return [outcome(rules, convention, b, memo) is Outcome.P for b in boards]
+    cells = lattice_table(rules, convention, caps)
+    values = [cells[sum(map(mul, b, radix))] for b in padded]
+    return values if convention is None else [v == 1 for v in values]
 
 
 class Domain(NamedTuple):

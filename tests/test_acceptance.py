@@ -126,10 +126,9 @@ def test_criterion_7_diet_chomp_misere_narrow():
 def test_criterion_8_translation_period_12_minimal():
     t0 = time.perf_counter()
     domain = list(three_column_domain(12, 20))
-    memo = MemoTable()
-    ok = translation_period_check(DC2, Convention.MISERE, domain, 12, memo).ok
+    ok = translation_period_check(DC2, Convention.MISERE, domain, 12).ok
     smaller_all_fail = all(
-        not translation_period_check(DC2, Convention.MISERE, domain, per, memo).ok
+        not translation_period_check(DC2, Convention.MISERE, domain, per).ok
         for per in range(1, 12)
     )
     check(

@@ -1,6 +1,6 @@
 import pytest
 
-from gamesolve import Convention, Family, Outcome, RuleSet
+from gamesolve import Convention, Family, RuleSet
 from gamesolve.analysis import (
     InsufficientProbe,
     Margins,
@@ -8,7 +8,7 @@ from gamesolve.analysis import (
     bulk_formula_agreement,
     directional_period,
     figure_grids,
-    lattice_outcomes,
+    lattice_values,
     render_ascii,
     render_pbm,
     three_column_domain,
@@ -34,7 +34,7 @@ def parse_pbm(data: bytes) -> tuple:
 
 @pytest.fixture(scope="module")
 def misere_fn():
-    return lambda points: lattice_outcomes(DC2, Convention.MISERE, points)
+    return lambda points: lattice_values(DC2, Convention.MISERE, points)
 
 
 def test_single_column_period_three(misere_fn):
@@ -95,8 +95,8 @@ def test_figure_grid_corner_cells():
     rows = figure_grids(DC2, Convention.MISERE, [0], 2, 2)[0]
     assert rows[0][0] is False  # (0,0,0) terminal is N in misere
     assert rows[1][0] is True  # (0,0,1) -> single square, P
-    [corner] = lattice_outcomes(DC2, Convention.MISERE, [(0, 1, 1)])
-    assert rows[0][1] == (corner is Outcome.P)
+    [corner] = lattice_values(DC2, Convention.MISERE, [(0, 1, 1)])
+    assert rows[0][1] == corner
 
 
 def test_render_pbm_examples():

@@ -803,6 +803,19 @@ def test_period_base_and_direction_are_raw_integers(capsys):
     assert "argument --direction: expected comma-separated integers, not '1,x'" in err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+TRACE_CLI = SRC.parent / "perfbench" / "trace_cli.py"
+
+
+def run_process(*args, **env):
+    """``python args`` in a fresh interpreter that imports the package from
+    src/, with ``env`` added to the environment; stdout and stderr as bytes."""
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        capture_output=True, timeout=60,
+    )
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every CLI call; -S keeps site's own
     # imports out of the check
@@ -810,10 +823,46 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import sys, gamesolve.cli; "
         "print({'dataclasses', 'inspect'} & set(sys.modules))"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "set()\n", "")
+    result = run_process("-S", "-c", code)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"set()\n", b"")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("batch", "--game", "nim", "--input", "{tmp}/missing.txt"),
+        # a directory cannot be made under a regular file
+        ("figure", "--a1", "0", "--width", "3", "--height", "3",
+         "--out", "{tmp}/regular/figs"),
+    ],
+    ids=["batch-missing-input", "figure-out-under-a-file"],
+)
+def test_os_errors_exit_2_with_one_error_line(tmp_path, args):
+    (tmp_path / "regular").write_text("")
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = run_process("-m", "gamesolve.cli", *args)
+    assert (result.returncode, result.stdout) == (2, b"")
+    err = result.stderr.decode()
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_traced_cli_runs_and_keeps_stdout(tmp_path):
+    # the benchmark's tracer wraps package functions by name, so a name it
+    # patches that moves or goes unused breaks traced runs only
+    positions = tmp_path / "positions.txt"
+    positions.write_text("1,2,3\n4,4\n")
+    commands = [
+        ("verify", "--theorem", "thm1", "--max-entry", "3"),
+        ("verify", "--theorem", "lemma9", "--max-height", "5"),
+        ("figure", "--a1", "0", "--width", "3", "--height", "3",
+         "--out", str(tmp_path / "figs")),
+        ("batch", "--game", "diet-chomp", "--input", str(positions)),
+    ]
+    for i, args in enumerate(commands):
+        plain = run_process("-m", "gamesolve.cli", *args)
+        trace = tmp_path / f"trace-{i}.json"
+        traced = run_process(str(TRACE_CLI), *args, PERFBENCH_TRACE_OUT=str(trace))
+        assert (plain.returncode, traced.returncode) == (0, 0), args
+        assert traced.stdout == plain.stdout, args
+        assert json.loads(trace.read_text())["counts"], args

@@ -57,6 +57,8 @@ def test_difference_position():
     assert difference_position(()) == ()
     with pytest.raises(NonMonotoneInput):
         difference_position((2, 1))
+    with pytest.raises(ValueError, match="entries must be non-negative"):
+        difference_position((-1, 2))
 
 
 def test_monotonic_p_examples():

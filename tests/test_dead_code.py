@@ -1,6 +1,7 @@
 """Every public module-level name in src/gamesolve is used somewhere in the
 package other than its own definition, or exported through
-``gamesolve.__all__``: code that only tests use belongs in the tests."""
+``gamesolve.__all__``: code that only tests use belongs in the tests.  And
+every module-level import is used by the module that makes it."""
 
 import ast
 from collections import Counter
@@ -53,4 +54,28 @@ def test_every_public_name_in_src_has_a_use_in_src():
         and name not in ALLOWED
         and uses[name] == Counter(_references(node))[name]
     ]
+    assert unused == []
+
+
+def _imported_names(tree):
+    """The name each module-level import binds, but ``from __future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_module_level_import_in_src_is_used_by_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text())
+        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [
+            f"{path.name}:{name}" for name in _imported_names(tree) if name not in names
+        ]
     assert unused == []

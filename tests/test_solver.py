@@ -153,11 +153,9 @@ def test_cold_solve_expands_each_entry_once(monkeypatch, rules, p, convention):
     table = solve_into(rules, convention, p, memo)
     assert len(table) > 10
     assert expanded == Counter(table.keys())
-    assert (memo.hits, memo.misses) == (0, 1)
     # a warm query expands nothing
     solve_into(rules, convention, p, memo)
     assert sum(expanded.values()) == len(table)
-    assert (memo.hits, memo.misses) == (1, 1)
 
 
 def test_grundy_zero_iff_normal_p():
@@ -180,7 +178,6 @@ def test_memo_clearing_is_stable():
         for p in enumerate_positions(Domain(3, 5))
     }
     assert first == second
-    assert memo.misses > 0
 
 
 def test_loopy_families_rejected():
@@ -382,9 +379,10 @@ def test_lattice_outcomes_match_the_dfs(
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
     expected = [
-        outcome(rules, convention, canonicalize(p, rules.family), memo) for p in points
+        outcome(rules, convention, canonicalize(p, rules.family), memo) is Outcome.P
+        for p in points
     ]
-    assert analysis.lattice_outcomes(rules, convention, points) == expected
+    assert analysis.lattice_values(rules, convention, points) == expected
     assert len(builds) == tables
 
 
@@ -412,7 +410,7 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, table
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
     expected = [grundy(rules, canonicalize(p, rules.family), memo) for p in points]
-    assert analysis.lattice_grundy(rules, points) == expected
+    assert analysis.lattice_values(rules, None, points) == expected
     assert len(builds) == tables
 
 
