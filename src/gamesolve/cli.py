@@ -41,34 +41,36 @@ def game_of(opts) -> tuple[RuleSet, Convention]:
     return RuleSet(family, k, add_limit), Convention(opts.convention)
 
 
-def solve_position(
-    rules: RuleSet, convention: Convention, p, memo: solver.MemoTable | None = None
-) -> dict:
-    """Outcome (and Grundy value for normal play) of a canonical position.
-
-    The loopy extended families are answered via their non-extended
-    closed forms (``verify --theorem thm6-*`` certifies the normal-play
-    ones); everything else runs through the brute-force engine, with
-    ``memo`` shared across calls.
-    A normal-play position is P iff its Grundy value is 0.
-    """
+def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list:
+    """One result dict per canonical board, in order: its outcome, and in
+    normal play its Grundy value (P iff 0).  The loopy extended families
+    are answered via their non-extended closed forms (``verify --theorem
+    thm6-*`` certifies the normal-play ones), the others by
+    ``solver.board_values``."""
+    normal = convention is Convention.NORMAL
     if rules.family.loopy:
         if rules.family is Family.EXTENDED_SLOW_NIM:
             grundy_of = partial(closedforms.slow_nim_grundy_formula, rules.k)
             is_p = partial(closedforms.slow_nim_p_misere, rules.k)
         else:
             grundy_of, is_p = closedforms.nim_grundy_formula, closedforms.nim_p_misere
-        if convention is Convention.NORMAL:
-            g = grundy_of(p)
-            return {"outcome": "P" if g == 0 else "N", "grundy": g}
-        return {"outcome": "P" if is_p(p) else "N", "grundy": None}
-    if memo is None:
-        memo = solver.MemoTable()
-    if convention is Convention.NORMAL:
-        g = solver.grundy(rules, p, memo)
-        return {"outcome": "P" if g == 0 else "N", "grundy": g}
-    out = solver.outcome(rules, convention, p, memo)
-    return {"outcome": out.value, "grundy": None}
+        values = list(map(grundy_of if normal else is_p, boards))
+    else:
+        # one box per column count: a box over every width is as tall in its
+        # last column as the tallest 1-column board (7x slower than the DFS
+        # on batches of Diet Chomp lines), and a box per board made batches
+        # of Nim lines 2x slower
+        widths = {}
+        for p in boards:
+            widths.setdefault(len(p), []).append(p)
+        found = {
+            m: iter(solver.board_values(rules, None if normal else convention, group))
+            for m, group in widths.items()
+        }
+        values = [next(found[len(p)]) for p in boards]
+    if normal:
+        return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
+    return [{"outcome": "P" if v else "N", "grundy": None} for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def cmd_outcome(opts) -> int:
     raw = parse_position(opts.position)
     p = canonicalize(raw, rules.family)
     result = {"position": list(p)}
-    result.update(solve_position(rules, convention, p))
+    result.update(solve_position(rules, convention, [p])[0])
     if opts.moves:
         result["moves"] = [r._asdict() for r in games.move_records(rules, p)]
     print(json.dumps(result))
@@ -313,19 +315,19 @@ def cmd_period(opts) -> int:
 
 
 def _solve_lines(rules: RuleSet, convention: Convention, lines: list) -> list:
-    """One result dict per line; all lines share one memo."""
-    memo = solver.MemoTable()
-    results = []
+    """One result dict per line, in order, from one ``solve_position`` call
+    over the lines that canonicalize; each other line gets its error."""
+    results, boards = [], []
     for line in lines:
         try:
             p = canonicalize(parse_position(line), rules.family)
         except (GameError, ValueError) as exc:
             results.append({"input": line, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        result = {"input": line, "position": list(p)}
-        result.update(solve_position(rules, convention, p, memo))
-        results.append(result)
-    return results
+        results.append({"input": line, "position": list(p)})
+        boards.append(p)
+    solved = iter(solve_position(rules, convention, boards))
+    return [r if "error" in r else {**r, **next(solved)} for r in results]
 
 
 def _thread_count(opts) -> int:
@@ -349,8 +351,8 @@ def cmd_batch(opts) -> int:
     ]
     workers = min(threads, os.cpu_count() or 1, len(work))
     if workers > 1:
-        # one interleaved shard, and so one memo, per worker; reassembled
-        # in input order
+        # one interleaved shard, and so one solve_position call, per
+        # worker; reassembled in input order
         from concurrent.futures import ProcessPoolExecutor  # slow to import
 
         shards = [work[i::workers] for i in range(workers)]

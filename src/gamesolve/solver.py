@@ -1,10 +1,10 @@
-"""Brute-force ground truth: memoized Grundy values and outcomes, plus the
-local verifiers that make the loopy extended families checkable.
-
-Grundy/outcome recursion is only defined for the acyclic families; the
-extended (add-move) families are handled exclusively by ``verify_pset``
-and ``verify_grundy_consistency``, which check local consistency of a
-claimed labeling without ever solving the loopy graph.
+"""Sprague-Grundy values and outcomes of the acyclic families, from
+retrograde tables (``board_values``, for the sweeps, ``outcome`` and
+``batch``) or a memoized DFS (``grundy``, ``outcome``: the tables' fallback
+and the tests' oracle), plus the local verifiers that make the loopy
+extended families checkable: ``verify_pset`` and
+``verify_grundy_consistency`` check a claimed labeling without ever
+solving the loopy graph.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class MemoTable:
         self.grundy_values, self.outcomes = {}, {}
 
 
-def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, value):
+def _solve(rules: RuleSet, p: Position, tables: dict, key, value):
     """Value of p in ``tables[key]``, solving what it needs first.
 
     Iterative post-order over the (acyclic) game DAG, so large domains
@@ -67,9 +67,7 @@ def _solve(rules: RuleSet, p: Position, memo: MemoTable, tables: dict, key, valu
 
 def grundy(rules: RuleSet, p: Position, memo: MemoTable | None = None) -> int:
     """Grundy value of p: mex over successor values, terminal -> 0."""
-    if memo is None:
-        memo = MemoTable()
-    return _solve(rules, p, memo, memo.grundy_values, rules, mex)
+    return _solve(rules, p, (memo or MemoTable()).grundy_values, rules, mex)
 
 
 def outcome(
@@ -84,8 +82,6 @@ def outcome(
     player made the last move); a nonterminal position is N iff some
     successor is P.
     """
-    if memo is None:
-        memo = MemoTable()
     terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
 
     def node_value(values: list) -> Outcome:
@@ -93,10 +89,11 @@ def outcome(
             return terminal
         return Outcome.N if Outcome.P in values else Outcome.P
 
-    return _solve(rules, p, memo, memo.outcomes, (rules, convention), node_value)
+    tables = (memo or MemoTable()).outcomes
+    return _solve(rules, p, tables, (rules, convention), node_value)
 
 
-# One byte per cell: a table of 2**24 cells takes 16 MiB.  Sweeps over a
+# One byte per cell: a table of 2**24 cells takes 16 MiB.  Values over a
 # larger box run the DFS instead.
 TABLE_CELL_LIMIT = 2**24
 
@@ -193,9 +190,10 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     """Values of canonical ``boards``, in order: True for a P-board under
     ``convention``, or the normal-play Grundy value when it is None.  They
     are read from one ``lattice_table`` over the boards' per-column maxima,
-    aligned on the last column.  A loopy family, a box of more than
-    ``TABLE_CELL_LIMIT`` cells, or a Grundy box whose entry sum (which
-    bounds every value) exceeds a byte runs the DFS on one memo instead."""
+    aligned on the last column; the box of one board is the boards it reaches.
+    A box of more than ``TABLE_CELL_LIMIT`` cells, a Grundy box whose entry
+    sum (which bounds every value) exceeds a byte, or a loopy family (which
+    the DFS rejects) runs the DFS on one memo instead."""
     m = max(map(len, boards), default=0)
     padded = [(0,) * (m - len(b)) + b for b in boards]
     caps = tuple(map(max, zip(*padded)))

@@ -250,7 +250,7 @@ def test_misere_extended_answers_are_a_consistent_p_set(capsys):
     rule_sets += [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in (1, 2, 3)]
     for rules in rule_sets:
         def claimed_p(p, rules=rules):
-            answer = cli.solve_position(rules, Convention.MISERE, p)
+            [answer] = cli.solve_position(rules, Convention.MISERE, [p])
             return answer["outcome"] == "P"
 
         report = verify_pset(rules, Convention.MISERE, claimed_p, Domain(2, 12))
@@ -858,6 +858,7 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
         ("figure", "--a1", "0", "--width", "3", "--height", "3",
          "--out", str(tmp_path / "figs")),
         ("batch", "--game", "diet-chomp", "--input", str(positions)),
+        ("outcome", "--game", "nim", "--position", "3,5,6"),
     ]
     for i, args in enumerate(commands):
         plain = run_process("-m", "gamesolve.cli", *args)

@@ -414,6 +414,42 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, table
     assert len(builds) == tables
 
 
+FIVE_FAMILIES = [
+    RuleSet(Family.NIM),
+    RuleSet(Family.SLOW_NIM, k=2),
+    RuleSet(Family.MONOTONIC_NIM),
+    RuleSet(Family.MONOTONIC_SLOW_NIM, k=2),
+    DC2,
+]
+
+
+@pytest.mark.parametrize("limit", [solver.TABLE_CELL_LIMIT, 1])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
+def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention, limit):
+    builds = []
+    real = solver.lattice_table
+    monkeypatch.setattr(
+        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
+    )
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
+    # widths 0..3 interleaved; the 1-column caps sum past 255, so in normal
+    # play that group runs the DFS
+    boards = sorted(enumerate_positions(Domain(3, 6)), key=sum) + [(300,)]
+    expected = []
+    for p in boards:
+        if convention is Convention.NORMAL:
+            g = grundy(rules, p)
+            expected.append({"outcome": "P" if g == 0 else "N", "grundy": g})
+        else:
+            expected.append({"outcome": outcome(rules, convention, p).value,
+                             "grundy": None})
+    assert cli.solve_position(rules, convention, boards) == expected
+    # one table per width; a limit of 1 leaves only the 1-cell empty box
+    normal = convention is Convention.NORMAL
+    assert len(builds) == (1 if limit == 1 else 4 - normal)
+
+
 def lattice_sweeps():
     """The lattice sweeps that read tables, as comparable values."""
     domain = list(analysis.three_column_domain(4, 10))
@@ -479,11 +515,22 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
         ("period", "--base", "2,3,3", "--direction", "0,1,1"),
         ("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
          "--max-extent", "10"),
+        ("outcome", "--game", "nim", "--position", "3,5,6"),
+        ("outcome", "--game", "diet-chomp", "--convention", "misere",
+         "--position", "2,4,4,9"),
     ]
     for args in commands:
         builds.clear()
         assert cli.main(list(args)) == 0
         assert len(builds) == 1, args
+    # a batch: one table per distinct column count
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("1,2,3\n4,4\n7\n2,5,6\n3\n1,1,1,1\n0\n")
+    for convention in Convention:
+        builds.clear()
+        assert cli.main(["batch", "--game", "diet-chomp", "--convention",
+                         convention.value, "--input", str(mixed)]) == 0
+        assert sorted(map(len, builds)) == [0, 1, 2, 3, 4]
     # the Nim-family sweeps: one table per case
     nim_sweeps = [("thm1", 1), ("thm3", 1), ("thm4", 3), ("thm5", 3), ("thm7", 8)]
     for name, cases in nim_sweeps:
