@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -56,18 +55,7 @@ def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list
             grundy_of, is_p = closedforms.nim_grundy_formula, closedforms.nim_p_misere
         values = list(map(grundy_of if normal else is_p, boards))
     else:
-        # one box per column count: a box over every width is as tall in its
-        # last column as the tallest 1-column board (7x slower than the DFS
-        # on batches of Diet Chomp lines), and a box per board made batches
-        # of Nim lines 2x slower
-        widths = {}
-        for p in boards:
-            widths.setdefault(len(p), []).append(p)
-        found = {
-            m: iter(solver.board_values(rules, None if normal else convention, group))
-            for m, group in widths.items()
-        }
-        values = [next(found[len(p)]) for p in boards]
+        values = solver.board_values(rules, None if normal else convention, boards)
     if normal:
         return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
     return [{"outcome": "P" if v else "N", "grundy": None} for v in values]
@@ -314,11 +302,19 @@ def cmd_period(opts) -> int:
     return EXIT_OK
 
 
-def _solve_lines(rules: RuleSet, convention: Convention, lines: list) -> list:
-    """One result dict per line, in order, from one ``solve_position`` call
-    over the lines that canonicalize; each other line gets its error."""
+def cmd_batch(opts) -> int:
+    """Solve each --input line that is neither blank nor a ``#`` comment, in
+    one process and one ``solve_position`` call, and print one JSON object
+    per line in input order; a line that does not canonicalize gets its
+    error, and the run exits 1.  --threads is accepted but has no effect:
+    a worker's tables cost as much as the whole run's, so worker processes
+    only duplicated work."""
+    rules, convention = game_of(opts)
     results, boards = [], []
-    for line in lines:
+    for line in Path(opts.input).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
             p = canonicalize(parse_position(line), rules.family)
         except (GameError, ValueError) as exc:
@@ -327,50 +323,11 @@ def _solve_lines(rules: RuleSet, convention: Convention, lines: list) -> list:
         results.append({"input": line, "position": list(p)})
         boards.append(p)
     solved = iter(solve_position(rules, convention, boards))
-    return [r if "error" in r else {**r, **next(solved)} for r in results]
-
-
-def _thread_count(opts) -> int:
-    """Worker count asked for: --threads, else $GAMESOLVE_THREADS, else 1."""
-    if opts.threads is not None:
-        return opts.threads
-    text = os.environ.get("GAMESOLVE_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"GAMESOLVE_THREADS must be a positive integer, not {text!r}")
-    return int(text)
-
-
-def cmd_batch(opts) -> int:
-    rules, convention = game_of(opts)
-    threads = _thread_count(opts)
-    lines = Path(opts.input).read_text().splitlines()
-    work = [
-        line.strip()
-        for line in lines
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    workers = min(threads, os.cpu_count() or 1, len(work))
-    if workers > 1:
-        # one interleaved shard, and so one solve_position call, per
-        # worker; reassembled in input order
-        from concurrent.futures import ProcessPoolExecutor  # slow to import
-
-        shards = [work[i::workers] for i in range(workers)]
-        results = [None] * len(work)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = pool.map(
-                _solve_lines, [rules] * workers, [convention] * workers, shards
-            )
-            for i, shard_results in enumerate(solved):
-                results[i::workers] = shard_results
-    else:
-        results = _solve_lines(rules, convention, work)
-    errored = False
     for result in results:
+        if "error" not in result:
+            result.update(next(solved))
         print(json.dumps(result))
-        if "error" in result:
-            errored = True
-    return EXIT_COUNTEREXAMPLES if errored else EXIT_OK
+    return EXIT_COUNTEREXAMPLES if any("error" in r for r in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +382,7 @@ OPTIONS = {
     "max_preperiod": Option(("--max-preperiod",), INT, 0),
     "translation": Option(("--translation",), INT, 1),
     "input": Option(("--input",)),
-    "threads": Option(("--threads",), INT, 1, help=(
-        "worker processes (default: $GAMESOLVE_THREADS, else 1)")),
+    "threads": Option(("--threads",), INT, 1, help="accepted; has no effect"),
 }
 REQUIRED = object()  # the default of an option that must be given
 

@@ -1,14 +1,15 @@
 """Sprague-Grundy values and outcomes of the acyclic families, from
-retrograde tables (``board_values``, for the sweeps, ``outcome`` and
-``batch``) or a memoized DFS (``grundy``, ``outcome``: the tables' fallback
-and the tests' oracle), plus the local verifiers that make the loopy
-extended families checkable: ``verify_pset`` and
-``verify_grundy_consistency`` check a claimed labeling without ever
-solving the loopy graph.
+retrograde tables (``board_values``, one per board width, for the sweeps,
+``outcome`` and ``batch``) or a memoized DFS (``grundy``, ``outcome``: the
+tables' fallback for boxes over ``TABLE_CELL_LIMIT``, and the tests'
+oracle), plus the local verifiers that make the loopy extended families
+checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
+claimed labeling without ever solving the loopy graph.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -93,8 +94,9 @@ def outcome(
     return _solve(rules, p, tables, (rules, convention), node_value)
 
 
-# One byte per cell: a table of 2**24 cells takes 16 MiB.  Values over a
-# larger box run the DFS instead.
+# One byte per cell, or four for a Grundy table whose caps sum past 255: a
+# table of 2**24 cells takes 16 MiB, or 64 MiB.  Values over a larger box
+# run the DFS instead.
 TABLE_CELL_LIMIT = 2**24
 
 
@@ -151,7 +153,7 @@ _DROPS = {
 
 def lattice_table(
     rules: RuleSet, convention: Convention | None, caps: tuple
-) -> bytearray:
+) -> bytearray | array:
     """Values of the raw, zero-padded, non-decreasing boards of len(caps)
     columns with column c at most caps[c], for an acyclic family: outcomes
     (1 = P) under ``convention``, or normal-play Grundy values when it is
@@ -163,11 +165,13 @@ def lattice_table(
     lexicographic order fills every successor first: one pass, with no
     stack and no hashing.  The drops of the moves on column c depend on
     a[:c+1] alone, so they are computed once and shared by every extension.
-    The caller keeps Grundy values below 256: a mex is at most the move
-    count, which is at most the entry sum.
+    A mex is at most the move count, which is at most the entry sum, so a
+    Grundy table takes bytes while the caps sum to at most 255, else
+    unsigned ints.
     """
     k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
-    table = bytearray(radix[m])
+    wide = convention is None and sum(caps) > 255
+    table = array("I", [0]) * radix[m] if wide else bytearray(radix[m])
     table[0] = convention is Convention.NORMAL  # the empty board; Grundy 0
 
     def fill(a: tuple, index: int, offsets: list) -> None:
@@ -188,28 +192,36 @@ def lattice_table(
 
 def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
     """Values of canonical ``boards``, in order: True for a P-board under
-    ``convention``, or the normal-play Grundy value when it is None.  They
-    are read from one ``lattice_table`` over the boards' per-column maxima,
-    aligned on the last column; the box of one board is the boards it reaches.
-    A box of more than ``TABLE_CELL_LIMIT`` cells, a Grundy box whose entry
-    sum (which bounds every value) exceeds a byte, or a loopy family (which
-    the DFS rejects) runs the DFS on one memo instead."""
-    m = max(map(len, boards), default=0)
-    padded = [(0,) * (m - len(b)) + b for b in boards]
-    caps = tuple(map(max, zip(*padded)))
-    radix = _radix(caps)
-    if (
-        rules.family.loopy
-        or radix[-1] > TABLE_CELL_LIMIT
-        or (convention is None and sum(caps) > 255)
-    ):
-        memo = MemoTable()
-        if convention is None:
-            return [grundy(rules, b, memo) for b in boards]
-        return [outcome(rules, convention, b, memo) is Outcome.P for b in boards]
-    cells = lattice_table(rules, convention, caps)
-    values = [cells[sum(map(mul, b, radix))] for b in padded]
-    return values if convention is None else [v == 1 for v in values]
+    ``convention``, or the normal-play Grundy value when it is None.
+
+    The boards of each width are read from one ``lattice_table`` over
+    their per-column maxima.  The box of one board is exactly the boards it
+    reaches; one box over every width, narrower boards zero-padded on the
+    left, would be as tall in its last column as the tallest 1-column board
+    (7x slower than the DFS on batches of Diet Chomp lines), and one box per
+    board made batches of Nim lines 2x slower.  A width whose box has more
+    than ``TABLE_CELL_LIMIT`` cells, or a loopy family (which the DFS
+    rejects), runs the DFS instead, on one memo shared by every width."""
+    widths, memo = {}, MemoTable()
+    for b in boards:
+        widths.setdefault(len(b), []).append(b)
+    found = {}
+    for m, group in widths.items():
+        caps = tuple(map(max, zip(*group)))
+        radix = _radix(caps)
+        if rules.family.loopy or radix[-1] > TABLE_CELL_LIMIT:
+            if convention is None:
+                values = [grundy(rules, b, memo) for b in group]
+            else:
+                values = [outcome(rules, convention, b, memo) for b in group]
+                values = [v is Outcome.P for v in values]
+        else:
+            cells = lattice_table(rules, convention, caps)
+            values = [cells[sum(map(mul, b, radix))] for b in group]
+            if convention is not None:
+                values = [v == 1 for v in values]
+        found[m] = iter(values)
+    return [next(found[len(b)]) for b in boards]
 
 
 class Domain(NamedTuple):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -412,13 +411,15 @@ def test_batch_parallel_order_preserved(capsys, tmp_path):
     assert serial == parallel
 
 
-def test_threads_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GAMESOLVE_THREADS", "2")
+def test_threads_env_is_ignored(capsys, tmp_path, monkeypatch):
     path = tmp_path / "positions.txt"
     path.write_text("1\n2\n")
-    code, out, _ = run(capsys, "batch", "--game", "nim", "--input", str(path))
-    assert code == 0
-    assert len(out.splitlines()) == 2
+    args = ["batch", "--game", "nim", "--input", str(path)]
+    plain = run(capsys, *args)
+    # batch does not read GAMESOLVE_THREADS, so a bad value changes nothing
+    monkeypatch.setenv("GAMESOLVE_THREADS", "abc")
+    assert run(capsys, *args) == plain
+    assert plain[0] == 0 and len(plain[1].splitlines()) == 2
 
 
 def test_batch_shared_memo_matches_threads_and_outcome(capsys, tmp_path):
@@ -445,20 +446,6 @@ def test_batch_shared_memo_matches_threads_and_outcome(capsys, tmp_path):
         assert {"input": r["input"], **json.loads(out)} == r
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
-def test_threads_env_invalid_exits_2(capsys, tmp_path, monkeypatch, value):
-    monkeypatch.setenv("GAMESOLVE_THREADS", value)
-    path = tmp_path / "positions.txt"
-    path.write_text("1\n2\n")
-    code, out, err = run(capsys, "batch", "--game", "nim", "--input", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: GAMESOLVE_THREADS")
-    # only batch reads the variable
-    code, out, _ = run(capsys, "outcome", "--game", "nim", "--position", "1,2")
-    assert code == 0
-
-
 def test_threads_option_nonpositive_exits_2(capsys, tmp_path):
     path = tmp_path / "positions.txt"
     path.write_text("1\n")
@@ -467,42 +454,6 @@ def test_threads_option_nonpositive_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("error: --threads")
-
-
-@pytest.mark.parametrize(
-    "threads, n_lines, expected",
-    [(8, 5, 3), (8, 2, 2), (2, 5, 2), (8, 1, None), (1, 5, None)],
-)
-def test_batch_workers_clamped(
-    capsys, tmp_path, monkeypatch, threads, n_lines, expected
-):
-    created = []
-
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor without starting processes."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    path = tmp_path / "positions.txt"
-    path.write_text("".join(f"{i},{i + 1}\n" for i in range(1, n_lines + 1)))
-    args = ["batch", "--game", "nim", "--input", str(path)]
-    code, out, _ = run(capsys, *args, "--threads", str(threads))
-    assert code == 0
-    assert created == ([expected] if expected else [])
-    assert out == run(capsys, *args, "--threads", "1")[1]
-    assert len(out.splitlines()) == n_lines
 
 
 @pytest.mark.parametrize("translation", ["0", "-12"])
@@ -825,6 +776,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     result = run_process("-S", "-c", code)
     assert (result.returncode, result.stdout, result.stderr) == (0, b"set()\n", b"")
+
+
+def test_batch_threads_start_no_pool(tmp_path):
+    path = tmp_path / "positions.txt"
+    path.write_text("1,2\n3,5,6\n7\n2,2,9\n")
+    code = (
+        "import sys; from gamesolve.cli import main; code = main(sys.argv[1:]); "
+        "print('concurrent.futures' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    args = ("-c", code, "batch", "--game", "nim", "--input", str(path), "--threads")
+    serial, wide = run_process(*args, "1"), run_process(*args, "4")
+    assert (wide.returncode, wide.stderr) == (0, b"False\n")
+    assert wide.stdout == serial.stdout and len(wide.stdout.splitlines()) == 4
 
 
 @pytest.mark.parametrize(

@@ -358,13 +358,14 @@ TRIPLES = list(combinations_with_replacement(range(7), 3))
 @pytest.mark.parametrize(
     "rules, points, limit, tables",
     [
-        # leading zeros canonicalize to 1-, 2- and 3-column boards, which
-        # the table reads aligned on its last column
-        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, 1),
-        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, 1),
-        (DC2, [], solver.TABLE_CELL_LIMIT, 1),  # the one cell of the empty box
-        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 1),
-        (DC2, TRIPLES, 7**3 - 1, 0),  # one cell short of the 7x7x7 box
+        # leading zeros canonicalize to 0- to 3-column boards: one table
+        # per width
+        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, 4),
+        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, 3),
+        (DC2, [], solver.TABLE_CELL_LIMIT, 0),
+        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 4),
+        # one cell short of the 7x7x7 box: the 3-column boards run the DFS
+        (DC2, TRIPLES, 7**3 - 1, 3),
     ],
 )
 @pytest.mark.parametrize("convention", list(Convention))
@@ -392,13 +393,15 @@ SLOW1 = RuleSet(Family.SLOW_NIM, k=1)
 @pytest.mark.parametrize(
     "rules, points, limit, tables",
     [
-        # a mex is at most the entry sum: 255 still fits a byte, 256 not
+        # a mex is at most the entry sum: 255 still fits a byte, 256 takes
+        # a wider cell
         (RuleSet(Family.NIM), [(255,)], solver.TABLE_CELL_LIMIT, 1),
-        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, 0),
+        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, 1),
         (SLOW1, [(0, 127, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 1),
-        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 0),
-        (RuleSet(Family.NIM), TRIPLES, 7**3, 1),
-        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, 0),  # one cell short of the box
+        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 1),
+        (RuleSet(Family.NIM), TRIPLES, 7**3, 4),
+        # one cell short of the 3-column box, which runs the DFS
+        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, 3),
     ],
 )
 def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, tables):
@@ -414,6 +417,15 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, table
     assert len(builds) == tables
 
 
+def test_grundy_tables_widen_past_a_byte():
+    nim = RuleSet(Family.NIM)
+    assert isinstance(solver.lattice_table(nim, None, (255,)), bytearray)
+    wide = solver.lattice_table(nim, None, (256,))
+    assert wide.typecode == "I" and list(wide) == list(range(257))
+    # outcome tables stay bytes whatever the caps
+    assert isinstance(solver.lattice_table(nim, Convention.MISERE, (256,)), bytearray)
+
+
 FIVE_FAMILIES = [
     RuleSet(Family.NIM),
     RuleSet(Family.SLOW_NIM, k=2),
@@ -421,6 +433,15 @@ FIVE_FAMILIES = [
     RuleSet(Family.MONOTONIC_SLOW_NIM, k=2),
     DC2,
 ]
+
+
+def dfs_answers(rules, convention, boards):
+    """``cli.solve_position``'s answers, from a fresh-memo DFS per board."""
+    if convention is Convention.NORMAL:
+        values = [grundy(rules, p) for p in boards]
+        return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
+    return [{"outcome": outcome(rules, convention, p).value, "grundy": None}
+            for p in boards]
 
 
 @pytest.mark.parametrize("limit", [solver.TABLE_CELL_LIMIT, 1])
@@ -434,20 +455,33 @@ def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention,
     )
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     # widths 0..3 interleaved; the 1-column caps sum past 255, so in normal
-    # play that group runs the DFS
+    # play that group's table takes wide cells
     boards = sorted(enumerate_positions(Domain(3, 6)), key=sum) + [(300,)]
-    expected = []
-    for p in boards:
-        if convention is Convention.NORMAL:
-            g = grundy(rules, p)
-            expected.append({"outcome": "P" if g == 0 else "N", "grundy": g})
-        else:
-            expected.append({"outcome": outcome(rules, convention, p).value,
-                             "grundy": None})
-    assert cli.solve_position(rules, convention, boards) == expected
+    assert cli.solve_position(rules, convention, boards) == dfs_answers(
+        rules, convention, boards
+    )
     # one table per width; a limit of 1 leaves only the 1-cell empty box
-    normal = convention is Convention.NORMAL
-    assert len(builds) == (1 if limit == 1 else 4 - normal)
+    assert len(builds) == (1 if limit == 1 else 4)
+
+
+@pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
+@pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
+def test_each_width_gets_its_own_box(monkeypatch, rules, convention):
+    builds = []
+    real = solver.lattice_table
+    monkeypatch.setattr(
+        solver, "lattice_table", lambda r, c, caps: builds.append(caps) or real(r, c, caps)
+    )
+    # a limit over the 301 cells of the (300,) box and under the
+    # 6 * 6 * 301 = 10,836 of one box with (300,) zero-padded to 3 columns
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1000)
+    boards = [(300,), (5, 5, 5)]
+    if convention is None:
+        expected = [grundy(rules, p) for p in boards]
+    else:
+        expected = [outcome(rules, convention, p) is Outcome.P for p in boards]
+    assert solver.board_values(rules, convention, boards) == expected
+    assert builds == [(300,), (5, 5, 5)]
 
 
 def lattice_sweeps():
@@ -498,42 +532,50 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
 
     monkeypatch.setattr(solver, "successors", forbidden)
     monkeypatch.setattr(solver, "lattice_table", counting)
+
+    def widths():
+        found = list(map(len, builds))
+        builds.clear()
+        return found
+
+    # one table per width of each sweep's canonical points; a1 = 0 puts
+    # leading zeros in the figure and translation points
     sweeps = lattice_sweeps()
     assert sweeps[4]["ok"] and not sweeps[5]["ok"] and sweeps[6]["ok"]
-    assert len(builds) == 8  # one per fresh memo or sweep
-    for name in ("lemma8", "lemma9"):
-        builds.clear()
+    figures, translations, bulks = [0, 1, 2] * 2 + [3] * 2, [0, 1, 2, 3] * 2, [2, 3]
+    assert sorted(widths()) == sorted(figures + translations + bulks + [0, 1, 2, 3])
+    for name, found in (("lemma8", [0, 1, 2, 3, 4]), ("lemma9", [0, 1, 2])):
         report = cli.verify_theorem(name, Namespace(max_piles=4, max_entry=12))
         assert report.ok and report.checked_count >= 91
-        assert len(builds) == 1
+        assert sorted(widths()) == found
     commands = [
-        ("figure", "--a1", "0..3", "--width", "8", "--height", "8",
-         "--out", str(tmp_path)),
-        ("figure", "--a1", "0..3", "--width", "8", "--height", "5",
-         "--triangular", "--out", str(tmp_path)),
-        ("period", "--translation", "12", "--max-a1", "3", "--max-extent", "8"),
-        ("period", "--base", "2,3,3", "--direction", "0,1,1"),
-        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
-         "--max-extent", "10"),
-        ("outcome", "--game", "nim", "--position", "3,5,6"),
-        ("outcome", "--game", "diet-chomp", "--convention", "misere",
-         "--position", "2,4,4,9"),
+        (("figure", "--a1", "0..3", "--width", "8", "--height", "8",
+          "--out", str(tmp_path)), [0, 1, 2, 3]),
+        (("figure", "--a1", "0..3", "--width", "8", "--height", "5",
+          "--triangular", "--out", str(tmp_path)), [0, 1, 2, 3]),
+        (("period", "--translation", "12", "--max-a1", "3", "--max-extent", "8"),
+         [0, 1, 2, 3]),
+        (("period", "--base", "2,3,3", "--direction", "0,1,1"), [3]),
+        (("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
+          "--max-extent", "10"), [2, 3]),
+        (("outcome", "--game", "nim", "--position", "3,5,6"), [3]),
+        (("outcome", "--game", "diet-chomp", "--convention", "misere",
+          "--position", "2,4,4,9"), [4]),
     ]
-    for args in commands:
-        builds.clear()
+    for args, found in commands:
         assert cli.main(list(args)) == 0
-        assert len(builds) == 1, args
+        assert sorted(widths()) == found, args
     # a batch: one table per distinct column count
     mixed = tmp_path / "mixed.txt"
     mixed.write_text("1,2,3\n4,4\n7\n2,5,6\n3\n1,1,1,1\n0\n")
     for convention in Convention:
-        builds.clear()
         assert cli.main(["batch", "--game", "diet-chomp", "--convention",
                          convention.value, "--input", str(mixed)]) == 0
-        assert sorted(map(len, builds)) == [0, 1, 2, 3, 4]
-    # the Nim-family sweeps: one table per case
-    nim_sweeps = [("thm1", 1), ("thm3", 1), ("thm4", 3), ("thm5", 3), ("thm7", 8)]
-    for name, cases in nim_sweeps:
-        builds.clear()
+        assert sorted(widths()) == [0, 1, 2, 3, 4]
+    # the Nim-family sweeps: one table per case and width, up to the
+    # theorem's default pile count
+    nim_sweeps = [("thm1", 1, 4), ("thm3", 1, 4), ("thm4", 3, 3), ("thm5", 3, 3),
+                  ("thm7", 8, 4)]
+    for name, cases, piles in nim_sweeps:
         assert cli.main(["verify", "--theorem", name, "--max-entry", "7"]) == 0
-        assert len(builds) == cases, name
+        assert sorted(widths()) == sorted(list(range(piles + 1)) * cases), name
