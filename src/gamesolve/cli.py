@@ -250,11 +250,11 @@ def cmd_verify(opts) -> int:
 
 
 def _parse_a1_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ValueError(f"--a1 must be an int or lo..hi, not {text!r}") from None
     if not values:
         raise ValueError(f"empty --a1 range {text!r}")
     if values[0] < 0:
@@ -292,8 +292,7 @@ def cmd_period(opts) -> int:
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
     base, direction = opts.base, opts.direction
     if base is None or direction is None:
-        print("error: need --base and --direction (or --translation)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --base and --direction (or --translation)")
     report = analysis.directional_period(
         partial(analysis.lattice_values, rules, convention),
         base, direction, opts.probe, opts.max_period, opts.max_preperiod,

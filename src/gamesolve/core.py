@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Tuple
 
 Position = Tuple[int, ...]
 
-# Size limits keep memo keys compact; exceeding them is a construction error.
+# Size limits bound the input; exceeding them is a construction error.
 MAX_PILES = 64
 MAX_ENTRY = 2**32 - 1
 

@@ -1,17 +1,16 @@
-"""Sprague-Grundy values and outcomes of the acyclic families, from
-retrograde tables (``board_values``, one per board width, for the sweeps,
-``outcome`` and ``batch``) or a memoized DFS (``grundy``, ``outcome``: the
-tables' fallback for boxes over ``TABLE_CELL_LIMIT``, and the tests'
-oracle), plus the local verifiers that make the loopy extended families
-checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
-claimed labeling without ever solving the loopy graph.
+"""Sprague-Grundy values and outcomes of the acyclic families, from one
+pruned retrograde table per call (``board_values``) or a memoized DFS
+(``grundy``, ``outcome``: the tests' oracle), plus the local verifiers that
+make the loopy extended families checkable: ``verify_pset`` and
+``verify_grundy_consistency`` check a claimed labeling without ever solving
+the loopy graph.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from operator import mul
+from operator import le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
@@ -94,9 +93,8 @@ def outcome(
     return _solve(rules, p, tables, (rules, convention), node_value)
 
 
-# One byte per cell, or four for a Grundy table whose caps sum past 255: a
-# table of 2**24 cells takes 16 MiB, or 64 MiB.  Values over a larger box
-# run the DFS instead.
+# An array of 2**24 cells takes 16 MiB, or 64 MiB for Grundy caps summing
+# past 255; a larger box fills a dict with the boards below its tops alone.
 TABLE_CELL_LIMIT = 2**24
 
 
@@ -152,76 +150,71 @@ _DROPS = {
 
 
 def lattice_table(
-    rules: RuleSet, convention: Convention | None, caps: tuple
-) -> bytearray | array:
-    """Values of the raw, zero-padded, non-decreasing boards of len(caps)
-    columns with column c at most caps[c], for an acyclic family: outcomes
-    (1 = P) under ``convention``, or normal-play Grundy values when it is
-    None.  Board a sits at index sum(a_c * R_c), where R_c is the product
-    of caps[i] + 1 over i < c; the cells of other boards hold 0.
+    rules: RuleSet, convention: Convention | None, *tops: tuple
+) -> bytearray | array | dict:
+    """Values of the raw, zero-padded, non-decreasing boards that lie
+    elementwise below one of ``tops`` (boards of one width), for an acyclic
+    family: outcomes (1 = P) under ``convention``, or normal-play Grundy
+    values when it is None.  Board a sits at index sum(a_c * R_c), R_c the
+    product of caps[i] + 1 over i < c, caps the tops' elementwise maximum:
+    in an array over the box of caps (other cells hold 0) up to
+    ``TABLE_CELL_LIMIT`` cells, else in a dict of the filled boards.
 
-    Every move replaces a prefix a[:c+1] with an elementwise-lower one, so
-    its successor sits a fixed drop lower, and filling the boards in
-    lexicographic order fills every successor first: one pass, with no
-    stack and no hashing.  The drops of the moves on column c depend on
-    a[:c+1] alone, so they are computed once and shared by every extension.
-    A mex is at most the move count, which is at most the entry sum, so a
-    Grundy table takes bytes while the caps sum to at most 255, else
-    unsigned ints.
+    A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
+    successor lies below the same top, a fixed drop lower, and filling the
+    boards in lexicographic order fills it first: one pass, no stack.  The
+    drops of the moves on column c depend on a[:c+1] alone, so every
+    extension shares them.  A mex is at most the entry sum, so a Grundy
+    array takes bytes while the caps sum to at most 255, else unsigned ints.
     """
+    caps = tuple(map(max, zip(*tops)))
     k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
-    wide = convention is None and sum(caps) > 255
-    table = array("I", [0]) * radix[m] if wide else bytearray(radix[m])
-    table[0] = convention is Convention.NORMAL  # the empty board; Grundy 0
+    if radix[m] > TABLE_CELL_LIMIT:
+        table = {}
+    elif convention is None and sum(caps) > 255:
+        table = array("I", [0]) * radix[m]
+    else:
+        table = bytearray(radix[m])
+    table[0] = int(convention is Convention.NORMAL)  # the empty board; Grundy 0
 
-    def fill(a: tuple, index: int, offsets: list) -> None:
+    def fill(a: tuple, index: int, offsets: list, tops: list) -> None:
+        # tops: those above the prefix a; column c goes up to the highest
         c = len(a)
-        for v in range(a[-1] if a else 0, caps[c] + 1):
+        for v in range(a[-1] if a else 0, max(t[c] for t in tops) + 1):
             here, drops = index + v * radix[c], offsets + drops_of(k, a, v, radix)
             if c + 1 < m:
-                fill(a + (v,), here, drops)
+                fill(a + (v,), here, drops, [t for t in tops if t[c] >= v])
             elif here:
                 values = [table[here - d] for d in drops]
                 # P iff no move reaches a P-board
                 table[here] = mex(values) if convention is None else 1 not in values
 
     if m:
-        fill((), 0, [])
+        fill((), 0, [], tops)
     return table
 
 
 def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
     """Values of canonical ``boards``, in order: True for a P-board under
-    ``convention``, or the normal-play Grundy value when it is None.
-
-    The boards of each width are read from one ``lattice_table`` over
-    their per-column maxima.  The box of one board is exactly the boards it
-    reaches; one box over every width, narrower boards zero-padded on the
-    left, would be as tall in its last column as the tallest 1-column board
-    (7x slower than the DFS on batches of Diet Chomp lines), and one box per
-    board made batches of Nim lines 2x slower.  A width whose box has more
-    than ``TABLE_CELL_LIMIT`` cells, or a loopy family (which the DFS
-    rejects), runs the DFS instead, on one memo shared by every width."""
-    widths, memo = {}, MemoTable()
-    for b in boards:
-        widths.setdefault(len(b), []).append(b)
-    found = {}
-    for m, group in widths.items():
-        caps = tuple(map(max, zip(*group)))
-        radix = _radix(caps)
-        if rules.family.loopy or radix[-1] > TABLE_CELL_LIMIT:
-            if convention is None:
-                values = [grundy(rules, b, memo) for b in group]
-            else:
-                values = [outcome(rules, convention, b, memo) for b in group]
-                values = [v is Outcome.P for v in values]
-        else:
-            cells = lattice_table(rules, convention, caps)
-            values = [cells[sum(map(mul, b, radix))] for b in group]
-            if convention is not None:
-                values = [v == 1 for v in values]
-        found[m] = iter(values)
-    return [next(found[len(b)]) for b in boards]
+    ``convention``, or the normal-play Grundy value when it is None, read
+    from one ``lattice_table`` with every board zero-padded to the widest.
+    A board reaches exactly the boards below it, so the tops are the box
+    corner when it is itself a board (as in every sweep), else the boards
+    that no other board dominates."""
+    if rules.family.loopy:
+        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    if not boards:
+        return []
+    m = max(map(len, boards))
+    padded = [(0,) * (m - len(b)) + b for b in boards]
+    caps = tuple(map(max, zip(*padded)))
+    tops = []
+    for b in sorted({caps} if caps in padded else set(padded), key=sum, reverse=True):
+        if not any(all(map(le, b, t)) for t in tops):
+            tops.append(b)
+    table, radix = lattice_table(rules, convention, *tops), _radix(caps)
+    values = [table[sum(map(mul, b, radix))] for b in padded]
+    return values if convention is None else [v == 1 for v in values]
 
 
 class Domain(NamedTuple):

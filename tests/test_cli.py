@@ -479,6 +479,16 @@ def test_figure_empty_a1_range_exit_2(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["3..", "x"])
+def test_figure_unparsable_a1_names_the_option(capsys, tmp_path, text):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, "figure", "--a1", text, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --a1 must be an int or lo..hi, not {text!r}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

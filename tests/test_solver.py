@@ -1,4 +1,5 @@
 from argparse import Namespace
+from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -355,28 +356,34 @@ def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
 TRIPLES = list(combinations_with_replacement(range(7), 3))
 
 
+def record_tables(monkeypatch):
+    """Patch ``solver.lattice_table`` to append each table it builds to the
+    returned list."""
+    built, real = [], solver.lattice_table
+    monkeypatch.setattr(
+        solver, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
+    )
+    return built
+
+
 @pytest.mark.parametrize(
-    "rules, points, limit, tables",
+    "rules, points, limit, kinds",
     [
-        # leading zeros canonicalize to 0- to 3-column boards: one table
-        # per width
-        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, 4),
-        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, 3),
-        (DC2, [], solver.TABLE_CELL_LIMIT, 0),
-        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, 4),
-        # one cell short of the 7x7x7 box: the 3-column boards run the DFS
-        (DC2, TRIPLES, 7**3 - 1, 3),
+        # leading zeros canonicalize to 0- to 3-column boards, all read from
+        # one table
+        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, [bytearray]),
+        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, [bytearray]),
+        (DC2, [], solver.TABLE_CELL_LIMIT, []),
+        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, [bytearray]),
+        # one cell short of the 7x7x7 box: the table is a dict
+        (DC2, TRIPLES, 7**3 - 1, [dict]),
     ],
 )
 @pytest.mark.parametrize("convention", list(Convention))
 def test_lattice_outcomes_match_the_dfs(
-    monkeypatch, rules, points, limit, tables, convention
+    monkeypatch, rules, points, limit, kinds, convention
 ):
-    builds = []
-    real = solver.lattice_table
-    monkeypatch.setattr(
-        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
-    )
+    built = record_tables(monkeypatch)
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
     expected = [
@@ -384,37 +391,33 @@ def test_lattice_outcomes_match_the_dfs(
         for p in points
     ]
     assert analysis.lattice_values(rules, convention, points) == expected
-    assert len(builds) == tables
+    assert list(map(type, built)) == kinds
 
 
 SLOW1 = RuleSet(Family.SLOW_NIM, k=1)
 
 
 @pytest.mark.parametrize(
-    "rules, points, limit, tables",
+    "rules, points, limit, kind",
     [
         # a mex is at most the entry sum: 255 still fits a byte, 256 takes
         # a wider cell
-        (RuleSet(Family.NIM), [(255,)], solver.TABLE_CELL_LIMIT, 1),
-        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, 1),
-        (SLOW1, [(0, 127, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 1),
-        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, 1),
-        (RuleSet(Family.NIM), TRIPLES, 7**3, 4),
-        # one cell short of the 3-column box, which runs the DFS
-        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, 3),
+        (RuleSet(Family.NIM), [(255,)], solver.TABLE_CELL_LIMIT, bytearray),
+        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, array),
+        (SLOW1, [(0, 127, 128), (5, 6)], solver.TABLE_CELL_LIMIT, bytearray),
+        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, array),
+        (RuleSet(Family.NIM), TRIPLES, 7**3, bytearray),
+        # one cell short of the 3-column box, which takes a dict
+        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, dict),
     ],
 )
-def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, tables):
-    builds = []
-    real = solver.lattice_table
-    monkeypatch.setattr(
-        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
-    )
+def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, kind):
+    built = record_tables(monkeypatch)
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
     expected = [grundy(rules, canonicalize(p, rules.family), memo) for p in points]
     assert analysis.lattice_values(rules, None, points) == expected
-    assert len(builds) == tables
+    assert list(map(type, built)) == [kind]
 
 
 def test_grundy_tables_widen_past_a_byte():
@@ -448,40 +451,42 @@ def dfs_answers(rules, convention, boards):
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
 def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention, limit):
-    builds = []
-    real = solver.lattice_table
-    monkeypatch.setattr(
-        solver, "lattice_table", lambda *args: builds.append(args) or real(*args)
-    )
+    built = record_tables(monkeypatch)
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
-    # widths 0..3 interleaved; the 1-column caps sum past 255, so in normal
-    # play that group's table takes wide cells
+    # widths 0..3 interleaved; the caps (6, 6, 300) sum past 255, so in
+    # normal play the array takes wide cells
     boards = sorted(enumerate_positions(Domain(3, 6)), key=sum) + [(300,)]
     assert cli.solve_position(rules, convention, boards) == dfs_answers(
         rules, convention, boards
     )
-    # one table per width; a limit of 1 leaves only the 1-cell empty box
-    assert len(builds) == (1 if limit == 1 else 4)
+    wide = array if convention is Convention.NORMAL else bytearray
+    assert list(map(type, built)) == [wide if limit > 1 else dict]
 
 
+# no board dominates another, and the corner (3, 4, 4, 4) is none of them
+ANTICHAIN = [(1, 4, 4, 4), (2, 3, 4, 4), (3, 3, 3, 4)]
+
+
+@pytest.mark.parametrize("boards", [[(300,), (5, 5, 5)], ANTICHAIN])
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
 @pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
-def test_each_width_gets_its_own_box(monkeypatch, rules, convention):
-    builds = []
-    real = solver.lattice_table
-    monkeypatch.setattr(
-        solver, "lattice_table", lambda r, c, caps: builds.append(caps) or real(r, c, caps)
-    )
-    # a limit over the 301 cells of the (300,) box and under the
-    # 6 * 6 * 301 = 10,836 of one box with (300,) zero-padded to 3 columns
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1000)
-    boards = [(300,), (5, 5, 5)]
+def test_one_pruned_table_fills_what_the_dfs_reaches(
+    monkeypatch, rules, convention, boards
+):
+    built = record_tables(monkeypatch)
+    memo = MemoTable()
     if convention is None:
-        expected = [grundy(rules, p) for p in boards]
+        expected = [grundy(rules, p, memo) for p in boards]
+        reached = memo.grundy_values[rules]
     else:
-        expected = [outcome(rules, convention, p) is Outcome.P for p in boards]
+        expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
+        reached = memo.outcomes[(rules, convention)]
     assert solver.board_values(rules, convention, boards) == expected
-    assert builds == [(300,), (5, 5, 5)]
+    assert len(built) == 1 and not isinstance(built[0], dict)
+    # over the limit the dict holds exactly the boards the DFS solved
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
+    assert solver.board_values(rules, convention, boards) == expected
+    assert isinstance(built[1], dict) and len(built[1]) == len(reached)
 
 
 def lattice_sweeps():
@@ -504,78 +509,87 @@ def lattice_sweeps():
     ]
 
 
-def test_sweeps_over_the_cell_limit_run_the_dfs(monkeypatch):
-    from_tables = lattice_sweeps()
-    expanded = Counter()
-    real = solver.successors
+def forbid_the_dfs(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"DFS called with {args}")
 
-    def counting(rules, q):
-        expanded[q] += 1
-        return real(rules, q)
+    monkeypatch.setattr(solver, "successors", forbidden)
+    monkeypatch.setattr(solver, "_solve", forbidden)
 
-    monkeypatch.setattr(solver, "successors", counting)
+
+MIXED_BATCH = "1,2,3\n4,4\n7\n2,5,6\n3\n1,1,1,1\n0\n"
+
+
+def test_sweeps_over_the_cell_limit_fill_a_dict(monkeypatch, capsys, tmp_path):
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(MIXED_BATCH)
+    batch = ["batch", "--game", "diet-chomp", "--convention", "misere",
+             "--input", str(mixed)]
+    from_arrays = lattice_sweeps()
+    assert cli.main(batch) == 0
+    printed = capsys.readouterr()
+    built = record_tables(monkeypatch)
+    forbid_the_dfs(monkeypatch)
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
-    assert lattice_sweeps() == from_tables
-    assert len(expanded) > 100
+    assert lattice_sweeps() == from_arrays
+    assert cli.main(batch) == 0
+    assert capsys.readouterr() == printed
+    assert len(built) == len(from_arrays) + 1
+    assert all(isinstance(table, dict) for table in built)
 
 
 def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
-    def forbidden(*args):
-        raise AssertionError(f"successors{args} called")
-
+    forbid_the_dfs(monkeypatch)
     builds = []
     real = solver.lattice_table
 
-    def counting(rules, convention, caps):
-        builds.append(caps)
-        return real(rules, convention, caps)
+    def counting(rules, convention, *tops):
+        builds.append(tops)
+        return real(rules, convention, *tops)
 
-    monkeypatch.setattr(solver, "successors", forbidden)
     monkeypatch.setattr(solver, "lattice_table", counting)
 
-    def widths():
-        found = list(map(len, builds))
+    def tops():
+        found = list(builds)
         builds.clear()
         return found
 
-    # one table per width of each sweep's canonical points; a1 = 0 puts
-    # leading zeros in the figure and translation points
+    # one table per sweep, below its box corner alone; a1 = 0 puts leading
+    # zeros in the figure and translation points
     sweeps = lattice_sweeps()
     assert sweeps[4]["ok"] and not sweeps[5]["ok"] and sweeps[6]["ok"]
-    figures, translations, bulks = [0, 1, 2] * 2 + [3] * 2, [0, 1, 2, 3] * 2, [2, 3]
-    assert sorted(widths()) == sorted(figures + translations + bulks + [0, 1, 2, 3])
-    for name, found in (("lemma8", [0, 1, 2, 3, 4]), ("lemma9", [0, 1, 2])):
+    assert list(map(len, tops())) == [1] * len(sweeps)
+    for name in ("lemma8", "lemma9"):
         report = cli.verify_theorem(name, Namespace(max_piles=4, max_entry=12))
         assert report.ok and report.checked_count >= 91
-        assert sorted(widths()) == found
+        assert list(map(len, tops())) == [1]
     commands = [
-        (("figure", "--a1", "0..3", "--width", "8", "--height", "8",
-          "--out", str(tmp_path)), [0, 1, 2, 3]),
-        (("figure", "--a1", "0..3", "--width", "8", "--height", "5",
-          "--triangular", "--out", str(tmp_path)), [0, 1, 2, 3]),
-        (("period", "--translation", "12", "--max-a1", "3", "--max-extent", "8"),
-         [0, 1, 2, 3]),
-        (("period", "--base", "2,3,3", "--direction", "0,1,1"), [3]),
-        (("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
-          "--max-extent", "10"), [2, 3]),
-        (("outcome", "--game", "nim", "--position", "3,5,6"), [3]),
-        (("outcome", "--game", "diet-chomp", "--convention", "misere",
-          "--position", "2,4,4,9"), [4]),
+        ("figure", "--a1", "0..3", "--width", "8", "--height", "8",
+         "--out", str(tmp_path)),
+        ("figure", "--a1", "0..3", "--width", "8", "--height", "5",
+         "--triangular", "--out", str(tmp_path)),
+        ("period", "--translation", "12", "--max-a1", "3", "--max-extent", "8"),
+        ("period", "--base", "2,3,3", "--direction", "0,1,1"),
+        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "5",
+         "--max-extent", "10"),
+        ("outcome", "--game", "nim", "--position", "3,5,6"),
+        ("outcome", "--game", "diet-chomp", "--convention", "misere",
+         "--position", "2,4,4,9"),
     ]
-    for args, found in commands:
+    for args in commands:
         assert cli.main(list(args)) == 0
-        assert sorted(widths()) == found, args
-    # a batch: one table per distinct column count
+        assert list(map(len, tops())) == [1], args
+    # a batch: one table below the lines that no other line dominates,
+    # zero-padded to 4 columns
     mixed = tmp_path / "mixed.txt"
-    mixed.write_text("1,2,3\n4,4\n7\n2,5,6\n3\n1,1,1,1\n0\n")
+    mixed.write_text(MIXED_BATCH)
     for convention in Convention:
         assert cli.main(["batch", "--game", "diet-chomp", "--convention",
                          convention.value, "--input", str(mixed)]) == 0
-        assert sorted(widths()) == [0, 1, 2, 3, 4]
-    # the Nim-family sweeps: one table per case and width, up to the
-    # theorem's default pile count
-    nim_sweeps = [("thm1", 1, 4), ("thm3", 1, 4), ("thm4", 3, 3), ("thm5", 3, 3),
-                  ("thm7", 8, 4)]
-    for name, cases, piles in nim_sweeps:
+        [found] = tops()
+        assert sorted(found) == [(0, 0, 0, 7), (0, 2, 5, 6), (1, 1, 1, 1)]
+    # the Nim-family sweeps: one table per case
+    for name, cases in (("thm1", 1), ("thm3", 1), ("thm4", 3), ("thm5", 3),
+                        ("thm7", 8)):
         assert cli.main(["verify", "--theorem", name, "--max-entry", "7"]) == 0
-        assert sorted(widths()) == sorted(list(range(piles + 1)) * cases), name
+        assert list(map(len, tops())) == [1] * cases, name
