@@ -1,5 +1,6 @@
 """Periodicity scanning on outcome lattices and P-position rasters for
-three-column boards, plus PBM/ASCII rendering.
+three-column boards, plus PBM/ASCII rendering.  Their lattice points are
+built from user options, so ``lattice_values`` validates them first.
 
 Coordinates: a three-column board (a1, a2, a3) maps to raster cell
 x = a2 - a1, y = a3 - a2, so the raster covers a full rectangle whose
@@ -8,6 +9,7 @@ bottom-left cell is the flat board (a1, a1, a1).
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Convention, GameError, RuleSet, canonicalize
@@ -23,14 +25,6 @@ class PeriodReport(NamedTuple):
     direction: tuple
     preperiod: int
     period: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "base": list(self.base),
-            "direction": list(self.direction),
-            "preperiod": self.preperiod,
-            "period": self.period,
-        }
 
 
 def directional_period(
@@ -67,19 +61,19 @@ def directional_period(
 def lattice_values(
     rules: RuleSet, convention: Convention | None, points: Iterable[tuple]
 ) -> list:
-    """``solver.board_values`` of raw lattice points, in order: P-booleans
-    under ``convention``, Grundy values when it is None.  Every point is
-    canonicalized first, so the first bad point raises."""
+    """``solver.board_values`` of lattice points built from user options, in
+    order: P-booleans under ``convention``, Grundy values when it is None.
+    Each point is canonicalized first, so the first bad one (negative, or
+    past ``MAX_ENTRY``) raises before any table is filled."""
     boards = [canonicalize(p, rules.family) for p in points]
     return solver.board_values(rules, convention, boards)
 
 
 def three_column_domain(max_a1: int, max_extent: int) -> Iterator[tuple]:
-    """Raw triples (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent."""
-    for a1 in range(max_a1 + 1):
-        for a2 in range(a1, a1 + max_extent + 1):
-            for a3 in range(a2, a1 + max_extent + 1):
-                yield (a1, a2, a3)
+    """Raw triples (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent,
+    in lexicographic order."""
+    extents = list(combinations_with_replacement(range(max_extent + 1), 2))
+    return ((a1, a1 + d2, a1 + d3) for a1 in range(max_a1 + 1) for d2, d3 in extents)
 
 
 def translation_period_check(
@@ -92,9 +86,8 @@ def translation_period_check(
     translate; counterexamples are the positions where they differ."""
     pairs = [(p, tuple(a + period for a in p)) for p in positions]
     is_p = iter(lattice_values(rules, convention, [q for pair in pairs for q in pair]))
-    report = solver.VerificationReport()
+    report = solver.VerificationReport(checked_count=len(pairs))
     for p, shifted in pairs:
-        report.checked_count += 1
         if next(is_p) != next(is_p):
             report.add(p, f"outcome differs from translate {shifted}")
     return report

@@ -82,12 +82,12 @@ def _check_case(check, rules, convention, form, bounds) -> solver.VerificationRe
         return solver.verify_pset(rules, convention, lambda p: form(p) == 0, domain)
     if check == "labels":
         return solver.verify_grundy_consistency(rules, form, domain)
-    # closed form vs engine at each position; "monotone" reads raw
+    # closed form vs engine at each generated board; "monotone" reads raw
     # sequences (zeros allowed), as the difference map does
     lo = 0 if check == "monotone" else 1
     points = list(solver.enumerate_positions(domain, lo))
     report = solver.VerificationReport(checked_count=len(points))
-    for p, actual in zip(points, analysis.lattice_values(rules, convention, points)):
+    for p, actual in zip(points, solver.board_values(rules, convention, points)):
         expected = form(p)
         if expected != actual:
             report.add(p, f"closed form {expected} != solver {actual}")
@@ -290,14 +290,13 @@ def cmd_period(opts) -> int:
         )
         print(json.dumps({"translation": opts.translation, **report.to_dict()}))
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
-    base, direction = opts.base, opts.direction
-    if base is None or direction is None:
+    if opts.base is None or opts.direction is None:
         raise ValueError("need --base and --direction (or --translation)")
     report = analysis.directional_period(
         partial(analysis.lattice_values, rules, convention),
-        base, direction, opts.probe, opts.max_period, opts.max_preperiod,
+        opts.base, opts.direction, opts.probe, opts.max_period, opts.max_preperiod,
     )
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(report._asdict()))
     return EXIT_OK
 
 

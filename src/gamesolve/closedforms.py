@@ -41,9 +41,7 @@ def slow_nim_grundy_formula(k: int, p: Position) -> int:
 
 def slow_nim_p_misere(k: int, p: Position) -> bool:
     """Misere subtract-1..k: reduce mod k+1, then apply the misere Nim rule."""
-    reduced = [a % (k + 1) for a in p]
-    target = 0 if any(a > 1 for a in reduced) else 1
-    return xor_all(reduced) == target
+    return nim_p_misere(tuple(a % (k + 1) for a in p))
 
 
 def difference_position(raw) -> Position:

@@ -1,9 +1,9 @@
 """Sprague-Grundy values and outcomes of the acyclic families, from one
-pruned retrograde table per call (``board_values``) or a memoized DFS
-(``grundy``, ``outcome``: the tests' oracle), plus the local verifiers that
-make the loopy extended families checkable: ``verify_pset`` and
-``verify_grundy_consistency`` check a claimed labeling without ever solving
-the loopy graph.
+pruned retrograde table per call (``board_values``, which reads generated
+boards as they are) or a memoized DFS (``grundy``, ``outcome``: the tests'
+oracle), plus the local verifiers that make the loopy extended families
+checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
+claimed labeling without ever solving the loopy graph.
 """
 
 from __future__ import annotations
@@ -195,12 +195,14 @@ def lattice_table(
 
 
 def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
-    """Values of canonical ``boards``, in order: True for a P-board under
+    """Values of ``boards``, in order: True for a P-board under
     ``convention``, or the normal-play Grundy value when it is None, read
-    from one ``lattice_table`` with every board zero-padded to the widest.
-    A board reaches exactly the boards below it, so the tops are the box
-    corner when it is itself a board (as in every sweep), else the boards
-    that no other board dominates."""
+    from one ``lattice_table`` with every board zero-padded to the widest,
+    so a board may be canonical or raw with leading zeros (``lo = 0`` in
+    ``enumerate_positions``).  Boards are read unchecked; outside input is
+    canonicalized first.  A board reaches exactly the boards below it, so
+    the tops are the box corner when it is itself a board (as in every
+    sweep), else the boards that no other board dominates."""
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     if not boards:
@@ -232,21 +234,18 @@ class Domain(NamedTuple):
 
 def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
     """Every non-decreasing sequence of at most max_piles entries in
-    lo..max_entry, once, in lexicographic order: with lo = 1 the canonical
-    positions of the domain (for ordered and order-free families alike),
-    with lo = 0 the raw sequences that the monotone-game difference map
-    reads, where zero padding and length parity matter."""
+    lo..max_entry, once, in lexicographic order and lazily (``verify_pset``
+    streams it): with lo = 1 the canonical positions of the domain, with
+    lo = 0 the raw sequences that the monotone-game difference map reads,
+    where zero padding and length parity matter."""
 
-    def rec(prefix: list[int], lo: int) -> Iterator[Position]:
-        yield tuple(prefix)
-        if len(prefix) == domain.max_piles:
-            return
-        for v in range(lo, domain.max_entry + 1):
-            prefix.append(v)
-            yield from rec(prefix, v)
-            prefix.pop()
+    def rec(prefix: Position, lo: int) -> Iterator[Position]:
+        yield prefix
+        if len(prefix) < domain.max_piles:
+            for v in range(lo, domain.max_entry + 1):
+                yield from rec(prefix + (v,), v)
 
-    yield from rec([], lo)
+    return rec((), lo)
 
 
 class VerificationReport:

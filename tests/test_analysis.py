@@ -131,6 +131,18 @@ def test_bulk_agreement_zero_margins_fails():
     assert result.counterexamples
 
 
+def test_three_column_domain_matches_the_triple_loop():
+    for max_a1 in range(6):
+        for max_extent in range(9):
+            expected = [
+                (a1, a2, a3)
+                for a1 in range(max_a1 + 1)
+                for a2 in range(a1, a1 + max_extent + 1)
+                for a3 in range(a2, a1 + max_extent + 1)
+            ]
+            assert list(three_column_domain(max_a1, max_extent)) == expected
+
+
 def test_bulk_single_interior_point():
     result = bulk_formula_agreement(
         DC2, Convention.MISERE, [(5, 6, 8)], PINNED_BULK_MARGINS

@@ -1,3 +1,4 @@
+from argparse import Namespace
 import json
 import os
 import subprocess
@@ -777,6 +778,21 @@ def run_process(*args, **env):
     )
 
 
+def test_enumerate_positions_is_lazy():
+    # far too many boards to list, and too many entries to hold: only the
+    # boards read are built.  The child's address space is capped, so a
+    # version that lists its entries fails fast instead of filling memory.
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from itertools import islice\n"
+        "from gamesolve import Domain, enumerate_positions\n"
+        "positions = enumerate_positions(Domain(3, 10**9))\n"
+        "print(next(positions), list(islice(positions, 3)))\n"
+    )
+    result = run_process("-c", code)
+    assert result.stdout == b"() [(1,), (1, 1), (1, 1, 1)]\n", result.stderr
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every CLI call; -S keeps site's own
     # imports out of the check
@@ -841,3 +857,72 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
         assert (plain.returncode, traced.returncode) == (0, 0), args
         assert traced.stdout == plain.stdout, args
         assert json.loads(trace.read_text())["counts"], args
+
+
+@pytest.mark.parametrize(
+    "base, direction, expected",
+    [
+        ("2,3,3", "0,0,1",
+         '{"base": [2, 3, 3], "direction": [0, 0, 1], "preperiod": 0, "period": 3}'),
+        ("0", "1", '{"base": [0], "direction": [1], "preperiod": 0, "period": 3}'),
+    ],
+)
+def test_period_directional_output_bytes(capsys, base, direction, expected):
+    code, out, err = run(capsys, "period", "--base", base, "--direction", direction)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+class Canonicalized(Exception):
+    pass
+
+
+def forbid_canonicalize(monkeypatch):
+    def refuse(entries, family):
+        raise Canonicalized(entries)
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "canonicalize", refuse)
+
+
+def verify_opts(**bounds):
+    defaults = dict(
+        max_piles=None, max_entry=None, k=None, add_limit=None,
+        convention=None, max_a1=None, max_extent=None,
+    )
+    return Namespace(**{**defaults, **bounds})
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds, checked",
+    [
+        ("thm1", {"max_piles": 3, "max_entry": 5}, 56),
+        ("thm3", {"max_piles": 3, "max_entry": 5}, 56),
+        ("thm4", {"max_piles": 2, "max_entry": 6}, 84),
+        ("thm5", {"max_piles": 2, "max_entry": 6}, 84),
+        ("thm7", {"max_piles": 3, "max_entry": 4}, 448),
+        ("lemma8", {"max_piles": 3, "max_entry": 4}, 1036),
+        ("lemma9", {"max_entry": 8}, 45),
+    ],
+)
+def test_value_sweeps_read_their_generated_boards_unchecked(
+    monkeypatch, theorem, bounds, checked
+):
+    forbid_canonicalize(monkeypatch)
+    report = cli.verify_theorem(theorem, verify_opts(**bounds))
+    assert (report.ok, report.checked_count) == (True, checked)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("figure", "--a1", "0", "--width", "3", "--height", "3", "--out", "{tmp}"),
+        ("period", "--translation", "3", "--max-a1", "1", "--max-extent", "2"),
+        ("period", "--base", "2,3,3", "--direction", "0,0,1"),
+        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "2",
+         "--max-extent", "8"),
+    ],
+)
+def test_points_from_user_options_are_still_canonicalized(monkeypatch, tmp_path, args):
+    forbid_canonicalize(monkeypatch)
+    with pytest.raises(Canonicalized):
+        main([arg.format(tmp=tmp_path) for arg in args])

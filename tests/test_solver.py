@@ -2,7 +2,7 @@ from argparse import Namespace
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +203,21 @@ def test_enumerate_positions_unique_and_lexicographic():
 def test_enumerate_raw_sequences_allows_zeros():
     raws = list(enumerate_positions(Domain(2, 1), lo=0))
     assert raws == [(), (0,), (0, 0), (0, 1), (1,), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "domain", [Domain(0, 3), Domain(3, 0), Domain(2, 12), Domain(4, 5)]
+)
+@pytest.mark.parametrize("lo", [0, 1])
+def test_enumerate_positions_matches_brute_force(domain, lo):
+    # every tuple over lo..max_entry of every length, kept if non-decreasing
+    expected = sorted(
+        p
+        for n in range(domain.max_piles + 1)
+        for p in product(range(lo, domain.max_entry + 1), repeat=n)
+        if list(p) == sorted(p)
+    )
+    assert list(enumerate_positions(domain, lo)) == expected
 
 
 def test_verify_pset_nim_normal():
