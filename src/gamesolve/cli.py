@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analysis, closedforms, games, solver
+from . import closedforms, games, solver
 from .core import (
     Convention,
     Family,
@@ -43,9 +43,9 @@ def game_of(opts) -> tuple[RuleSet, Convention]:
 def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list:
     """One result dict per canonical board, in order: its outcome, and in
     normal play its Grundy value (P iff 0).  The loopy extended families
-    are answered via their non-extended closed forms (``verify --theorem
-    thm6-*`` certifies the normal-play ones), the others by
-    ``solver.board_values``."""
+    are answered via their non-extended closed forms, which ``verify
+    --theorem thm6-*`` checks for local consistency only (no route shows
+    that play ends), the others by ``solver.board_values``."""
     normal = convention is Convention.NORMAL
     if rules.family.loopy:
         if rules.family is Family.EXTENDED_SLOW_NIM:
@@ -70,28 +70,39 @@ NIM = RuleSet(Family.NIM)
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
 
-def _check_case(check, rules, convention, form, bounds) -> solver.VerificationReport:
-    """One (rules, convention, closed form) case, checked as ``check`` says."""
+def _case_checker(check: str, bounds: dict) -> Callable:
+    """The function that checks one (rules, convention, closed form) case
+    of a sweep as ``check`` says.  What the cases share, the domain and
+    its points, is built here, once per sweep."""
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
+        from . import analysis
+
         positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
-        return analysis.bulk_formula_agreement(
+        return lambda rules, convention, form: analysis.bulk_formula_agreement(
             rules, convention, positions, analysis.PINNED_BULK_MARGINS
         )
     domain = solver.Domain(**bounds)
     if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
-        return solver.verify_pset(rules, convention, lambda p: form(p) == 0, domain)
+        return lambda rules, convention, form: solver.verify_pset(
+            rules, convention, lambda p: form(p) == 0, domain
+        )
     if check == "labels":
-        return solver.verify_grundy_consistency(rules, form, domain)
+        return lambda rules, convention, form: solver.verify_grundy_consistency(
+            rules, form, domain
+        )
     # closed form vs engine at each generated board; "monotone" reads raw
     # sequences (zeros allowed), as the difference map does
-    lo = 0 if check == "monotone" else 1
-    points = list(solver.enumerate_positions(domain, lo))
-    report = solver.VerificationReport(checked_count=len(points))
-    for p, actual in zip(points, solver.board_values(rules, convention, points)):
-        expected = form(p)
-        if expected != actual:
-            report.add(p, f"closed form {expected} != solver {actual}")
-    return report
+    points = list(solver.enumerate_positions(domain, 0 if check == "monotone" else 1))
+
+    def check_values(rules, convention, form) -> solver.VerificationReport:
+        report = solver.VerificationReport(checked_count=len(points))
+        for p, actual in zip(points, solver.board_values(rules, convention, points)):
+            expected = form(p)
+            if expected != actual:
+                report.add(p, f"closed form {expected} != solver {actual}")
+        return report
+
+    return check_values
 
 
 class Theorem(NamedTuple):
@@ -133,8 +144,12 @@ def _monotone_cases(opts):
     conventions = [Convention(opts.convention)] if opts.convention else list(Convention)
     variants = [RuleSet(Family.MONOTONIC_NIM)]
     variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
+    # one memo for every case: a raw board's difference position is
+    # computed once per sweep
+    differences = cache(closedforms.difference_position)
     return [
-        (f"{r.describe()} {c.value}", r, c, partial(closedforms.monotonic_p, r, c))
+        (f"{r.describe()} {c.value}", r, c,
+         partial(closedforms.monotonic_p, r, c, differences))
         for r in variants
         for c in conventions
     ]
@@ -211,9 +226,9 @@ def verify_theorem(name: str, opts) -> solver.VerificationReport:
     for option, default in theorem.bounds.items():
         value = getattr(opts, option)
         bounds[option] = default if value is None else value
-    report = solver.VerificationReport()
+    check, report = _case_checker(theorem.check, bounds), solver.VerificationReport()
     for tag, rules, convention, form in theorem.cases(opts):
-        sub = _check_case(theorem.check, rules, convention, form, bounds)
+        sub = check(rules, convention, form)
         report.checked_count += sub.checked_count
         report.skipped_boundary_count += sub.skipped_boundary_count
         for p, reason in sub.counterexamples:
@@ -263,6 +278,8 @@ def _parse_a1_range(text: str) -> list[int]:
 
 
 def cmd_figure(opts) -> int:
+    from . import analysis
+
     rules, convention = game_of(opts)
     a1_values = _parse_a1_range(opts.a1)
     grids = analysis.figure_grids(
@@ -282,6 +299,8 @@ def cmd_figure(opts) -> int:
 
 
 def cmd_period(opts) -> int:
+    from . import analysis
+
     rules, convention = game_of(opts)
     if opts.translation is not None:
         positions = analysis.three_column_domain(opts.max_a1, opts.max_extent)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import le, sub, xor
+from typing import Callable
 
 from .core import Convention, Family, GameError, NonMonotoneInput, Position, RuleSet
 
@@ -57,10 +58,14 @@ def difference_position(raw) -> Position:
     return tuple(map(sub, seq[1::2], seq[::2]))
 
 
-def monotonic_p(rules: RuleSet, convention: Convention, raw) -> bool:
+def monotonic_p(
+    rules: RuleSet, convention: Convention, differences: Callable, raw
+) -> bool:
     """P-position test for the monotone games via the difference reduction:
-    evaluate the matching (Slow-)Nim predicate on the difference position."""
-    b = difference_position(raw)
+    evaluate the matching (Slow-)Nim predicate on ``differences(raw)``, the
+    difference position (``difference_position``, or a sweep's memo of it:
+    ``verify --theorem thm7`` asks about each raw board once per case)."""
+    b = differences(raw)
     slow = rules.family is Family.MONOTONIC_SLOW_NIM
     if convention is Convention.NORMAL:
         g = slow_nim_grundy_formula(rules.k, b) if slow else nim_grundy_formula(b)

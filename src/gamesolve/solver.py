@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from operator import le, mul
+from operator import itemgetter, le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
@@ -164,8 +164,11 @@ def lattice_table(
     successor lies below the same top, a fixed drop lower, and filling the
     boards in lexicographic order fills it first: one pass, no stack.  The
     drops of the moves on column c depend on a[:c+1] alone, so every
-    extension shares them.  A mex is at most the entry sum, so a Grundy
-    array takes bytes while the caps sum to at most 255, else unsigned ints.
+    extension shares them.  The tops above a prefix are sorted on the next
+    column, so a larger value there keeps a prefix of them, and the last
+    column runs up to a running maximum: no column rescans a gone top.  A
+    mex is at most the entry sum, so a Grundy array takes bytes while the
+    caps sum to at most 255, else unsigned ints.
     """
     caps = tuple(map(max, zip(*tops)))
     k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
@@ -178,19 +181,35 @@ def lattice_table(
     table[0] = int(convention is Convention.NORMAL)  # the empty board; Grundy 0
 
     def fill(a: tuple, index: int, offsets: list, tops: list) -> None:
-        # tops: those above the prefix a; column c goes up to the highest
-        c = len(a)
-        for v in range(a[-1] if a else 0, max(t[c] for t in tops) + 1):
+        # a column c below the last; tops: those above the prefix a, highest
+        # at column c first, so those above a + (v,) are the first n, and
+        # reach[n - 1] is the highest last entry among them
+        c, n = len(a), len(tops)
+        reach = list(accumulate([t[-1] for t in tops], max))
+        for v in range(a[-1] if a else 0, tops[0][c] + 1):
+            while tops[n - 1][c] < v:
+                n -= 1
             here, drops = index + v * radix[c], offsets + drops_of(k, a, v, radix)
-            if c + 1 < m:
-                fill(a + (v,), here, drops, [t for t in tops if t[c] >= v])
-            elif here:
-                values = [table[here - d] for d in drops]
+            if c + 2 < m:
+                above = sorted(tops[:n], key=itemgetter(c + 1), reverse=True)
+                fill(a + (v,), here, drops, above)
+            else:
+                fill_last(a + (v,), here, drops, reach[n - 1])
+
+    def fill_last(a: tuple, index: int, offsets: list, hi: int) -> None:
+        # the last column c, up to hi
+        c = len(a)
+        for v in range(a[-1] if a else 0, hi + 1):
+            here = index + v * radix[c]
+            if here:
+                values = [table[here - d] for d in offsets + drops_of(k, a, v, radix)]
                 # P iff no move reaches a P-board
                 table[here] = mex(values) if convention is None else 1 not in values
 
-    if m:
-        fill((), 0, [], tops)
+    if m == 1:
+        fill_last((), 0, [], caps[0])
+    elif m:
+        fill((), 0, [], sorted(tops, key=itemgetter(0), reverse=True))
     return table
 
 
@@ -221,23 +240,19 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
 
 class Domain(NamedTuple):
     """Finite set of canonical positions: length <= max_piles, entries in
-    1..max_entry (canonical forms carry no zeros)."""
+    1..max_entry (canonical forms carry no zeros); ``enumerate_positions``
+    lists them."""
 
     max_piles: int
     max_entry: int
 
-    def __contains__(self, p: Position) -> bool:
-        return len(p) <= self.max_piles and all(
-            1 <= e <= self.max_entry for e in p
-        )
-
 
 def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
     """Every non-decreasing sequence of at most max_piles entries in
-    lo..max_entry, once, in lexicographic order and lazily (``verify_pset``
-    streams it): with lo = 1 the canonical positions of the domain, with
-    lo = 0 the raw sequences that the monotone-game difference map reads,
-    where zero padding and length parity matter."""
+    lo..max_entry, once, in lexicographic order and lazily: with lo = 1
+    the canonical positions of the domain, with lo = 0 the raw sequences
+    that the monotone-game difference map reads, where zero padding and
+    length parity matter."""
 
     def rec(prefix: Position, lo: int) -> Iterator[Position]:
         yield prefix
@@ -287,25 +302,28 @@ def verify_pset(
     positions with successors outside the domain are only counted as
     skipped when no in-domain witness exists (the witness might live
     outside).  A P->P edge inside the domain is always a hard failure.
+    Each position is labeled once; successors are canonical, so one is in
+    the domain iff it is labeled.
     """
     report = VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
-    for p in enumerate_positions(domain):
+    labels = {p: claimed_p(p) for p in enumerate_positions(domain)}
+    for p, is_p in labels.items():
         report.checked_count += 1
         succ = successors(rules, p)
         if not succ:
-            if claimed_p(p) != terminal_is_p:
+            if is_p != terminal_is_p:
                 report.add(p, "terminal label disagrees with convention")
             continue
-        if claimed_p(p):
+        if is_p:
             for q in succ:
-                if q in domain and claimed_p(q):
+                if q in labels and labels[q]:
                     report.add(p, f"move to claimed P-position {q}")
                     break
         else:
-            if any(q in domain and claimed_p(q) for q in succ):
+            if any(q in labels and labels[q] for q in succ):
                 continue
-            if any(q not in domain for q in succ):
+            if any(q not in labels for q in succ):
                 report.skipped_boundary_count += 1
             else:
                 report.add(p, "claimed N-position with no P-successor")
@@ -319,16 +337,17 @@ def verify_grundy_consistency(
 ) -> VerificationReport:
     """Check that a claimed Grundy labeling is mex-consistent under the
     extended move set, for positions whose successors all stay in the
-    domain; positions with out-of-domain successors are skipped."""
+    domain; positions with out-of-domain successors are skipped.  Each
+    position is labeled once, as in ``verify_pset``."""
     report = VerificationReport()
-    for p in enumerate_positions(domain):
+    labels = {p: labeling(p) for p in enumerate_positions(domain)}
+    for p, label in labels.items():
         succ = successors(ext_rules, p)
-        if any(q not in domain for q in succ):
+        if any(q not in labels for q in succ):
             report.skipped_boundary_count += 1
             continue
         report.checked_count += 1
-        expected = mex(labeling(q) for q in succ)
-        actual = labeling(p)
-        if expected != actual:
-            report.add(p, f"mex of successor labels {expected} != label {actual}")
+        expected = mex(labels[q] for q in succ)
+        if expected != label:
+            report.add(p, f"mex of successor labels {expected} != label {label}")
     return report

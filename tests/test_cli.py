@@ -1,4 +1,5 @@
 from argparse import Namespace
+from collections import Counter
 import json
 import os
 import subprocess
@@ -7,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from gamesolve import Convention, Domain, Family, RuleSet, analysis, cli, verify_pset
+from gamesolve import (
+    Convention,
+    Domain,
+    Family,
+    RuleSet,
+    analysis,
+    cli,
+    closedforms,
+    enumerate_positions,
+    solver,
+    verify_pset,
+)
 from gamesolve.cli import main
 
 
@@ -804,6 +816,29 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (result.returncode, result.stdout, result.stderr) == (0, b"set()\n", b"")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--theorem", "thm1", "--max-entry", "3"),
+        ("outcome", "--game", "nim", "--position", "3,5,6"),
+        ("batch", "--game", "nim", "--input", "{tmp}/positions.txt"),
+    ],
+    ids=["verify", "outcome", "batch"],
+)
+def test_commands_that_read_no_lattice_leave_analysis_unloaded(tmp_path, args):
+    # compiling and running analysis.py costs start-up time; only figure,
+    # period and the bulk check read it
+    (tmp_path / "positions.txt").write_text("1,2\n3,5,6\n")
+    code = (
+        "import sys; from gamesolve.cli import main; code = main(sys.argv[1:]); "
+        "print('gamesolve.analysis' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = run_process("-S", "-c", code, *args)
+    assert (result.returncode, result.stderr) == (0, b"False\n")
+    assert result.stdout
+
+
 def test_batch_threads_start_no_pool(tmp_path):
     path = tmp_path / "positions.txt"
     path.write_text("1,2\n3,5,6\n7\n2,2,9\n")
@@ -926,3 +961,59 @@ def test_points_from_user_options_are_still_canonicalized(monkeypatch, tmp_path,
     forbid_canonicalize(monkeypatch)
     with pytest.raises(Canonicalized):
         main([arg.format(tmp=tmp_path) for arg in args])
+
+
+def counting(monkeypatch, module, name, calls):
+    """Patch ``module.name`` to count each call's arguments in ``calls``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *args: calls.update([(name, *args)]) or real(*args)
+    )
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds, domain",
+    [
+        ("cor2", {"max_piles": 3, "max_entry": 6}, Domain(3, 6)),
+        ("thm6-pset", {"max_entry": 6}, Domain(2, 6)),
+        ("thm6-grundy", {"max_entry": 6}, Domain(2, 6)),
+    ],
+)
+def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, domain):
+    calls = Counter()
+    for name in ("nim_grundy_formula", "slow_nim_grundy_formula"):
+        counting(monkeypatch, closedforms, name, calls)
+    cli.verify_theorem(theorem, verify_opts(**bounds))
+    positions = list(enumerate_positions(domain))
+    if theorem == "cor2":
+        expected = Counter(("nim_grundy_formula", p) for p in positions)
+    else:  # slow-nim k = 1, 2, 3, and nim with add limits 1 and 2
+        expected = Counter(
+            ("slow_nim_grundy_formula", k, p) for k in (1, 2, 3) for p in positions
+        )
+        expected.update(("nim_grundy_formula", p) for p in positions * 2)
+    assert calls == expected
+
+
+def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
+    calls = Counter()
+    counting(monkeypatch, closedforms, "difference_position", calls)
+    report = cli.verify_theorem("thm7", verify_opts(max_piles=3, max_entry=4))
+    raw = list(enumerate_positions(Domain(3, 4), lo=0))
+    assert report.checked_count == 8 * len(raw)  # 4 games x 2 conventions
+    assert calls == Counter(("difference_position", p) for p in raw)
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds",
+    [
+        ("thm4", {"max_entry": 6}),
+        ("thm5", {"max_entry": 6}),
+        ("thm7", {"max_piles": 3, "max_entry": 4}),
+    ],
+)
+def test_value_sweeps_enumerate_their_domain_once(monkeypatch, theorem, bounds):
+    calls = Counter()
+    counting(monkeypatch, solver, "enumerate_positions", calls)
+    report = cli.verify_theorem(theorem, verify_opts(**bounds))
+    assert report.ok and sum(calls.values()) == 1

@@ -63,9 +63,9 @@ def test_difference_position():
 
 def test_monotonic_p_examples():
     nim = RuleSet(Family.MONOTONIC_NIM)
-    assert monotonic_p(nim, Convention.NORMAL, (2, 2)) is True
-    assert monotonic_p(nim, Convention.NORMAL, (1, 2)) is False
-    assert monotonic_p(nim, Convention.MISERE, (1, 2)) is True
+    assert monotonic_p(nim, Convention.NORMAL, difference_position, (2, 2)) is True
+    assert monotonic_p(nim, Convention.NORMAL, difference_position, (1, 2)) is False
+    assert monotonic_p(nim, Convention.MISERE, difference_position, (1, 2)) is True
     memo = MemoTable()
     for raw, conv in [
         ((2, 2), Convention.NORMAL),
@@ -74,7 +74,7 @@ def test_monotonic_p_examples():
     ]:
         canon = canonicalize(raw, Family.MONOTONIC_NIM)
         solver_p = outcome(nim, conv, canon, memo) is Outcome.P
-        assert monotonic_p(nim, conv, raw) == solver_p
+        assert monotonic_p(nim, conv, difference_position, raw) == solver_p
 
 
 def test_monotonic_p_raw_vs_stripped_agree():
@@ -86,8 +86,8 @@ def test_monotonic_p_raw_vs_stripped_agree():
         for conv in Convention:
             for raw in enumerate_positions(Domain(4, 6), lo=0):
                 stripped = tuple(e for e in raw if e)
-                assert monotonic_p(rules, conv, raw) == monotonic_p(
-                    rules, conv, stripped
+                assert monotonic_p(rules, conv, difference_position, raw) == (
+                    monotonic_p(rules, conv, difference_position, stripped)
                 )
 
 

@@ -1,7 +1,7 @@
 """Every public module-level name in src/gamesolve is used somewhere in the
 package other than its own definition, or exported through
 ``gamesolve.__all__``: code that only tests use belongs in the tests.  And
-every module-level import is used by the module that makes it."""
+every import is used by the module or function that makes it."""
 
 import ast
 from collections import Counter
@@ -57,9 +57,18 @@ def test_every_public_name_in_src_has_a_use_in_src():
     assert unused == []
 
 
-def _imported_names(tree):
-    """The name each module-level import binds, but ``from __future__``."""
-    for node in tree.body:
+def _own_nodes(scope):
+    """The nodes under ``scope`` but outside the functions nested in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_nodes(child)
+
+
+def _imported_names(scope):
+    """The name each import in ``scope`` itself binds, but ``from
+    __future__``."""
+    for node in _own_nodes(scope):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0]
@@ -68,14 +77,21 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def test_every_module_level_import_in_src_is_used_by_its_module():
+def test_every_import_in_src_is_used_where_it_is_made():
+    # a module-level import must be used in its module, and one inside a
+    # function (a lazy import) in that function
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":  # it imports to re-export
             continue
         tree = ast.parse(path.read_text())
-        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-        unused += [
-            f"{path.name}:{name}" for name in _imported_names(tree) if name not in names
-        ]
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {sub.id for sub in ast.walk(scope) if isinstance(sub, ast.Name)}
+            unused += [
+                f"{path.name}:{getattr(scope, 'name', '<module>')}:{name}"
+                for name in _imported_names(scope)
+                if name not in names
+            ]
     assert unused == []

@@ -504,6 +504,36 @@ def test_one_pruned_table_fills_what_the_dfs_reaches(
     assert isinstance(built[1], dict) and len(built[1]) == len(reached)
 
 
+# 11 four-column boards of one sum (none dominates another), and narrower
+# boards that some of them dominate once zero-padded and some they do not
+MIXED_ANTICHAIN = [
+    p for p in combinations_with_replacement(range(1, 7), 4) if sum(p) == 13
+] + [(9,), (2, 8), (4, 4, 5), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
+@pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
+def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
+    # each column narrows the tops above a prefix as its value grows; the
+    # dict over the limit shows that no board below a top is missed and no
+    # other board is filled
+    assert len(MIXED_ANTICHAIN) == 15
+    memo = MemoTable()
+    if convention is None:
+        expected = [grundy(rules, p, memo) for p in MIXED_ANTICHAIN]
+        reached = memo.grundy_values[rules]
+    else:
+        expected = [
+            outcome(rules, convention, p, memo) is Outcome.P for p in MIXED_ANTICHAIN
+        ]
+        reached = memo.outcomes[(rules, convention)]
+    assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
+    built = record_tables(monkeypatch)
+    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
+    assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
+    assert isinstance(built[0], dict) and len(built[0]) == len(reached)
+
+
 def lattice_sweeps():
     """The lattice sweeps that read tables, as comparable values."""
     domain = list(analysis.three_column_domain(4, 10))
