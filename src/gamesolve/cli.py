@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import closedforms, games, solver
+from . import solver
 from .core import (
     Convention,
     Family,
@@ -48,6 +48,8 @@ def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list
     that play ends), the others by ``solver.board_values``."""
     normal = convention is Convention.NORMAL
     if rules.family.loopy:
+        from . import closedforms
+
         if rules.family is Family.EXTENDED_SLOW_NIM:
             grundy_of = partial(closedforms.slow_nim_grundy_formula, rules.k)
             is_p = partial(closedforms.slow_nim_p_misere, rules.k)
@@ -62,187 +64,6 @@ def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list
 
 
 # ---------------------------------------------------------------------------
-# theorem verification sweeps
-
-DEFAULT_KS = (1, 2, 3)
-DEFAULT_ADD_LIMITS = (1, 2)
-NIM = RuleSet(Family.NIM)
-DC2 = RuleSet(Family.DIET_CHOMP, k=2)
-
-
-def _case_checker(check: str, bounds: dict) -> Callable:
-    """The function that checks one (rules, convention, closed form) case
-    of a sweep as ``check`` says.  What the cases share, the domain and
-    its points, is built here, once per sweep."""
-    if check == "bulk":  # the formula is the one bulk_formula_agreement applies
-        from . import analysis
-
-        positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
-        return lambda rules, convention, form: analysis.bulk_formula_agreement(
-            rules, convention, positions, analysis.PINNED_BULK_MARGINS
-        )
-    domain = solver.Domain(**bounds)
-    if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
-        return lambda rules, convention, form: solver.verify_pset(
-            rules, convention, lambda p: form(p) == 0, domain
-        )
-    if check == "labels":
-        return lambda rules, convention, form: solver.verify_grundy_consistency(
-            rules, form, domain
-        )
-    # closed form vs engine at each generated board; "monotone" reads raw
-    # sequences (zeros allowed), as the difference map does
-    points = list(solver.enumerate_positions(domain, 0 if check == "monotone" else 1))
-
-    def check_values(rules, convention, form) -> solver.VerificationReport:
-        report = solver.VerificationReport(checked_count=len(points))
-        for p, actual in zip(points, solver.board_values(rules, convention, points)):
-            expected = form(p)
-            if expected != actual:
-                report.add(p, f"closed form {expected} != solver {actual}")
-        return report
-
-    return check_values
-
-
-class Theorem(NamedTuple):
-    """One ``verify --theorem`` sweep.  ``cases(opts)`` lists the (tag, rules,
-    convention, closed form) checked, in order; a counterexample's reason is
-    prefixed with its case's tag, if any.  ``check`` compares a closed form
-    with the engine's values ("values": Grundy values where the convention
-    is None, else P-booleans; "monotone": the same on raw sequences),
-    locally as the loopy games need ("pset": ``verify_pset``; "labels":
-    ``verify_grundy_consistency``), or through
-    ``analysis.bulk_formula_agreement`` ("bulk")."""
-
-    check: str
-    bounds: dict  # each domain option the sweep reads -> its default
-    cases: Callable
-    params: tuple = ()  # each of k, add_limit, convention that cases reads
-    fixed: dict = {}  # domain sizes that no option changes
-    fact: tuple | None = None  # (reason, positions, holds), checked last
-
-
-def _ks(opts):
-    return (opts.k,) if opts.k else DEFAULT_KS
-
-
-def _extended_cases(opts):
-    # each extended game against its non-extended Grundy labeling
-    limits = (opts.add_limit,) if opts.add_limit else DEFAULT_ADD_LIMITS
-    variants = [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in _ks(opts)]
-    variants += [RuleSet(Family.EXTENDED_NIM, add_limit=n) for n in limits]
-    return [
-        (r.describe(), r, Convention.NORMAL,
-         partial(closedforms.slow_nim_grundy_formula, r.k) if r.k
-         else closedforms.nim_grundy_formula)
-        for r in variants
-    ]
-
-
-def _monotone_cases(opts):
-    conventions = [Convention(opts.convention)] if opts.convention else list(Convention)
-    variants = [RuleSet(Family.MONOTONIC_NIM)]
-    variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
-    # one memo for every case: a raw board's difference position is
-    # computed once per sweep
-    differences = cache(closedforms.difference_position)
-    return [
-        (f"{r.describe()} {c.value}", r, c,
-         partial(closedforms.monotonic_p, r, c, differences))
-        for r in variants
-        for c in conventions
-    ]
-
-
-EXTENDED_DOMAIN = {"max_piles": 2, "max_entry": 12}
-
-THEOREMS = {
-    # Nim Grundy values are the XOR of the heap sizes
-    "thm1": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
-        ("nim grundy", NIM, None, closedforms.nim_grundy_formula),
-    ]),
-    # normal-play Nim P-positions are exactly the XOR-zero positions
-    "cor2": Theorem("pset", {"max_piles": 4, "max_entry": 15}, lambda opts: [
-        (None, NIM, Convention.NORMAL, closedforms.nim_grundy_formula),
-    ]),
-    # misere Nim: the XOR rule with the all-ones twist
-    "thm3": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
-        ("misere nim", NIM, Convention.MISERE, closedforms.nim_p_misere),
-    ]),
-    # subtract-1..k Grundy values are the XOR of the entries mod k+1
-    "thm4": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
-        (f"slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), None,
-         partial(closedforms.slow_nim_grundy_formula, k))
-        for k in _ks(opts)
-    ], ("k",)),
-    # misere subtract-1..k: the misere Nim rule on the entries mod k+1
-    "thm5": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
-        (f"misere slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), Convention.MISERE,
-         partial(closedforms.slow_nim_p_misere, k))
-        for k in _ks(opts)
-    ], ("k",)),
-    # the non-extended Grundy labeling stays mex-consistent with add-moves
-    "thm6-grundy": Theorem(
-        "labels", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
-    ),
-    # the extended games keep the non-extended normal-play P-sets,
-    # boundary-aware over a finite window
-    "thm6-pset": Theorem(
-        "pset", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
-    ),
-    # monotone games follow the difference-position reduction, both
-    # conventions, over raw (zero-allowed) sequences
-    "thm7": Theorem(
-        "monotone", {"max_piles": 4, "max_entry": 12}, _monotone_cases,
-        ("k", "convention"),
-    ),
-    # normal-play 2-Diet Chomp is P exactly at totals divisible by 3, and
-    # triangular numbers are never 2 mod 3
-    "lemma8": Theorem("values", {"max_piles": 4, "max_entry": 12}, lambda opts: [
-        ("diet-chomp-2 normal", DC2, Convention.NORMAL, closedforms.diet2_normal_p),
-    ], fact=(
-        "triangular number is 2 mod 3",
-        [(n,) for n in range(1001)],
-        lambda p: closedforms.stairs_mod3_fact(p[0]) != 2,
-    )),
-    # misere 2-Diet Chomp on one or two columns: the difference-mod-3 rule
-    "lemma9": Theorem("values", {"max_entry": 30}, lambda opts: [
-        ("diet-chomp-2 misere narrow", DC2, Convention.MISERE,
-         closedforms.diet2_misere_p_narrow),
-    ], fixed={"max_piles": 2}),
-    # the bulk three-column formula is exact away from the pinned margins
-    "bulk-conjecture": Theorem("bulk", {"max_a1": 11, "max_extent": 20}, lambda opts: [
-        (None, DC2, Convention.MISERE, None),
-    ]),
-}
-
-
-def verify_theorem(name: str, opts) -> solver.VerificationReport:
-    """Run the THEOREMS entry ``name``; each domain bound is the option's
-    value, else the entry's default."""
-    theorem = THEOREMS[name]
-    bounds = dict(theorem.fixed)
-    for option, default in theorem.bounds.items():
-        value = getattr(opts, option)
-        bounds[option] = default if value is None else value
-    check, report = _case_checker(theorem.check, bounds), solver.VerificationReport()
-    for tag, rules, convention, form in theorem.cases(opts):
-        sub = check(rules, convention, form)
-        report.checked_count += sub.checked_count
-        report.skipped_boundary_count += sub.skipped_boundary_count
-        for p, reason in sub.counterexamples:
-            report.add(p, f"{tag}: {reason}" if tag else reason)
-    if theorem.fact is not None:
-        reason, positions, holds = theorem.fact
-        for p in positions:
-            report.checked_count += 1
-            if not holds(p):
-                report.add(p, reason)
-    return report
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -253,12 +74,16 @@ def cmd_outcome(opts) -> int:
     result = {"position": list(p)}
     result.update(solve_position(rules, convention, [p])[0])
     if opts.moves:
+        from . import games
+
         result["moves"] = [r._asdict() for r in games.move_records(rules, p)]
     print(json.dumps(result))
     return EXIT_OK
 
 
 def cmd_verify(opts) -> int:
+    from .theorems import verify_theorem
+
     report = verify_theorem(opts.theorem, opts)
     print(json.dumps({"theorem": opts.theorem, **report.to_dict()}))
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
@@ -362,11 +187,21 @@ def _integers(text: str) -> tuple:
         ) from None
 
 
+def _theorems() -> dict:
+    """THEOREMS; its module, and the closed forms it checks, load on first
+    use, so only verify compiles them."""
+    from .theorems import THEOREMS
+
+    return THEOREMS
+
+
 class Option(NamedTuple):
     """One command-line option."""
 
     flags: tuple  # the first is the one usage shows
-    kwargs: dict = {}  # its type or choices, or its action
+    # its type or choices, or its action; or a function giving them, called
+    # only when a parser of a subcommand that reads the option is built
+    kwargs: dict | Callable = {}
     least: int | None = None  # its least value, if it has one
     help: str | None = None
 
@@ -380,7 +215,7 @@ OPTIONS = {
     "convention": Option(("--convention",), {"choices": [c.value for c in Convention]}),
     "position": Option(("--position",)),
     "moves": Option(("--moves",), FLAG, help="also list legal moves"),
-    "theorem": Option(("--theorem",), {"choices": sorted(THEOREMS)}),
+    "theorem": Option(("--theorem",), lambda: {"choices": sorted(_theorems())}),
     "max_piles": Option(("--max-piles", "--max-cols", "--max-heaps"), INT, 1),
     "max_entry": Option(("--max-height", "--max-entry"), INT, 1),
     "max_a1": Option(("--max-a1",), INT, 0),
@@ -406,17 +241,20 @@ REQUIRED = object()  # the default of an option that must be given
 
 class Command(NamedTuple):
     """One subcommand.  A subcommand whose runs read different options
-    names each run in ``modes``, and ``mode(opts)`` picks the one asked for."""
+    names each run in ``modes()``, and ``mode(opts)`` picks the one asked
+    for."""
 
     run: Callable
     help: str
     options: dict  # each option every run reads -> its default
     mode: Callable = lambda opts: None
-    modes: dict = {}  # each run -> each further option it reads -> its default
+    # each run -> each further option it reads -> its default, called only
+    # when this subcommand's parser is built or its options checked
+    modes: Callable = dict
 
     def parser_options(self) -> dict:
         """Each option of the subcommand -> its argparse default."""
-        further = [name for reads in self.modes.values() for name in reads]
+        further = [name for reads in self.modes().values() for name in reads]
         return {**self.options, **dict.fromkeys(further)}
 
 
@@ -432,8 +270,8 @@ COMMANDS = {
     "verify": Command(
         cmd_verify, "check a closed form against the solver", {"theorem": REQUIRED},
         lambda opts: opts.theorem,
-        {name: dict.fromkeys((*t.bounds, *t.fixed, *t.params))
-         for name, t in THEOREMS.items()},
+        lambda: {name: dict.fromkeys((*t.bounds, *t.fixed, *t.params))
+                 for name, t in _theorems().items()},
     ),
     "figure": Command(cmd_figure, "emit P-position rasters", {
         **LATTICE_GAME, "a1": REQUIRED, "width": 30, "height": 30, "format": "pbm",
@@ -443,17 +281,21 @@ COMMANDS = {
         cmd_period, "directional/translation periodicity", LATTICE_GAME,
         lambda opts: "the directional scan" if opts.translation is None
         else "the translation check",
-        {"the directional scan": {"base": None, "direction": None, "probe": 60,
-                                  "max_period": 16, "max_preperiod": 24},
-         "the translation check": {"translation": None, "max_a1": 12,
-                                   "max_extent": 20}},
+        lambda: {"the directional scan": {"base": None, "direction": None,
+                                          "probe": 60, "max_period": 16,
+                                          "max_preperiod": 24},
+                 "the translation check": {"translation": None, "max_a1": 12,
+                                           "max_extent": 20}},
     ),
     "batch": Command(cmd_batch, "solve one position per input line",
                      {**GAME, "input": REQUIRED, "threads": None}),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; if ``only`` is given, only that
+    subcommand gets its options, so building the parser loads no more than
+    that subcommand reads (verify's options load the theorem table)."""
     parser = argparse.ArgumentParser(
         prog="gamesolve",
         description="Solve and verify Nim variants, monotonic games, and Diet Chomp.",
@@ -461,11 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if only not in (None, name):
+            continue
         for dest, default in command.parser_options().items():
             option, required = OPTIONS[dest], default is REQUIRED
+            kwargs = option.kwargs() if callable(option.kwargs) else option.kwargs
             p.add_argument(
                 *option.flags, dest=dest, required=required, help=option.help,
-                default=None if required else default, **option.kwargs,
+                default=None if required else default, **kwargs,
             )
     return parser
 
@@ -476,7 +321,7 @@ def check_options(opts) -> None:
     its default."""
     command = COMMANDS[opts.command]
     mode = command.mode(opts)
-    reads = {**command.options, **command.modes.get(mode, {})}
+    reads = {**command.options, **command.modes().get(mode, {})}
     for name in command.parser_options():
         value, least = getattr(opts, name), OPTIONS[name].least
         flag = "--" + name.replace("_", "-")
@@ -489,7 +334,10 @@ def check_options(opts) -> None:
 
 
 def main(argv=None) -> int:
-    opts = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the subcommand first named gets its options: nothing but -h can
+    # come before it
+    opts = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         check_options(opts)
         return COMMANDS[opts.command].run(opts)

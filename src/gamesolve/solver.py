@@ -9,12 +9,19 @@ claimed labeling without ever solving the loopy graph.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import itemgetter, le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
-from .games import moves as successors
+
+
+def successors(rules: RuleSet, p: Position) -> list[Position]:
+    """``games.moves``: the boards one move from p.  Only the DFS and the
+    local verifiers expand boards, so ``games`` loads on their first call."""
+    from .games import moves
+
+    return moves(rules, p)
 
 
 def mex(values: Iterable[int]) -> int:
@@ -221,7 +228,9 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     ``enumerate_positions``).  Boards are read unchecked; outside input is
     canonicalized first.  A board reaches exactly the boards below it, so
     the tops are the box corner when it is itself a board (as in every
-    sweep), else the boards that no other board dominates."""
+    sweep), else the boards that no other board dominates.  A board
+    dominates another only if its sum is larger, so each sum's boards are
+    checked against the tops kept from larger sums alone."""
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     if not boards:
@@ -230,9 +239,9 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     padded = [(0,) * (m - len(b)) + b for b in boards]
     caps = tuple(map(max, zip(*padded)))
     tops = []
-    for b in sorted({caps} if caps in padded else set(padded), key=sum, reverse=True):
-        if not any(all(map(le, b, t)) for t in tops):
-            tops.append(b)
+    by_sum = sorted({caps} if caps in padded else set(padded), key=sum, reverse=True)
+    for _, same_sum in groupby(by_sum, sum):
+        tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
     table, radix = lattice_table(rules, convention, *tops), _radix(caps)
     values = [table[sum(map(mul, b, radix))] for b in padded]
     return values if convention is None else [v == 1 for v in values]

@@ -1,0 +1,189 @@
+"""The ``verify --theorem`` sweeps: each closed form the paper states, the
+rule sets and conventions it covers, and how it is checked against the
+engine (``THEOREMS``; ``verify_theorem`` runs one).
+"""
+
+from __future__ import annotations
+
+from functools import cache, partial
+from typing import Callable, NamedTuple
+
+from . import closedforms, solver
+from .core import Convention, Family, RuleSet
+
+DEFAULT_KS = (1, 2, 3)
+DEFAULT_ADD_LIMITS = (1, 2)
+NIM = RuleSet(Family.NIM)
+DC2 = RuleSet(Family.DIET_CHOMP, k=2)
+
+
+def _case_checker(check: str, bounds: dict) -> Callable:
+    """The function that checks one (rules, convention, closed form) case
+    of a sweep as ``check`` says.  What the cases share, the domain and
+    its points, is built here, once per sweep."""
+    if check == "bulk":  # the formula is the one bulk_formula_agreement applies
+        from . import analysis
+
+        positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
+        return lambda rules, convention, form: analysis.bulk_formula_agreement(
+            rules, convention, positions, analysis.PINNED_BULK_MARGINS
+        )
+    domain = solver.Domain(**bounds)
+    if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
+        return lambda rules, convention, form: solver.verify_pset(
+            rules, convention, lambda p: form(p) == 0, domain
+        )
+    if check == "labels":
+        return lambda rules, convention, form: solver.verify_grundy_consistency(
+            rules, form, domain
+        )
+    # closed form vs engine at each generated board; "monotone" reads raw
+    # sequences (zeros allowed), as the difference map does
+    points = list(solver.enumerate_positions(domain, 0 if check == "monotone" else 1))
+
+    def check_values(rules, convention, form) -> solver.VerificationReport:
+        report = solver.VerificationReport(checked_count=len(points))
+        for p, actual in zip(points, solver.board_values(rules, convention, points)):
+            expected = form(p)
+            if expected != actual:
+                report.add(p, f"closed form {expected} != solver {actual}")
+        return report
+
+    return check_values
+
+
+class Theorem(NamedTuple):
+    """One ``verify --theorem`` sweep.  ``cases(opts)`` lists the (tag, rules,
+    convention, closed form) checked, in order; a counterexample's reason is
+    prefixed with its case's tag, if any.  ``check`` compares a closed form
+    with the engine's values ("values": Grundy values where the convention
+    is None, else P-booleans; "monotone": the same on raw sequences),
+    locally as the loopy games need ("pset": ``verify_pset``; "labels":
+    ``verify_grundy_consistency``), or through
+    ``analysis.bulk_formula_agreement`` ("bulk")."""
+
+    check: str
+    bounds: dict  # each domain option the sweep reads -> its default
+    cases: Callable
+    params: tuple = ()  # each of k, add_limit, convention that cases reads
+    fixed: dict = {}  # domain sizes that no option changes
+    fact: tuple | None = None  # (reason, positions, holds), checked last
+
+
+def _ks(opts):
+    return (opts.k,) if opts.k else DEFAULT_KS
+
+
+def _extended_cases(opts):
+    # each extended game against its non-extended Grundy labeling
+    limits = (opts.add_limit,) if opts.add_limit else DEFAULT_ADD_LIMITS
+    variants = [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in _ks(opts)]
+    variants += [RuleSet(Family.EXTENDED_NIM, add_limit=n) for n in limits]
+    return [
+        (r.describe(), r, Convention.NORMAL,
+         partial(closedforms.slow_nim_grundy_formula, r.k) if r.k
+         else closedforms.nim_grundy_formula)
+        for r in variants
+    ]
+
+
+def _monotone_cases(opts):
+    conventions = [Convention(opts.convention)] if opts.convention else list(Convention)
+    variants = [RuleSet(Family.MONOTONIC_NIM)]
+    variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
+    # one memo for every case: a raw board's difference position is
+    # computed once per sweep
+    differences = cache(closedforms.difference_position)
+    return [
+        (f"{r.describe()} {c.value}", r, c,
+         partial(closedforms.monotonic_p, r, c, differences))
+        for r in variants
+        for c in conventions
+    ]
+
+
+EXTENDED_DOMAIN = {"max_piles": 2, "max_entry": 12}
+
+THEOREMS = {
+    # Nim Grundy values are the XOR of the heap sizes
+    "thm1": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        ("nim grundy", NIM, None, closedforms.nim_grundy_formula),
+    ]),
+    # normal-play Nim P-positions are exactly the XOR-zero positions
+    "cor2": Theorem("pset", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        (None, NIM, Convention.NORMAL, closedforms.nim_grundy_formula),
+    ]),
+    # misere Nim: the XOR rule with the all-ones twist
+    "thm3": Theorem("values", {"max_piles": 4, "max_entry": 15}, lambda opts: [
+        ("misere nim", NIM, Convention.MISERE, closedforms.nim_p_misere),
+    ]),
+    # subtract-1..k Grundy values are the XOR of the entries mod k+1
+    "thm4": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+        (f"slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), None,
+         partial(closedforms.slow_nim_grundy_formula, k))
+        for k in _ks(opts)
+    ], ("k",)),
+    # misere subtract-1..k: the misere Nim rule on the entries mod k+1
+    "thm5": Theorem("values", {"max_piles": 3, "max_entry": 15}, lambda opts: [
+        (f"misere slow-nim k={k}", RuleSet(Family.SLOW_NIM, k=k), Convention.MISERE,
+         partial(closedforms.slow_nim_p_misere, k))
+        for k in _ks(opts)
+    ], ("k",)),
+    # the non-extended Grundy labeling stays mex-consistent with add-moves
+    "thm6-grundy": Theorem(
+        "labels", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
+    ),
+    # the extended games keep the non-extended normal-play P-sets,
+    # boundary-aware over a finite window
+    "thm6-pset": Theorem(
+        "pset", EXTENDED_DOMAIN, _extended_cases, ("k", "add_limit")
+    ),
+    # monotone games follow the difference-position reduction, both
+    # conventions, over raw (zero-allowed) sequences
+    "thm7": Theorem(
+        "monotone", {"max_piles": 4, "max_entry": 12}, _monotone_cases,
+        ("k", "convention"),
+    ),
+    # normal-play 2-Diet Chomp is P exactly at totals divisible by 3, and
+    # triangular numbers are never 2 mod 3
+    "lemma8": Theorem("values", {"max_piles": 4, "max_entry": 12}, lambda opts: [
+        ("diet-chomp-2 normal", DC2, Convention.NORMAL, closedforms.diet2_normal_p),
+    ], fact=(
+        "triangular number is 2 mod 3",
+        [(n,) for n in range(1001)],
+        lambda p: closedforms.stairs_mod3_fact(p[0]) != 2,
+    )),
+    # misere 2-Diet Chomp on one or two columns: the difference-mod-3 rule
+    "lemma9": Theorem("values", {"max_entry": 30}, lambda opts: [
+        ("diet-chomp-2 misere narrow", DC2, Convention.MISERE,
+         closedforms.diet2_misere_p_narrow),
+    ], fixed={"max_piles": 2}),
+    # the bulk three-column formula is exact away from the pinned margins
+    "bulk-conjecture": Theorem("bulk", {"max_a1": 11, "max_extent": 20}, lambda opts: [
+        (None, DC2, Convention.MISERE, None),
+    ]),
+}
+
+
+def verify_theorem(name: str, opts) -> solver.VerificationReport:
+    """Run the THEOREMS entry ``name``; each domain bound is the option's
+    value, else the entry's default."""
+    theorem = THEOREMS[name]
+    bounds = dict(theorem.fixed)
+    for option, default in theorem.bounds.items():
+        value = getattr(opts, option)
+        bounds[option] = default if value is None else value
+    check, report = _case_checker(theorem.check, bounds), solver.VerificationReport()
+    for tag, rules, convention, form in theorem.cases(opts):
+        sub = check(rules, convention, form)
+        report.checked_count += sub.checked_count
+        report.skipped_boundary_count += sub.skipped_boundary_count
+        for p, reason in sub.counterexamples:
+            report.add(p, f"{tag}: {reason}" if tag else reason)
+    if theorem.fact is not None:
+        reason, positions, holds = theorem.fact
+        for p in positions:
+            report.checked_count += 1
+            if not holds(p):
+                report.add(p, reason)
+    return report

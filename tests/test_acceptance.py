@@ -16,7 +16,7 @@ from gamesolve import (
     outcome,
     verify_pset,
 )
-from gamesolve import cli
+from gamesolve import theorems
 from gamesolve.analysis import (
     Margins,
     PINNED_BULK_MARGINS,
@@ -66,20 +66,20 @@ def check(n, desc, ok, elapsed, limit):
 
 def test_criterion_1_nim_grundy_closed_form():
     t0 = time.perf_counter()
-    report = cli.verify_theorem("thm1", opts(max_piles=4, max_entry=15))
+    report = theorems.verify_theorem("thm1", opts(max_piles=4, max_entry=15))
     check(1, "Nim Grundy = XOR, <=4 heaps <=15", report.ok, time.perf_counter() - t0, 5)
 
 
 def test_criterion_2_misere_nim():
     t0 = time.perf_counter()
-    report = cli.verify_theorem("thm3", opts(max_piles=4, max_entry=15))
+    report = theorems.verify_theorem("thm3", opts(max_piles=4, max_entry=15))
     check(2, "misere Nim outcomes match predicate", report.ok, time.perf_counter() - t0, 5)
 
 
 def test_criterion_3_slow_nim_closed_forms():
     t0 = time.perf_counter()
-    r4 = cli.verify_theorem("thm4", opts(max_piles=3, max_entry=15))
-    r5 = cli.verify_theorem("thm5", opts(max_piles=3, max_entry=15))
+    r4 = theorems.verify_theorem("thm4", opts(max_piles=3, max_entry=15))
+    r5 = theorems.verify_theorem("thm5", opts(max_piles=3, max_entry=15))
     check(
         3, "k-Slow Nim Grundy/misere closed forms, k in 1..3",
         r4.ok and r5.ok, time.perf_counter() - t0, 10,
@@ -88,8 +88,8 @@ def test_criterion_3_slow_nim_closed_forms():
 
 def test_criterion_4_extended_games():
     t0 = time.perf_counter()
-    rg = cli.verify_theorem("thm6-grundy", opts(max_piles=2, max_entry=12))
-    rp = cli.verify_theorem("thm6-pset", opts(max_piles=2, max_entry=12))
+    rg = theorems.verify_theorem("thm6-grundy", opts(max_piles=2, max_entry=12))
+    rp = theorems.verify_theorem("thm6-pset", opts(max_piles=2, max_entry=12))
     check(
         4, "extended games keep labels/P-sets (boundary-aware)",
         rg.ok and rp.ok, time.perf_counter() - t0, 10,
@@ -98,7 +98,7 @@ def test_criterion_4_extended_games():
 
 def test_criterion_5_monotonic_reduction():
     t0 = time.perf_counter()
-    report = cli.verify_theorem("thm7", opts(max_piles=4, max_entry=12))
+    report = theorems.verify_theorem("thm7", opts(max_piles=4, max_entry=12))
     check(
         5, "monotone games match difference reduction, both conventions",
         report.ok, time.perf_counter() - t0, 30,
@@ -107,7 +107,7 @@ def test_criterion_5_monotonic_reduction():
 
 def test_criterion_6_diet_chomp_normal():
     t0 = time.perf_counter()
-    report = cli.verify_theorem("lemma8", opts(max_piles=4, max_entry=12))
+    report = theorems.verify_theorem("lemma8", opts(max_piles=4, max_entry=12))
     check(
         6, "2-Diet Chomp normal P iff total divisible by 3; stairs fact",
         report.ok, time.perf_counter() - t0, 10,
@@ -116,7 +116,7 @@ def test_criterion_6_diet_chomp_normal():
 
 def test_criterion_7_diet_chomp_misere_narrow():
     t0 = time.perf_counter()
-    report = cli.verify_theorem("lemma9", opts(max_entry=30))
+    report = theorems.verify_theorem("lemma9", opts(max_entry=30))
     check(
         7, "misere narrow boards match difference-mod-3 rule",
         report.ok, time.perf_counter() - t0, 5,

@@ -18,6 +18,7 @@ from gamesolve import (
     closedforms,
     enumerate_positions,
     solver,
+    theorems,
     verify_pset,
 )
 from gamesolve.cli import main
@@ -639,7 +640,7 @@ PARSER_SURFACE = {
         "moves": (("--moves",), False, False, None, False),
     },
     "verify": {
-        "theorem": (("--theorem",), None, True, sorted(cli.THEOREMS), True),
+        "theorem": (("--theorem",), None, True, sorted(theorems.THEOREMS), True),
         "max_piles": (
             ("--max-piles", "--max-cols", "--max-heaps"), None, False, None, True
         ),
@@ -683,8 +684,8 @@ PARSER_SURFACE = {
 }
 
 
-def _subparsers():
-    parser = cli.build_parser()
+def _subparsers(only=None):
+    parser = cli.build_parser(only)
     return next(a for a in parser._actions if a.dest == "command").choices
 
 
@@ -709,6 +710,17 @@ def test_parser_surface_is_pinned(capsys):
             main([*args, "--help"])
         assert exc.value.code == 0, args
         assert capsys.readouterr().out.startswith("usage: gamesolve")
+
+
+def test_a_parser_for_one_subcommand_gives_only_that_one_its_options():
+    # main builds the parser of the subcommand it runs, so that verify's
+    # options alone load the theorem table
+    for only in PARSER_SURFACE:
+        subparsers = _subparsers(only)
+        assert list(subparsers) == list(PARSER_SURFACE)
+        for command, subparser in subparsers.items():
+            dests = {a.dest for a in subparser._actions} - {"help"}
+            assert dests == (set(PARSER_SURFACE[command]) if command == only else set())
 
 
 # each (subcommand, option) with a least value, and that value
@@ -758,10 +770,10 @@ def test_value_below_its_least_exit_2(capsys, tmp_path, command, option, least):
 def test_options_theorems_and_period_modes_read_are_parser_options():
     subparsers = _subparsers()
     verify = {a.dest for a in subparsers["verify"]._actions}
-    for name, theorem in cli.THEOREMS.items():
+    for name, theorem in theorems.THEOREMS.items():
         assert {*theorem.bounds, *theorem.params, *theorem.fixed} <= verify, name
     period = {a.dest for a in subparsers["period"]._actions}
-    for mode, reads in cli.COMMANDS["period"].modes.items():
+    for mode, reads in cli.COMMANDS["period"].modes().items():
         assert set(reads) <= period, mode
 
 
@@ -816,26 +828,45 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (result.returncode, result.stdout, result.stderr) == (0, b"set()\n", b"")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("verify", "--theorem", "thm1", "--max-entry", "3"),
-        ("outcome", "--game", "nim", "--position", "3,5,6"),
-        ("batch", "--game", "nim", "--input", "{tmp}/positions.txt"),
-    ],
-    ids=["verify", "outcome", "batch"],
-)
-def test_commands_that_read_no_lattice_leave_analysis_unloaded(tmp_path, args):
-    # compiling and running analysis.py costs start-up time; only figure,
-    # period and the bulk check read it
+# each command -> the modules it loads of those that load on first use
+LOADED = {
+    ("outcome", "--game", "nim", "--position", "3,5,6"): set(),
+    ("outcome", "--game", "diet-chomp", "--convention", "misere",
+     "--position", "2,4,4"): set(),
+    ("batch", "--game", "nim", "--input", "{tmp}/positions.txt"): set(),
+    ("batch", "--game", "diet-chomp", "--k", "3", "--input",
+     "{tmp}/positions.txt"): set(),
+    ("verify", "--theorem", "thm1", "--max-entry", "3"): {"theorems", "closedforms"},
+    ("verify", "--theorem", "thm7", "--max-entry", "3"): {"theorems", "closedforms"},
+    ("verify", "--theorem", "lemma8", "--max-entry", "3"): {"theorems", "closedforms"},
+    ("verify", "--theorem", "cor2", "--max-entry", "3"):
+        {"theorems", "closedforms", "games"},
+    ("verify", "--theorem", "thm6-pset", "--max-entry", "3"):
+        {"theorems", "closedforms", "games"},
+    ("verify", "--theorem", "bulk-conjecture", "--max-a1", "1", "--max-extent", "3"):
+        {"theorems", "closedforms", "analysis"},
+    ("outcome", "--moves", "--game", "nim", "--position", "3,5,6"): {"games"},
+    ("outcome", "--game", "extended-nim", "--position", "3,5,6"): {"closedforms"},
+    ("figure", "--a1", "0", "--width", "3", "--height", "3", "--out", "{tmp}"):
+        {"analysis"},
+}
+
+
+@pytest.mark.parametrize("args", LOADED, ids=" ".join)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args):
+    # compiling a module costs start-up time on every call; games,
+    # closedforms, theorems and analysis load only for the commands that
+    # run them
     (tmp_path / "positions.txt").write_text("1,2\n3,5,6\n")
     code = (
         "import sys; from gamesolve.cli import main; code = main(sys.argv[1:]); "
-        "print('gamesolve.analysis' in sys.modules, file=sys.stderr); sys.exit(code)"
+        "print(sorted({'games', 'closedforms', 'theorems', 'analysis'} & "
+        "{m.rpartition('.')[2] for m in sys.modules if m.startswith('gamesolve.')}),"
+        " file=sys.stderr); sys.exit(code)"
     )
-    args = [arg.format(tmp=tmp_path) for arg in args]
-    result = run_process("-S", "-c", code, *args)
-    assert (result.returncode, result.stderr) == (0, b"False\n")
+    result = run_process("-S", "-c", code, *[a.format(tmp=tmp_path) for a in args])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.decode() == f"{sorted(LOADED[args])}\n"
     assert result.stdout
 
 
@@ -943,7 +974,7 @@ def test_value_sweeps_read_their_generated_boards_unchecked(
     monkeypatch, theorem, bounds, checked
 ):
     forbid_canonicalize(monkeypatch)
-    report = cli.verify_theorem(theorem, verify_opts(**bounds))
+    report = theorems.verify_theorem(theorem, verify_opts(**bounds))
     assert (report.ok, report.checked_count) == (True, checked)
 
 
@@ -983,7 +1014,7 @@ def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, 
     calls = Counter()
     for name in ("nim_grundy_formula", "slow_nim_grundy_formula"):
         counting(monkeypatch, closedforms, name, calls)
-    cli.verify_theorem(theorem, verify_opts(**bounds))
+    theorems.verify_theorem(theorem, verify_opts(**bounds))
     positions = list(enumerate_positions(domain))
     if theorem == "cor2":
         expected = Counter(("nim_grundy_formula", p) for p in positions)
@@ -998,7 +1029,7 @@ def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, 
 def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
     calls = Counter()
     counting(monkeypatch, closedforms, "difference_position", calls)
-    report = cli.verify_theorem("thm7", verify_opts(max_piles=3, max_entry=4))
+    report = theorems.verify_theorem("thm7", verify_opts(max_piles=3, max_entry=4))
     raw = list(enumerate_positions(Domain(3, 4), lo=0))
     assert report.checked_count == 8 * len(raw)  # 4 games x 2 conventions
     assert calls == Counter(("difference_position", p) for p in raw)
@@ -1015,5 +1046,5 @@ def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
 def test_value_sweeps_enumerate_their_domain_once(monkeypatch, theorem, bounds):
     calls = Counter()
     counting(monkeypatch, solver, "enumerate_positions", calls)
-    report = cli.verify_theorem(theorem, verify_opts(**bounds))
+    report = theorems.verify_theorem(theorem, verify_opts(**bounds))
     assert report.ok and sum(calls.values()) == 1

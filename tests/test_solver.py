@@ -1,13 +1,15 @@
 from argparse import Namespace
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from operator import le
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import analysis, cli, solver
+from gamesolve import analysis, cli, solver, theorems
 from gamesolve import (
     Convention,
     Domain,
@@ -534,6 +536,47 @@ def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
     assert isinstance(built[0], dict) and len(built[0]) == len(reached)
 
 
+def pairwise_tops(boards):
+    """The tops that ``board_values`` hands its table, by definition and
+    pair by pair: the box corner alone when it is a board, else the
+    zero-padded boards that no other board dominates."""
+    m = max(map(len, boards))
+    padded = {(0,) * (m - len(b)) + b for b in boards}
+    caps = tuple(map(max, zip(*padded)))
+    if caps in padded:
+        return [caps]
+    return sorted(
+        b for b in padded if not any(b != t and all(map(le, b, t)) for t in padded)
+    )
+
+
+def random_batch(rng):
+    return [
+        tuple(sorted(rng.randrange(9) for _ in range(rng.randrange(1, 5))))
+        for _ in range(rng.randrange(1, 40))
+    ]
+
+
+# 200 random batches of widths 1..4 with leading zeros; an antichain of
+# one sum; and narrower boards padded under wider ones
+TOP_BATCHES = [random_batch(random.Random(seed)) for seed in range(200)] + [
+    [p for p in combinations_with_replacement(range(1, 34), 4) if sum(p) == 36],
+    MIXED_ANTICHAIN,
+]
+
+
+def test_board_values_hands_its_table_the_undominated_boards(monkeypatch):
+    handed = []
+    monkeypatch.setattr(
+        solver, "lattice_table",
+        lambda rules, convention, *tops: handed.append(tops) or defaultdict(int),
+    )
+    assert len(TOP_BATCHES[-2]) == 351
+    for boards in TOP_BATCHES:
+        solver.board_values(DC2, None, boards)
+        assert sorted(handed.pop()) == pairwise_tops(boards), boards
+
+
 def lattice_sweeps():
     """The lattice sweeps that read tables, as comparable values."""
     domain = list(analysis.three_column_domain(4, 10))
@@ -605,7 +648,7 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
     assert sweeps[4]["ok"] and not sweeps[5]["ok"] and sweeps[6]["ok"]
     assert list(map(len, tops())) == [1] * len(sweeps)
     for name in ("lemma8", "lemma9"):
-        report = cli.verify_theorem(name, Namespace(max_piles=4, max_entry=12))
+        report = theorems.verify_theorem(name, Namespace(max_piles=4, max_entry=12))
         assert report.ok and report.checked_count >= 91
         assert list(map(len, tops())) == [1]
     commands = [

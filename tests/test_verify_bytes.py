@@ -4,7 +4,7 @@ without changing what they print."""
 
 import pytest
 
-from gamesolve import cli, closedforms
+from gamesolve import cli, closedforms, theorems
 
 VERIFY_CASES = [
     # one bound given at a time: the other one is the theorem's default
@@ -307,4 +307,4 @@ def test_theorem_table_matches_parser_choices():
     theorem = next(
         a for a in subparsers["verify"]._actions if a.dest == "theorem"
     )
-    assert sorted(cli.THEOREMS) == list(theorem.choices)
+    assert sorted(theorems.THEOREMS) == list(theorem.choices)
