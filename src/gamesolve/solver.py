@@ -16,12 +16,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
 
 
+_moves = None  # games.moves, imported at the first successors call
+
+
 def successors(rules: RuleSet, p: Position) -> list[Position]:
     """``games.moves``: the boards one move from p.  Only the DFS and the
     local verifiers expand boards, so ``games`` loads on their first call."""
-    from .games import moves
-
-    return moves(rules, p)
+    global _moves
+    if _moves is None:
+        from .games import moves as _moves
+    return _moves(rules, p)
 
 
 def mex(values: Iterable[int]) -> int:
@@ -116,20 +120,22 @@ def _radix(caps: tuple) -> list:
 
 def _nim_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
     # lower column c from v to w >= v - k (any w for Nim) and re-insert it
-    # sorted: the columns of a above w shift one place right
-    full, j, shift, drops = a + (v,), len(a), 0, []
-    for w in range(v - 1, max(0, v - k) - 1 if k else -1, -1):
-        while j and full[j - 1] > w:
-            shift += (full[j] - full[j - 1]) * radix[j]
-            j -= 1
-        drops.append(shift + (full[j] - w) * radix[j])
+    # sorted: while full[j] <= w < full[j + 1] the columns j..c-1 of a shift
+    # one place right, so each gap gives a run of drops radix[j] apart
+    full, low, drops, shift = (0, *a, v), max(0, v - k) if k else 0, [], 0
+    for j in range(len(a), -1, -1):
+        top, bottom, step = full[j + 1], max(full[j], low), radix[j]
+        drops += range(shift + step, shift + (top - bottom) * step + 1, step)
+        if bottom == low:
+            break
+        shift += (top - bottom) * step
     return drops
 
 
 def _monotone_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
     # lower column c to w, with its left neighbour <= w and v - w <= k
-    left = a[-1] if a else 0
-    return [(v - w) * radix[len(a)] for w in range(max(left, v - k if k else 0), v)]
+    step, low = radix[len(a)], max(a[-1] if a else 0, v - k if k else 0)
+    return list(range((v - low) * step, 0, -step))
 
 
 def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
@@ -171,14 +177,18 @@ def lattice_table(
     successor lies below the same top, a fixed drop lower, and filling the
     boards in lexicographic order fills it first: one pass, no stack.  The
     drops of the moves on column c depend on a[:c+1] alone, so every
-    extension shares them.  The tops above a prefix are sorted on the next
-    column, so a larger value there keeps a prefix of them, and the last
-    column runs up to a running maximum: no column rescans a gone top.  A
-    mex is at most the entry sum, so a Grundy array takes bytes while the
-    caps sum to at most 255, else unsigned ints.
+    extension shares them.  The last column fills a row (a fixed prefix) at
+    a time: the cells that its moves reach form a running window, except
+    for Diet Chomp cuts that lower earlier columns too, and an outcome cell
+    stops at its first move to a P-board.  The tops above a prefix are
+    sorted on the next column, so a larger value there keeps a prefix of
+    them, and the last column runs up to a running maximum: no column
+    rescans a gone top.  A mex is at most the entry sum, so a Grundy array
+    takes bytes while the caps sum to at most 255, else unsigned ints.
     """
     caps = tuple(map(max, zip(*tops)))
     k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
+    seeded, chomp = drops_of is _nim_drops, drops_of is _diet_chomp_drops
     if radix[m] > TABLE_CELL_LIMIT:
         table = {}
     elif convention is None and sum(caps) > 255:
@@ -197,21 +207,45 @@ def lattice_table(
             while tops[n - 1][c] < v:
                 n -= 1
             here, drops = index + v * radix[c], offsets + drops_of(k, a, v, radix)
-            if c + 2 < m:
+            if c + 2 == m:
+                fill_last(a + (v,), here, drops, reach[n - 1])
+            elif n == 1:  # one top, as in every sweep: nothing to sort
+                fill(a + (v,), here, drops, tops[:1])
+            else:
                 above = sorted(tops[:n], key=itemgetter(c + 1), reverse=True)
                 fill(a + (v,), here, drops, above)
-            else:
-                fill_last(a + (v,), here, drops, reach[n - 1])
 
     def fill_last(a: tuple, index: int, offsets: list, hi: int) -> None:
-        # the last column c, up to hi
-        c = len(a)
-        for v in range(a[-1] if a else 0, hi + 1):
-            here = index + v * radix[c]
+        # the last column c, up to hi: the cells (a, v), whose moves on
+        # earlier columns drop by ``offsets``.  A move on column c reaches
+        # (a, w) for max(lo, v - k) <= w < v, lo = a[-1], and in Nim and
+        # Slow Nim the boards sorted(a + (w,)) for max(0, v - k) <= w < lo,
+        # which do not depend on v: from (a, lo) the moves on column c - 1
+        # reach them too, the last min(lo, k) drops of ``offsets``.  seen
+        # lists the values of all these boards, lowest w first, and grows
+        # along the row.  A Diet Chomp cut at a height r <= lo lowers earlier
+        # columns too, so while v - k < lo its cells also read their cuts
+        lo, step = a[-1] if a else 0, radix[len(a)]
+        first, below = index + lo * step, min(lo, k or lo) if seeded else 0
+        seen = [table[first - d] for d in reversed(offsets[len(offsets) - below :])]
+        for v in range(lo, hi + 1):
+            here = index + v * step
             if here:
-                values = [table[here - d] for d in offsets + drops_of(k, a, v, radix)]
-                # P iff no move reaches a P-board
-                table[here] = mex(values) if convention is None else 1 not in values
+                window = seen[-k:] if k else seen
+                if chomp and v - k < lo:  # k is set: window is a copy
+                    window += [table[here - d] for d in drops_of(k, a, v, radix)]
+                if convention is None:
+                    table[here] = mex([table[here - d] for d in offsets] + window)
+                elif 1 in window:  # P iff no move reaches a P-board
+                    table[here] = 0
+                else:
+                    for d in offsets:
+                        if table[here - d] == 1:
+                            table[here] = 0
+                            break
+                    else:
+                        table[here] = 1
+            seen.append(table[here])
 
     if m == 1:
         fill_last((), 0, [], caps[0])

@@ -1,10 +1,12 @@
 from argparse import Namespace
+import builtins
 from array import array
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import le
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,18 @@ def naive_grundy(rules, p):
         return mex(solve(s) for s in successors(rules, q))
 
     return solve(p)
+
+
+def test_successors_imports_games_at_its_first_call_alone(monkeypatch):
+    nim, real = RuleSet(Family.NIM), builtins.__import__
+    assert successors(nim, (1, 2)) == [(1,), (1, 1), (2,)]
+    imported = []
+    monkeypatch.setattr(
+        builtins, "__import__",
+        lambda name, *args: imported.append(name) or real(name, *args),
+    )
+    assert successors(nim, (1, 2)) == [(1,), (1, 1), (2,)]
+    assert imported == []
 
 
 def test_mex_examples():
@@ -483,10 +497,20 @@ def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention,
 # no board dominates another, and the corner (3, 4, 4, 4) is none of them
 ANTICHAIN = [(1, 4, 4, 4), (2, 3, 4, 4), (3, 3, 3, 4)]
 
+# a table's last column reads the moves on it from a running window of
+# width k: k = 1 slides it at every cell, and k = 5 covers whole rows of
+# ANTICHAIN and (5, 5, 5) but slides along (300,) and (9,)
+SLOW_WINDOWS = [
+    RuleSet(family, k=k)
+    for family in (Family.SLOW_NIM, Family.MONOTONIC_SLOW_NIM)
+    for k in (1, 5)
+]
 
-@pytest.mark.parametrize("boards", [[(300,), (5, 5, 5)], ANTICHAIN])
+
+# the last of these boards fill a one-column table
+@pytest.mark.parametrize("boards", [[(300,), (5, 5, 5)], ANTICHAIN, [(4,), (9,)]])
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
-@pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
+@pytest.mark.parametrize("rules", FIVE_FAMILIES + SLOW_WINDOWS, ids=RuleSet.describe)
 def test_one_pruned_table_fills_what_the_dfs_reaches(
     monkeypatch, rules, convention, boards
 ):
@@ -514,7 +538,7 @@ MIXED_ANTICHAIN = [
 
 
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
-@pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
+@pytest.mark.parametrize("rules", FIVE_FAMILIES + SLOW_WINDOWS, ids=RuleSet.describe)
 def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
     # each column narrows the tops above a prefix as its value grows; the
     # dict over the limit shows that no board below a top is missed and no
@@ -534,6 +558,51 @@ def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
     monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
     assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
     assert isinstance(built[0], dict) and len(built[0]) == len(reached)
+
+
+# every acyclic rule set: the slow games and Diet Chomp with k in 1..5
+RANDOM_RULES = st.one_of(
+    st.sampled_from([RuleSet(Family.NIM), RuleSet(Family.MONOTONIC_NIM)]),
+    st.builds(
+        lambda family, k: RuleSet(family, k=k),
+        st.sampled_from(
+            [Family.SLOW_NIM, Family.MONOTONIC_SLOW_NIM, Family.DIET_CHOMP]
+        ),
+        st.integers(1, 5),
+    ),
+)
+# one to six canonical boards of widths 0..4 and entries 1..6: with entries
+# this small, some dominate others and some form antichains
+RANDOM_BOARDS = st.lists(
+    st.lists(st.integers(1, 6), max_size=4).map(lambda e: tuple(sorted(e))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RANDOM_RULES, st.sampled_from([*Convention, None]), RANDOM_BOARDS, st.booleans())
+def test_board_values_match_the_dfs_on_random_boards(
+    rules, convention, boards, over_limit
+):
+    memo = MemoTable()
+    if convention is None:  # Grundy values
+        expected = [grundy(rules, p, memo) for p in boards]
+        reached = memo.grundy_values[rules]
+    else:
+        expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
+        reached = memo.outcomes[(rules, convention)]
+    built, real = [], solver.lattice_table
+    limit = 1 if over_limit else solver.TABLE_CELL_LIMIT
+    with patch.object(solver, "TABLE_CELL_LIMIT", limit), patch.object(
+        solver, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
+    ):
+        assert solver.board_values(rules, convention, boards) == expected
+    if over_limit:
+        # a dict of exactly the boards the DFS solved, unless the boards
+        # have no column: then the table is one cell, the empty board
+        assert isinstance(built[0], dict) or not any(boards)
+        assert len(built[0]) == len(reached)
 
 
 def pairwise_tops(boards):
