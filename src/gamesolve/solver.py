@@ -115,27 +115,17 @@ def _radix(caps: tuple) -> list:
 
 
 # Each _*_drops(k, a, v, radix) lists the index drops of the moves on
-# column c = len(a) of a board whose columns are a, then v at column c.
-
-
-def _nim_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
-    # lower column c from v to w >= v - k (any w for Nim) and re-insert it
-    # sorted: while full[j] <= w < full[j + 1] the columns j..c-1 of a shift
-    # one place right, so each gap gives a run of drops radix[j] apart
-    full, low, drops, shift = (0, *a, v), max(0, v - k) if k else 0, [], 0
-    for j in range(len(a), -1, -1):
-        top, bottom, step = full[j + 1], max(full[j], low), radix[j]
-        drops += range(shift + step, shift + (top - bottom) * step + 1, step)
-        if bottom == low:
-            break
-        shift += (top - bottom) * step
-    return drops
+# column c = len(a) of a board whose columns are a, then v at column c,
+# that keep the other columns in place; lattice_table carries the Nim
+# moves that re-sort column c below a[-1] from the column before.
 
 
 def _monotone_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
-    # lower column c to w, with its left neighbour <= w and v - w <= k
+    # lower column c to w, with its left neighbour <= w and v - w <= k,
+    # highest w first: the Nim carry relies on this order (its Slow Nim
+    # budget keeps a prefix of it, and the last column's seed reverses it)
     step, low = radix[len(a)], max(a[-1] if a else 0, v - k if k else 0)
-    return list(range((v - low) * step, 0, -step))
+    return list(range(step, (v - low) * step + 1, step))
 
 
 def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
@@ -153,15 +143,6 @@ def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
     return drops
 
 
-_DROPS = {
-    Family.NIM: _nim_drops,
-    Family.SLOW_NIM: _nim_drops,
-    Family.MONOTONIC_NIM: _monotone_drops,
-    Family.MONOTONIC_SLOW_NIM: _monotone_drops,
-    Family.DIET_CHOMP: _diet_chomp_drops,
-}
-
-
 def lattice_table(
     rules: RuleSet, convention: Convention | None, *tops: tuple
 ) -> bytearray | array | dict:
@@ -177,18 +158,22 @@ def lattice_table(
     successor lies below the same top, a fixed drop lower, and filling the
     boards in lexicographic order fills it first: one pass, no stack.  The
     drops of the moves on column c depend on a[:c+1] alone, so every
-    extension shares them.  The last column fills a row (a fixed prefix) at
-    a time: the cells that its moves reach form a running window, except
-    for Diet Chomp cuts that lower earlier columns too, and an outcome cell
-    stops at its first move to a P-board.  The tops above a prefix are
-    sorted on the next column, so a larger value there keeps a prefix of
-    them, and the last column runs up to a running maximum: no column
-    rescans a gone top.  A mex is at most the entry sum, so a Grundy array
-    takes bytes while the caps sum to at most 255, else unsigned ints.
+    extension shares them.  A Nim move that lowers column c from v below
+    lo = a[-1] re-sorts it, to the board that a move on column c - 1
+    reaches from (a, lo): each column carries the drops of the one before,
+    shifted by (v - lo) * R_c.  The last column fills a row (a fixed
+    prefix) at a time: the cells that its moves reach form a running
+    window, except for Diet Chomp cuts that lower earlier columns too, and
+    an outcome cell stops at its first move to a P-board.  The tops above a
+    prefix are sorted on the next column, so a larger value there keeps a
+    prefix of them, and the last column runs up to a running maximum: no
+    column rescans a gone top.  A mex is at most the entry sum, so a Grundy
+    array takes bytes while the caps sum to at most 255, else unsigned ints.
     """
     caps = tuple(map(max, zip(*tops)))
-    k, m, drops_of, radix = rules.k, len(caps), _DROPS[rules.family], _radix(caps)
-    seeded, chomp = drops_of is _nim_drops, drops_of is _diet_chomp_drops
+    k, m, radix, seeded = rules.k, len(caps), _radix(caps), not rules.family.ordered
+    chomp = rules.family is Family.DIET_CHOMP
+    drops_of = _diet_chomp_drops if chomp else _monotone_drops
     if radix[m] > TABLE_CELL_LIMIT:
         table = {}
     elif convention is None and sum(caps) > 255:
@@ -197,37 +182,43 @@ def lattice_table(
         table = bytearray(radix[m])
     table[0] = int(convention is Convention.NORMAL)  # the empty board; Grundy 0
 
-    def fill(a: tuple, index: int, offsets: list, tops: list) -> None:
-        # a column c below the last; tops: those above the prefix a, highest
-        # at column c first, so those above a + (v,) are the first n, and
-        # reach[n - 1] is the highest last entry among them
-        c, n = len(a), len(tops)
+    def fill(a: tuple, index: int, offsets: list, prev: list, tops: list) -> None:
+        # a column c below the last, whose moves on earlier columns drop by
+        # ``offsets``; prev: the drops of column c - 1 at lo = a[-1], highest
+        # w first.  tops: those above the prefix a, highest at column c
+        # first, so those above a + (v,) are the first n, and reach[n - 1]
+        # is the highest last entry among them
+        c, n, lo = len(a), len(tops), a[-1] if a else 0
         reach = list(accumulate([t[-1] for t in tops], max))
-        for v in range(a[-1] if a else 0, tops[0][c] + 1):
+        for v in range(lo, tops[0][c] + 1):
             while tops[n - 1][c] < v:
                 n -= 1
-            here, drops = index + v * radix[c], offsets + drops_of(k, a, v, radix)
+            own = drops_of(k, a, v, radix)
+            if seeded:  # below lo: column c - 1's moves, shifted, within k
+                # (clamped at 0: a negative stop would cut from the end)
+                shift = (v - lo) * radix[c]
+                own += [d + shift for d in (prev[: max(0, k - v + lo)] if k else prev)]
+            here, drops = index + v * radix[c], offsets + own
             if c + 2 == m:
-                fill_last(a + (v,), here, drops, reach[n - 1])
+                fill_last(a + (v,), here, drops, own, reach[n - 1])
             elif n == 1:  # one top, as in every sweep: nothing to sort
-                fill(a + (v,), here, drops, tops[:1])
+                fill(a + (v,), here, drops, own, tops[:1])
             else:
                 above = sorted(tops[:n], key=itemgetter(c + 1), reverse=True)
-                fill(a + (v,), here, drops, above)
+                fill(a + (v,), here, drops, own, above)
 
-    def fill_last(a: tuple, index: int, offsets: list, hi: int) -> None:
+    def fill_last(a: tuple, index: int, offsets: list, prev: list, hi: int) -> None:
         # the last column c, up to hi: the cells (a, v), whose moves on
         # earlier columns drop by ``offsets``.  A move on column c reaches
         # (a, w) for max(lo, v - k) <= w < v, lo = a[-1], and in Nim and
         # Slow Nim the boards sorted(a + (w,)) for max(0, v - k) <= w < lo,
-        # which do not depend on v: from (a, lo) the moves on column c - 1
-        # reach them too, the last min(lo, k) drops of ``offsets``.  seen
-        # lists the values of all these boards, lowest w first, and grows
-        # along the row.  A Diet Chomp cut at a height r <= lo lowers earlier
-        # columns too, so while v - k < lo its cells also read their cuts
+        # which do not depend on v: from (a, lo) the prefix column's own
+        # drops ``prev`` reach them.  seen lists the values of all these
+        # boards, lowest w first, and grows along the row.  A Diet Chomp
+        # cut at a height r <= lo lowers earlier columns too, so while
+        # v - k < lo its cells also read their cuts
         lo, step = a[-1] if a else 0, radix[len(a)]
-        first, below = index + lo * step, min(lo, k or lo) if seeded else 0
-        seen = [table[first - d] for d in reversed(offsets[len(offsets) - below :])]
+        seen = [table[index + lo * step - d] for d in reversed(prev)] if seeded else []
         for v in range(lo, hi + 1):
             here = index + v * step
             if here:
@@ -248,9 +239,9 @@ def lattice_table(
             seen.append(table[here])
 
     if m == 1:
-        fill_last((), 0, [], caps[0])
+        fill_last((), 0, [], [], caps[0])
     elif m:
-        fill((), 0, [], sorted(tops, key=itemgetter(0), reverse=True))
+        fill((), 0, [], [], sorted(tops, key=itemgetter(0), reverse=True))
     return table
 
 

@@ -1,6 +1,7 @@
 """Every public module-level name in src/gamesolve is used somewhere in the
 package other than its own definition, or exported through
-``gamesolve.__all__``: code that only tests use belongs in the tests.  And
+``gamesolve.__all__``: code that only tests use belongs in the tests.  Every
+private one is used in its own module other than its definition.  And
 every import is used by the module or function that makes it."""
 
 import ast
@@ -54,6 +55,21 @@ def test_every_public_name_in_src_has_a_use_in_src():
         and name not in ALLOWED
         and uses[name] == Counter(_references(node))[name]
     ]
+    assert unused == []
+
+
+def test_every_private_name_in_src_has_a_use_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses = Counter(_references(tree))
+        unused += [
+            f"{path.name}:{name}"
+            for name, node in _definitions(tree)
+            if name.startswith("_")
+            and not name.startswith("__")
+            and uses[name] == Counter(_references(node))[name]
+        ]
     assert unused == []
 
 

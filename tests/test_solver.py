@@ -507,8 +507,13 @@ SLOW_WINDOWS = [
 ]
 
 
-# the last of these boards fill a one-column table
-@pytest.mark.parametrize("boards", [[(300,), (5, 5, 5)], ANTICHAIN, [(4,), (9,)]])
+# (4,) and (9,) fill a one-column table; in the seven-column board a heap
+# lowered to 0 re-sorts past six columns, so the Nim moves that each
+# column carries from the one before go through every column
+@pytest.mark.parametrize(
+    "boards",
+    [[(300,), (5, 5, 5)], ANTICHAIN, [(4,), (9,)], [(1, 2, 2, 3, 4, 5, 6)]],
+)
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
 @pytest.mark.parametrize("rules", FIVE_FAMILIES + SLOW_WINDOWS, ids=RuleSet.describe)
 def test_one_pruned_table_fills_what_the_dfs_reaches(
