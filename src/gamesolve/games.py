@@ -1,12 +1,15 @@
-"""Successor generators for each game family.
+"""Successor generators: one per move kind.
 
-Each family has one move generator, which takes a canonical position and
-lists its legal moves as ``(kind, index, amount, result)`` tuples, the
-fields of ``MoveRecord``.  Every legal move keeps a position's shape (a
-multiset, or a non-decreasing sequence), so each result is built in
-canonical form directly.  ``moves`` returns the deduplicated,
-lexicographically sorted results, so output is deterministic across
-platforms; ``move_records`` the annotated moves.
+``subtract_move_records`` lowers one entry, and serves Nim, Slow Nim and
+their Monotonic and Extended versions; ``add_move_records`` raises one
+heap, and the Extended games list its moves after the subtract moves;
+``diet_chomp_move_records`` cuts Diet Chomp's quadrant.  Each takes a
+canonical position and lists its legal moves as ``(kind, index, amount,
+result)`` tuples, the fields of ``MoveRecord``.  Every legal move keeps
+a position's shape (a multiset, or a non-decreasing sequence), so each
+result is built in canonical form directly.  ``moves`` returns the
+deduplicated, lexicographically sorted results, so output is
+deterministic across platforms; ``move_records`` the annotated moves.
 """
 
 from __future__ import annotations
@@ -24,30 +27,20 @@ from .core import (
 )
 
 
-def nim_move_records(p: Position) -> list[tuple]:
-    """Reduce one heap from a to a' with 0 <= a' < a."""
+def subtract_move_records(k: int | None, ordered: bool, p: Position) -> list[tuple]:
+    """Lower one entry a to a' with floor <= a' < a, and a - a' <= k unless
+    k is None.  The floor is the left neighbour in an ordered family and 0
+    otherwise, so a lowered entry of an ordered position never re-sorts."""
     records = []
     for i, a in enumerate(p):
         rest = p[:i] + p[i + 1 :]
-        records.append(("subtract", i + 1, a, rest))
-        for new in range(1, a):
-            j = bisect(rest, new, 0, i)  # p is sorted and new < a
+        lo = max(p[i - 1] if ordered and i else 0, a - k if k else 0)
+        if not lo:  # canonical form strips the emptied entry
+            records.append(("subtract", i + 1, a, rest))
+        for new in range(max(lo, 1), a):
+            # p is sorted and new < a; ordered, p[:i] <= new, so j == i
+            j = bisect(rest, new, 0, i)
             records.append(("subtract", i + 1, a - new, rest[:j] + (new,) + rest[j:]))
-    return records
-
-
-def slow_nim_move_records(k: int, p: Position) -> list[tuple]:
-    """Subtract s in 1..min(k, a) from one heap of size a."""
-    records = []
-    for i, a in enumerate(p):
-        rest = p[:i] + p[i + 1 :]
-        for s in range(1, min(k, a) + 1):
-            new = a - s
-            if new:
-                j = bisect(rest, new, 0, i)  # p is sorted and new < a
-                records.append(("subtract", i + 1, s, rest[:j] + (new,) + rest[j:]))
-            else:
-                records.append(("subtract", i + 1, s, rest))
     return records
 
 
@@ -64,22 +57,6 @@ def add_move_records(limit: int, p: Position) -> list[tuple]:
                 raise BoundsExceeded(f"entry {new} exceeds limit {MAX_ENTRY}")
             j = bisect(rest, new, i)  # p is sorted and new > a
             records.append(("add", i + 1, s, rest[:j] + (new,) + rest[j:]))
-    return records
-
-
-def monotonic_move_records(k: int | None, p: Position) -> list[tuple]:
-    """Reduce entry i to a' with left-neighbor <= a' < a_i (neighbor of the
-    first entry is 0), and with a_i - a' <= k unless k is None (Monotonic
-    Nim); the result stays non-decreasing by construction."""
-    records = []
-    for i, a in enumerate(p):
-        left = p[i - 1] if i > 0 else 0
-        lo = a - k if k is not None else left
-        head, tail = p[:i], p[i + 1 :]
-        for new in range(max(left, lo), a):
-            # only the first entry can drop to 0, which canonical form strips
-            result = head + (new,) + tail if new else tail
-            records.append(("subtract", i + 1, a - new, result))
     return records
 
 
@@ -150,19 +127,9 @@ def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
 
 
 def _records(rules: RuleSet, p: Position) -> list[tuple]:
-    f = rules.family
-    if f is Family.NIM:
-        return nim_move_records(p)
-    if f is Family.SLOW_NIM:
-        return slow_nim_move_records(rules.k, p)
-    if f is Family.EXTENDED_NIM:
-        return nim_move_records(p) + add_move_records(rules.add_limit, p)
-    if f is Family.EXTENDED_SLOW_NIM:
-        return slow_nim_move_records(rules.k, p) + add_move_records(rules.k, p)
-    if f is Family.MONOTONIC_NIM:
-        return monotonic_move_records(None, p)
-    if f is Family.MONOTONIC_SLOW_NIM:
-        return monotonic_move_records(rules.k, p)
-    if f is Family.DIET_CHOMP:
+    if rules.family is Family.DIET_CHOMP:
         return diet_chomp_move_records(rules.k, p)
-    raise ValueError(f"unknown family {f}")
+    records = subtract_move_records(rules.k, rules.family.ordered, p)
+    if rules.family.loopy:
+        records += add_move_records(rules.add_limit or rules.k, p)
+    return records

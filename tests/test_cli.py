@@ -542,9 +542,9 @@ def test_vacuous_sweep_bounds_exit_2(capsys, args):
     assert err.startswith(f"error: {args[-2]} must be >= ")
 
 
-# the exact stdout of `outcome --moves` for one position per family, as the
-# generators that canonicalized each successor printed it: Nim's equal heaps
-# give duplicate results, the extended games list their add moves last
+# the exact stdout of `outcome --moves` for one position per family: each
+# heap's subtract moves come largest amount first, Nim's equal heaps give
+# duplicate results, and the extended games list their add moves last
 MOVES_BYTES = {
     "--game nim --position 1,1": (
         '{"position": [1, 1], "outcome": "P", "grundy": 0, "moves": ['
@@ -562,12 +562,12 @@ MOVES_BYTES = {
     ),
     "--game slow-nim --k 2 --position 2,4,4": (
         '{"position": [2, 4, 4], "outcome": "N", "grundy": 2, "moves": ['
-        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1, 4, 4]}, '
         '{"kind": "subtract", "index": 1, "amount": 2, "result": [4, 4]}, '
-        '{"kind": "subtract", "index": 2, "amount": 1, "result": [2, 3, 4]}, '
+        '{"kind": "subtract", "index": 1, "amount": 1, "result": [1, 4, 4]}, '
         '{"kind": "subtract", "index": 2, "amount": 2, "result": [2, 2, 4]}, '
-        '{"kind": "subtract", "index": 3, "amount": 1, "result": [2, 3, 4]}, '
-        '{"kind": "subtract", "index": 3, "amount": 2, "result": [2, 2, 4]}]}\n'
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [2, 3, 4]}, '
+        '{"kind": "subtract", "index": 3, "amount": 2, "result": [2, 2, 4]}, '
+        '{"kind": "subtract", "index": 3, "amount": 1, "result": [2, 3, 4]}]}\n'
     ),
     "--game extended-nim --add-limit 2 --position 1,1": (
         '{"position": [1, 1], "outcome": "P", "grundy": 0, "moves": ['
@@ -581,8 +581,8 @@ MOVES_BYTES = {
     "--game extended-slow-nim --k 2 --position 3,1": (
         '{"position": [1, 3], "outcome": "N", "grundy": 1, "moves": ['
         '{"kind": "subtract", "index": 1, "amount": 1, "result": [3]}, '
-        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1, 2]}, '
         '{"kind": "subtract", "index": 2, "amount": 2, "result": [1, 1]}, '
+        '{"kind": "subtract", "index": 2, "amount": 1, "result": [1, 2]}, '
         '{"kind": "add", "index": 1, "amount": 1, "result": [2, 3]}, '
         '{"kind": "add", "index": 1, "amount": 2, "result": [3, 3]}, '
         '{"kind": "add", "index": 2, "amount": 1, "result": [1, 4]}, '
@@ -915,6 +915,7 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
          "--out", str(tmp_path / "figs")),
         ("batch", "--game", "diet-chomp", "--input", str(positions)),
         ("outcome", "--game", "nim", "--position", "3,5,6"),
+        ("outcome", "--moves", "--game", "slow-nim", "--k", "2", "--position", "2,4,4"),
     ]
     for i, args in enumerate(commands):
         plain = run_process("-m", "gamesolve.cli", *args)

@@ -1,8 +1,8 @@
 """Every public module-level name in src/gamesolve is used somewhere in the
-package other than its own definition, or exported through
-``gamesolve.__all__``: code that only tests use belongs in the tests.  Every
-private one is used in its own module other than its definition.  And
-every import is used by the module or function that makes it."""
+package other than its own definition and ``__init__.py``'s re-export: code
+that only tests use belongs in the tests.  Every private one is used in its
+own module other than its definition.  And every import is used by the
+module or function that makes it."""
 
 import ast
 from collections import Counter
@@ -16,6 +16,10 @@ ALLOWED = {
     # the explicit three-rule 2-Diet Chomp generator: the independent route
     # that criterion 11 cross-checks against the quadrant generator
     "diet_chomp2_moves_explicit",
+    # the DFS: the tests' oracle for the lattice tables, and the benchmark's
+    # tracer patches both names in ``solver``
+    "grundy",
+    "outcome",
 }
 
 
@@ -44,14 +48,17 @@ def _references(node):
 
 
 def test_every_public_name_in_src_has_a_use_in_src():
-    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in SRC.glob("*.py")
+        if path.name != "__init__.py"  # a re-export is not a use
+    }
     uses = Counter(ref for tree in trees.values() for ref in _references(tree))
     unused = [
         f"{module}:{name}"
         for module, tree in sorted(trees.items())
         for name, node in _definitions(tree)
         if not name.startswith("_")
-        and name not in gamesolve.__all__
         and name not in ALLOWED
         and uses[name] == Counter(_references(node))[name]
     ]

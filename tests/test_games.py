@@ -112,7 +112,7 @@ def ref_nim_records(p):
 def ref_slow_nim_records(k, p):
     records = []
     for i, a in enumerate(p):
-        for s in range(1, min(k, a) + 1):
+        for s in range(min(k, a), 0, -1):
             result = canonicalize(p[:i] + (a - s,) + p[i + 1 :], Family.NIM)
             records.append(MoveRecord("subtract", i + 1, s, result))
     return records
@@ -172,6 +172,14 @@ def test_canonical_generators_equal_slow_reference(rules):
         assert records == expected, p
         assert all(type(r) is MoveRecord for r in records)
         assert moves(rules, p) == sorted({r.result for r in expected}), p
+
+
+def test_a_k_as_large_as_every_entry_is_no_limit():
+    # the slow games list their moves in the order their unbounded twins do
+    for p in young_positions(4, 8):
+        assert move_records(slow_nim(8), p) == move_records(NIM, p), p
+        slow = move_records(monotonic_slow_nim(8), p)
+        assert slow == move_records(MONOTONIC_NIM, p), p
 
 
 @pytest.mark.parametrize(
