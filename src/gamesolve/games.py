@@ -4,17 +4,25 @@
 their Monotonic and Extended versions; ``add_move_records`` raises one
 heap, and the Extended games list its moves after the subtract moves;
 ``diet_chomp_move_records`` cuts Diet Chomp's quadrant.  Each takes a
-canonical position and lists its legal moves as ``(kind, index, amount,
-result)`` tuples, the fields of ``MoveRecord``.  Every legal move keeps
-a position's shape (a multiset, or a non-decreasing sequence), so each
-result is built in canonical form directly.  ``moves`` returns the
-deduplicated, lexicographically sorted results, so output is
-deterministic across platforms; ``move_records`` the annotated moves.
+canonical position and generates its legal moves as ``(kind, index,
+amount, result)`` tuples, the fields of ``MoveRecord``.  Every legal move
+keeps a position's shape (a multiset, or a non-decreasing sequence), so
+each result is built in canonical form directly.  The subtract moves come
+lazily, so a reader that stops early builds no more of them; the add and
+cut moves come as lists: an add past ``MAX_ENTRY`` raises
+``BoundsExceeded`` at the call, and the tests compare the cuts with a
+reference list.  ``moves`` returns the deduplicated, lexicographically
+sorted results, so output is deterministic across platforms;
+``move_records`` the annotated moves; ``successor_stream`` the results as
+generated, which the local verifiers read until a board is settled.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .core import (
     MAX_ENTRY,
@@ -27,21 +35,19 @@ from .core import (
 )
 
 
-def subtract_move_records(k: int | None, ordered: bool, p: Position) -> list[tuple]:
+def subtract_move_records(k: int | None, ordered: bool, p: Position) -> Iterator[tuple]:
     """Lower one entry a to a' with floor <= a' < a, and a - a' <= k unless
     k is None.  The floor is the left neighbour in an ordered family and 0
     otherwise, so a lowered entry of an ordered position never re-sorts."""
-    records = []
     for i, a in enumerate(p):
         rest = p[:i] + p[i + 1 :]
         lo = max(p[i - 1] if ordered and i else 0, a - k if k else 0)
         if not lo:  # canonical form strips the emptied entry
-            records.append(("subtract", i + 1, a, rest))
+            yield ("subtract", i + 1, a, rest)
         for new in range(max(lo, 1), a):
             # p is sorted and new < a; ordered, p[:i] <= new, so j == i
             j = bisect(rest, new, 0, i)
-            records.append(("subtract", i + 1, a - new, rest[:j] + (new,) + rest[j:]))
-    return records
+            yield ("subtract", i + 1, a - new, rest[:j] + (new,) + rest[j:])
 
 
 def add_move_records(limit: int, p: Position) -> list[tuple]:
@@ -118,7 +124,7 @@ def _replace(p: Position, i: int, value: int) -> Position:
 
 def moves(rules: RuleSet, p: Position) -> list[Position]:
     """Deduplicated, sorted canonical successors of canonical p."""
-    return sorted({r[3] for r in _records(rules, p)})
+    return sorted(set(successor_stream(rules, p)))
 
 
 def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
@@ -126,10 +132,16 @@ def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:
     return [MoveRecord(*r) for r in _records(rules, p)]
 
 
-def _records(rules: RuleSet, p: Position) -> list[tuple]:
+def successor_stream(rules: RuleSet, p: Position) -> Iterator[Position]:
+    """The canonical successors of canonical p, lazily, in generator order,
+    duplicates kept."""
+    return map(itemgetter(3), _records(rules, p))
+
+
+def _records(rules: RuleSet, p: Position) -> Iterable[tuple]:
     if rules.family is Family.DIET_CHOMP:
         return diet_chomp_move_records(rules.k, p)
     records = subtract_move_records(rules.k, rules.family.ordered, p)
-    if rules.family.loopy:
-        records += add_move_records(rules.add_limit or rules.k, p)
+    if rules.family.loopy:  # the add list is built, and checked, here
+        return chain(records, add_move_records(rules.add_limit or rules.k, p))
     return records

@@ -20,8 +20,9 @@ _moves = None  # games.moves, imported at the first successors call
 
 
 def successors(rules: RuleSet, p: Position) -> list[Position]:
-    """``games.moves``: the boards one move from p.  Only the DFS and the
-    local verifiers expand boards, so ``games`` loads on their first call."""
+    """``games.moves``: the boards one move from p, deduplicated and sorted.
+    Only the DFS calls it, so ``games`` loads on its first call; the local
+    verifiers read ``games.successor_stream`` instead."""
     global _moves
     if _moves is None:
         from .games import moves as _moves
@@ -286,15 +287,19 @@ def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
     lo..max_entry, once, in lexicographic order and lazily: with lo = 1
     the canonical positions of the domain, with lo = 0 the raw sequences
     that the monotone-game difference map reads, where zero padding and
-    length parity matter."""
-
-    def rec(prefix: Position, lo: int) -> Iterator[Position]:
-        yield prefix
-        if len(prefix) < domain.max_piles:
-            for v in range(lo, domain.max_entry + 1):
-                yield from rec(prefix + (v,), v)
-
-    return rec((), lo)
+    length parity matter.  After p comes its least extension, else p with
+    its last entry below max_entry raised by one and the rest cut."""
+    m, top, p = domain.max_piles, domain.max_entry, ()
+    while True:
+        yield p
+        if len(p) < m and lo <= top:
+            p += (p[-1] if p else lo,)
+            continue
+        while p and p[-1] == top:
+            p = p[:-1]
+        if not p:
+            return
+        p = p[:-1] + (p[-1] + 1,)
 
 
 class VerificationReport:
@@ -335,32 +340,34 @@ def verify_pset(
     claimed N-position must have an in-domain P-successor, except that
     positions with successors outside the domain are only counted as
     skipped when no in-domain witness exists (the witness might live
-    outside).  A P->P edge inside the domain is always a hard failure.
-    Each position is labeled once; successors are canonical, so one is in
-    the domain iff it is labeled.
+    outside).  A P->P edge inside the domain is always a hard failure,
+    reported at the least such successor.  Each position is labeled once;
+    successors are canonical, so one is in the domain iff it is labeled.
+    A claimed N-position reads its successors, in ``games`` order, up to
+    the first claimed P-position; only one without such a witness reads
+    them all again.
     """
+    from .games import successor_stream
+
     report = VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
     labels = {p: claimed_p(p) for p in enumerate_positions(domain)}
     for p, is_p in labels.items():
         report.checked_count += 1
-        succ = successors(rules, p)
+        if not is_p and any(map(labels.get, successor_stream(rules, p))):
+            continue
+        succ = list(successor_stream(rules, p))
         if not succ:
             if is_p != terminal_is_p:
                 report.add(p, "terminal label disagrees with convention")
-            continue
-        if is_p:
-            for q in succ:
-                if q in labels and labels[q]:
-                    report.add(p, f"move to claimed P-position {q}")
-                    break
+        elif is_p:
+            hits = [q for q in succ if labels.get(q)]
+            if hits:
+                report.add(p, f"move to claimed P-position {min(hits)}")
+        elif any(q not in labels for q in succ):
+            report.skipped_boundary_count += 1
         else:
-            if any(q in labels and labels[q] for q in succ):
-                continue
-            if any(q not in labels for q in succ):
-                report.skipped_boundary_count += 1
-            else:
-                report.add(p, "claimed N-position with no P-successor")
+            report.add(p, "claimed N-position with no P-successor")
     return report
 
 
@@ -371,17 +378,22 @@ def verify_grundy_consistency(
 ) -> VerificationReport:
     """Check that a claimed Grundy labeling is mex-consistent under the
     extended move set, for positions whose successors all stay in the
-    domain; positions with out-of-domain successors are skipped.  Each
-    position is labeled once, as in ``verify_pset``."""
+    domain; positions with out-of-domain successors are skipped, at the
+    first one read.  Each position is labeled once, as in ``verify_pset``."""
+    from .games import successor_stream
+
     report = VerificationReport()
     labels = {p: labeling(p) for p in enumerate_positions(domain)}
     for p, label in labels.items():
-        succ = successors(ext_rules, p)
-        if any(q not in labels for q in succ):
-            report.skipped_boundary_count += 1
-            continue
-        report.checked_count += 1
-        expected = mex(labels[q] for q in succ)
-        if expected != label:
-            report.add(p, f"mex of successor labels {expected} != label {label}")
+        values = []
+        for q in successor_stream(ext_rules, p):
+            if q not in labels:
+                report.skipped_boundary_count += 1
+                break
+            values.append(labels[q])
+        else:
+            report.checked_count += 1
+            expected = mex(values)
+            if expected != label:
+                report.add(p, f"mex of successor labels {expected} != label {label}")
     return report

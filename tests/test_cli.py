@@ -17,6 +17,7 @@ from gamesolve import (
     cli,
     closedforms,
     enumerate_positions,
+    games,
     solver,
     theorems,
     verify_pset,
@@ -911,6 +912,8 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
     commands = [
         ("verify", "--theorem", "thm1", "--max-entry", "3"),
         ("verify", "--theorem", "lemma9", "--max-height", "5"),
+        ("verify", "--theorem", "cor2", "--max-entry", "3"),
+        ("verify", "--theorem", "thm6-pset", "--max-entry", "4"),
         ("figure", "--a1", "0", "--width", "3", "--height", "3",
          "--out", str(tmp_path / "figs")),
         ("batch", "--game", "diet-chomp", "--input", str(positions)),
@@ -1025,6 +1028,24 @@ def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, 
         )
         expected.update(("nim_grundy_formula", p) for p in positions * 2)
     assert calls == expected
+
+
+def test_cor2_reads_successors_up_to_the_first_witness(monkeypatch):
+    # a claimed N-board stops at its first claimed P-successor, so cor2
+    # with the true claim draws fewer subtract moves than the boards have
+    drawn, real = [], games.subtract_move_records
+
+    def counting(*args):
+        for record in real(*args):
+            drawn.append(record)
+            yield record
+
+    monkeypatch.setattr(games, "subtract_move_records", counting)
+    report = theorems.verify_theorem("cor2", verify_opts(max_piles=3, max_entry=6))
+    assert report.ok
+    positions = list(enumerate_positions(Domain(3, 6)))
+    full = sum(len(list(real(None, False, p))) for p in positions)
+    assert 0 < len(drawn) < full
 
 
 def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):

@@ -236,6 +236,26 @@ def test_enumerate_positions_matches_brute_force(domain, lo):
     assert list(enumerate_positions(domain, lo)) == expected
 
 
+def recursive_positions(domain, lo):
+    """The recursive walk that ``enumerate_positions`` replaced: a prefix,
+    then each extension by an entry no lower than its last."""
+
+    def rec(prefix, lo):
+        yield prefix
+        if len(prefix) < domain.max_piles:
+            for v in range(lo, domain.max_entry + 1):
+                yield from rec(prefix + (v,), v)
+
+    return rec((), lo)
+
+
+def test_enumerate_positions_matches_the_recursive_walk():
+    for piles, entry, lo in product(range(6), range(8), (0, 1)):
+        domain = Domain(piles, entry)
+        expected = list(recursive_positions(domain, lo))
+        assert list(enumerate_positions(domain, lo)) == expected, (domain, lo)
+
+
 def test_verify_pset_nim_normal():
     report = verify_pset(
         RuleSet(Family.NIM),
@@ -755,3 +775,118 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
                         ("thm7", 8)):
         assert cli.main(["verify", "--theorem", name, "--max-entry", "7"]) == 0
         assert list(map(len, tops())) == [1] * cases, name
+
+
+# ---------------------------------------------------------------------------
+# the local verifiers against their eager references
+
+
+def ref_verify_pset(rules, convention, claimed_p, domain):
+    """``verify_pset`` as it read every board's sorted, deduplicated
+    successors: the reference that the lazy verifier must match."""
+    report = solver.VerificationReport()
+    terminal_is_p = convention is Convention.NORMAL
+    labels = {p: claimed_p(p) for p in enumerate_positions(domain)}
+    for p, is_p in labels.items():
+        report.checked_count += 1
+        succ = successors(rules, p)
+        if not succ:
+            if is_p != terminal_is_p:
+                report.add(p, "terminal label disagrees with convention")
+            continue
+        if is_p:
+            for q in succ:
+                if q in labels and labels[q]:
+                    report.add(p, f"move to claimed P-position {q}")
+                    break
+        else:
+            if any(q in labels and labels[q] for q in succ):
+                continue
+            if any(q not in labels for q in succ):
+                report.skipped_boundary_count += 1
+            else:
+                report.add(p, "claimed N-position with no P-successor")
+    return report
+
+
+def ref_verify_grundy_consistency(ext_rules, labeling, domain):
+    """``verify_grundy_consistency`` over sorted, deduplicated successors."""
+    report = solver.VerificationReport()
+    labels = {p: labeling(p) for p in enumerate_positions(domain)}
+    for p, label in labels.items():
+        succ = successors(ext_rules, p)
+        if any(q not in labels for q in succ):
+            report.skipped_boundary_count += 1
+            continue
+        report.checked_count += 1
+        expected = mex(labels[q] for q in succ)
+        if expected != label:
+            report.add(p, f"mex of successor labels {expected} != label {label}")
+    return report
+
+
+# acyclic rule sets, and the extended ones, whose adds leave a small domain
+# at its top entry, so their boards there are skipped or counted as such
+VERIFIER_RULES = st.one_of(
+    RANDOM_RULES,
+    st.builds(lambda a: RuleSet(Family.EXTENDED_NIM, add_limit=a), st.integers(1, 3)),
+    st.builds(lambda k: RuleSet(Family.EXTENDED_SLOW_NIM, k=k), st.integers(1, 4)),
+)
+SMALL_DOMAINS = st.builds(Domain, st.integers(0, 3), st.integers(0, 6))
+
+
+def base_rules(rules):
+    """The acyclic game under ``rules``: the extended games without adds."""
+    if rules.family is Family.EXTENDED_NIM:
+        return RuleSet(Family.NIM)
+    if rules.family is Family.EXTENDED_SLOW_NIM:
+        return RuleSet(Family.SLOW_NIM, k=rules.k)
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    VERIFIER_RULES,
+    st.sampled_from(list(Convention)),
+    SMALL_DOMAINS,
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.randoms(use_true_random=False),
+)
+def test_verify_pset_matches_the_eager_reference(
+    rules, convention, domain, flip_rate, rng
+):
+    # the base game's true P-set (Theorem 6 keeps it for the extended
+    # games), flipped at random boards
+    memo, base = MemoTable(), base_rules(rules)
+    flipped = {p for p in enumerate_positions(domain) if rng.random() < flip_rate}
+
+    def claimed_p(p):
+        return (outcome(base, convention, p, memo) is Outcome.P) != (p in flipped)
+
+    expected = ref_verify_pset(rules, convention, claimed_p, domain).to_dict()
+    assert verify_pset(rules, convention, claimed_p, domain).to_dict() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    VERIFIER_RULES,
+    SMALL_DOMAINS,
+    st.sampled_from([0.0, 0.1, 0.5]),
+    st.randoms(use_true_random=False),
+)
+def test_verify_grundy_consistency_matches_the_eager_reference(
+    rules, domain, flip_rate, rng
+):
+    # the base game's Grundy values, raised by 1 or 2 at random boards
+    memo, base = MemoTable(), base_rules(rules)
+    raised = {
+        p: rng.choice((1, 2))
+        for p in enumerate_positions(domain)
+        if rng.random() < flip_rate
+    }
+
+    def labeling(p):
+        return grundy(base, p, memo) + raised.get(p, 0)
+
+    expected = ref_verify_grundy_consistency(rules, labeling, domain).to_dict()
+    assert verify_grundy_consistency(rules, labeling, domain).to_dict() == expected
