@@ -1,6 +1,7 @@
 """Sprague-Grundy values and outcomes of the acyclic families, from one
-pruned retrograde table per call (``board_values``, which reads generated
-boards as they are) or a memoized DFS (``grundy``, ``outcome``: the tests'
+pruned retrograde table per (rules, convention) and list of boards
+(``board_reader``, which indexes generated boards as they are once for
+every pair) or a memoized DFS (``grundy``, ``outcome``: the tests'
 oracle), plus the local verifiers that make the loopy extended families
 checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
 claimed labeling without ever solving the loopy graph.
@@ -246,31 +247,46 @@ def lattice_table(
     return table
 
 
-def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
-    """Values of ``boards``, in order: True for a P-board under
-    ``convention``, or the normal-play Grundy value when it is None, read
-    from one ``lattice_table`` with every board zero-padded to the widest,
-    so a board may be canonical or raw with leading zeros (``lo = 0`` in
+def board_reader(boards: list) -> Callable[[RuleSet, Convention | None], list]:
+    """Reads the values of ``boards``, in order, for each (rules, convention)
+    asked: True for a P-board under ``convention``, or the normal-play
+    Grundy value when it is None, from that pair's own ``lattice_table``
+    (a loopy family raises ``LoopyFamily`` first).  The padding of every
+    board to the widest, the tops and the indices are found once, here, so
+    a board may be canonical or raw with leading zeros (``lo = 0`` in
     ``enumerate_positions``).  Boards are read unchecked; outside input is
     canonicalized first.  A board reaches exactly the boards below it, so
     the tops are the box corner when it is itself a board (as in every
     sweep), else the boards that no other board dominates.  A board
     dominates another only if its sum is larger, so each sum's boards are
     checked against the tops kept from larger sums alone."""
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-    if not boards:
-        return []
-    m = max(map(len, boards))
+    m = max(map(len, boards), default=0)
     padded = [(0,) * (m - len(b)) + b for b in boards]
     caps = tuple(map(max, zip(*padded)))
     tops = []
     by_sum = sorted({caps} if caps in padded else set(padded), key=sum, reverse=True)
     for _, same_sum in groupby(by_sum, sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
-    table, radix = lattice_table(rules, convention, *tops), _radix(caps)
-    values = [table[sum(map(mul, b, radix))] for b in padded]
-    return values if convention is None else [v == 1 for v in values]
+    radix = _radix(caps)
+    indices = [sum(map(mul, b, radix)) for b in padded]
+
+    def read(rules: RuleSet, convention: Convention | None) -> list:
+        if rules.family.loopy:
+            raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+        if not indices:  # no table for no boards
+            return []
+        table = lattice_table(rules, convention, *tops)
+        if convention is None:
+            return [table[i] for i in indices]
+        return [table[i] == 1 for i in indices]
+
+    return read
+
+
+def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
+    """``board_reader(boards)`` asked once: the values of ``boards`` under
+    (rules, convention), from one ``lattice_table``."""
+    return board_reader(boards)(rules, convention)
 
 
 class Domain(NamedTuple):

@@ -19,8 +19,9 @@ DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
 def _case_checker(check: str, bounds: dict) -> Callable:
     """The function that checks one (rules, convention, closed form) case
-    of a sweep as ``check`` says.  What the cases share, the domain and
-    its points, is built here, once per sweep."""
+    of a sweep as ``check`` says.  What the cases share, the domain, its
+    points and their ``solver.board_reader``, is built here, once per
+    sweep."""
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
         from . import analysis
 
@@ -40,10 +41,11 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     # closed form vs engine at each generated board; "monotone" reads raw
     # sequences (zeros allowed), as the difference map does
     points = list(solver.enumerate_positions(domain, 0 if check == "monotone" else 1))
+    read = solver.board_reader(points)  # pads and indexes the points once
 
     def check_values(rules, convention, form) -> solver.VerificationReport:
         report = solver.VerificationReport(checked_count=len(points))
-        for p, actual in zip(points, solver.board_values(rules, convention, points)):
+        for p, actual in zip(points, read(rules, convention)):
             expected = form(p)
             if expected != actual:
                 report.add(p, f"closed form {expected} != solver {actual}")

@@ -1057,6 +1057,28 @@ def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
     assert calls == Counter(("difference_position", p) for p in raw)
 
 
+def test_thm7_fault_shows_after_a_clean_run_in_the_same_process(
+    capsys, monkeypatch
+):
+    # the predicates' memo outlives a sweep, so a clean run first must not
+    # hide a wrong verdict injected around monotonic_p, nor the injected
+    # run leave wrong verdicts behind for the clean run after it
+    args = ["verify", "--theorem", "thm7", "--max-piles", "2", "--max-entry", "3"]
+    real = closedforms.monotonic_p
+
+    def wrong(*call_args):
+        return real(*call_args) != (call_args[-1] == (1, 2))
+
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr(closedforms, "monotonic_p", wrong)
+    code, out, _ = run(capsys, *args)
+    report = json.loads(out)
+    assert code == 1 and len(report["counterexamples"]) == 8  # every case
+    assert {tuple(c["position"]) for c in report["counterexamples"]} == {(1, 2)}
+    monkeypatch.setattr(closedforms, "monotonic_p", real)
+    assert run(capsys, *args)[0] == 0
+
+
 @pytest.mark.parametrize(
     "theorem, bounds",
     [

@@ -1,4 +1,7 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamesolve import Convention, Domain, Family, MemoTable, Outcome, RuleSet
 from gamesolve import canonicalize, enumerate_positions, grundy, outcome
@@ -89,6 +92,61 @@ def test_monotonic_p_raw_vs_stripped_agree():
                 assert monotonic_p(rules, conv, difference_position, raw) == (
                     monotonic_p(rules, conv, difference_position, stripped)
                 )
+
+
+def old_monotonic_p(rules, convention, raw):
+    """``monotonic_p`` before its memo: the (Slow-)Nim predicate computed
+    on the difference position at every call."""
+    b = difference_position(raw)
+    slow = rules.family is Family.MONOTONIC_SLOW_NIM
+    if convention is Convention.NORMAL:
+        g = slow_nim_grundy_formula(rules.k, b) if slow else nim_grundy_formula(b)
+        return g == 0
+    return slow_nim_p_misere(rules.k, b) if slow else nim_p_misere(b)
+
+
+MONOTONE_RULES = st.one_of(
+    st.just(RuleSet(Family.MONOTONIC_NIM)),
+    st.integers(1, 5).map(lambda k: RuleSet(Family.MONOTONIC_SLOW_NIM, k=k)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    MONOTONE_RULES,
+    st.sampled_from(list(Convention)),
+    st.lists(st.integers(-3, 9), max_size=6),
+)
+def test_memoized_monotonic_p_matches_the_old_body(rules, convention, entries):
+    # a raw board with zeros allowed, asked twice through each difference
+    # map, so the second call reads the memo
+    raw = tuple(sorted(map(abs, entries)))
+    expected = old_monotonic_p(rules, convention, raw)
+    for differences in (difference_position, cache(difference_position)):
+        for _ in range(2):
+            assert monotonic_p(rules, convention, differences, raw) is expected
+    # the entries as drawn, when negative or decreasing, raise at every call
+    bad = tuple(entries)
+    if bad != raw:
+        error = ValueError if min(bad) < 0 else NonMonotoneInput
+        for _ in range(2):
+            with pytest.raises(error):
+                monotonic_p(rules, convention, difference_position, bad)
+
+
+@pytest.mark.parametrize("conv", list(Convention))
+def test_bad_raw_boards_raise_after_their_difference_position_is_memoized(conv):
+    # (0, 1, 1, 2) and the decreasing (1, 2, 0, 1) pair up to (1, 1); (0, 3)
+    # and the negative (-1, 2) to (3,)
+    nim = RuleSet(Family.MONOTONIC_NIM)
+    for good, bad, error in [
+        ((0, 1, 1, 2), (1, 2, 0, 1), NonMonotoneInput),
+        ((0, 3), (-1, 2), ValueError),
+    ]:
+        monotonic_p(nim, conv, difference_position, good)
+        for _ in range(2):
+            with pytest.raises(error):
+                monotonic_p(nim, conv, difference_position, bad)
 
 
 def test_diet2_normal_p():

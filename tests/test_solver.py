@@ -372,7 +372,7 @@ def test_outcome_table_matches_dfs(k, convention, caps, count):
     assert sum(table) == sum(dfs(b) is Outcome.P for b, _ in boards)
 
 
-ACYCLIC_RULES = [
+TABLE_RULES = [
     RuleSet(Family.NIM),
     RuleSet(Family.MONOTONIC_NIM),
     *(
@@ -384,7 +384,7 @@ ACYCLIC_RULES = [
 
 
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
-@pytest.mark.parametrize("rules", ACYCLIC_RULES, ids=RuleSet.describe)
+@pytest.mark.parametrize("rules", TABLE_RULES, ids=RuleSet.describe)
 def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
     caps = (9, 9, 9, 9)
     table = solver.lattice_table(rules, convention, caps)
@@ -628,6 +628,65 @@ def test_board_values_match_the_dfs_on_random_boards(
         # have no column: then the table is one cell, the empty board
         assert isinstance(built[0], dict) or not any(boards)
         assert len(built[0]) == len(reached)
+
+
+# one to six raw boards of widths 0..4, entries 0..6 sorted, so some carry
+# leading zeros, and one to four (rules, convention) pairs to read them for
+RAW_BOARDS = st.lists(
+    st.lists(st.integers(0, 6), max_size=4).map(lambda e: tuple(sorted(e))),
+    min_size=1,
+    max_size=6,
+)
+READ_PAIRS = st.lists(
+    st.tuples(RANDOM_RULES, st.sampled_from([*Convention, None])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RAW_BOARDS, READ_PAIRS)
+def test_one_board_reader_serves_every_pair(boards, pairs):
+    # each pair reads its own table, and equals a fresh board_values call
+    # and the DFS on the canonical boards
+    read = solver.board_reader(boards)
+    for rules, convention in pairs:
+        memo = MemoTable()
+        canon = [canonicalize(b, rules.family) for b in boards]
+        if convention is None:  # Grundy values
+            expected = [grundy(rules, p, memo) for p in canon]
+        else:
+            expected = [outcome(rules, convention, p, memo) is Outcome.P for p in canon]
+        assert read(rules, convention) == expected
+        assert solver.board_values(rules, convention, boards) == expected
+
+
+def test_board_reader_of_no_boards_builds_no_table(monkeypatch):
+    built = record_tables(monkeypatch)
+    read = solver.board_reader([])
+    for rules, convention in [(DC2, Convention.MISERE), (RuleSet(Family.NIM), None)]:
+        assert read(rules, convention) == []
+        assert solver.board_values(rules, convention, []) == []
+    assert built == []
+
+
+@pytest.mark.parametrize("boards", [[], [(1, 2), (3,)]])
+@pytest.mark.parametrize(
+    "rules",
+    [RuleSet(Family.EXTENDED_NIM, add_limit=1), RuleSet(Family.EXTENDED_SLOW_NIM, k=2)],
+    ids=RuleSet.describe,
+)
+def test_board_reader_rejects_loopy_families_before_any_table(
+    monkeypatch, rules, boards
+):
+    built = record_tables(monkeypatch)
+    read = solver.board_reader(boards)
+    for convention in [*Convention, None]:
+        with pytest.raises(LoopyFamily):
+            read(rules, convention)
+        with pytest.raises(LoopyFamily):
+            solver.board_values(rules, convention, boards)
+    assert built == []
 
 
 def pairwise_tops(boards):
