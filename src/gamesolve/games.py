@@ -53,14 +53,15 @@ def subtract_move_records(k: int | None, ordered: bool, p: Position) -> Iterator
 def add_move_records(limit: int, p: Position) -> list[tuple]:
     """Add 1..limit tokens to one existing heap; no new heaps are created.
     Extended Nim adds these to the Nim moves, Extended Slow Nim (limit k)
-    to the Slow-Nim moves."""
+    to the Slow-Nim moves.  An add past ``MAX_ENTRY`` raises before any
+    record is built: the top heap reaches it first, one token over."""
+    if p and p[-1] + limit > MAX_ENTRY:
+        raise BoundsExceeded(f"entry {MAX_ENTRY + 1} exceeds limit {MAX_ENTRY}")
     records = []
     for i, a in enumerate(p):
         rest = p[:i] + p[i + 1 :]
         for s in range(1, limit + 1):
             new = a + s
-            if new > MAX_ENTRY:
-                raise BoundsExceeded(f"entry {new} exceeds limit {MAX_ENTRY}")
             j = bisect(rest, new, i)  # p is sorted and new > a
             records.append(("add", i + 1, s, rest[:j] + (new,) + rest[j:]))
     return records

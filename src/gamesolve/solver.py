@@ -1,17 +1,18 @@
 """Sprague-Grundy values and outcomes of the acyclic families, from one
-pruned retrograde table per (rules, convention) and list of boards
-(``board_reader``, which indexes generated boards as they are once for
-every pair) or a memoized DFS (``grundy``, ``outcome``: the tests'
-oracle), plus the local verifiers that make the loopy extended families
-checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
-claimed labeling without ever solving the loopy graph.
+pruned retrograde table per (rules, convention) and list of boards, with
+one cell per sorted board, at its rank (``board_reader``, which ranks
+generated boards as they are once for every pair), or a memoized DFS
+(``grundy``, ``outcome``: the tests' oracle), plus the local verifiers
+that make the loopy extended families checkable: ``verify_pset`` and
+``verify_grundy_consistency`` check a claimed labeling without ever
+solving the loopy graph.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, groupby
-from operator import itemgetter, le, mul
+from operator import getitem, itemgetter, le
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
@@ -106,39 +107,48 @@ def outcome(
     return _solve(rules, p, tables, (rules, convention), node_value)
 
 
-# An array of 2**24 cells takes 16 MiB, or 64 MiB for Grundy caps summing
-# past 255; a larger box fills a dict with the boards below its tops alone.
-TABLE_CELL_LIMIT = 2**24
+def _ranks(caps: tuple) -> list:
+    """G_c for each column c: a sorted board b below the sorted ``caps``
+    sits at sum(G_c[b_c]), its rank among those boards in lexicographic
+    order.  S_c[x] counts the sorted fillings of columns c.. below caps
+    whose column c is below x, so S_c[b_c] - S_c[b_{c-1}] boards share b's
+    first c columns and precede it at column c; summed over c, that is
+    sum(G_c[b_c]) with G_c = S_c - S_{c+1} (and S_{len(caps)} = 0).  The
+    last column's G is x itself, a ``range``."""
+    if not caps:
+        return []
+    ranks, below = [range(caps[-1] + 1)], range(caps[-1] + 2)
+    for cap in reversed(caps[:-1]):
+        total = below[-1]
+        here = list(accumulate([total - below[x] for x in range(cap + 1)], initial=0))
+        ranks.append([here[x] - below[x] for x in range(cap + 1)])
+        below = here
+    return ranks[::-1]
 
 
-def _radix(caps: tuple) -> list:
-    """R_c, the product of caps[i] + 1 over i < c, for c = 0..len(caps)."""
-    return list(accumulate([c + 1 for c in caps], mul, initial=1))
-
-
-# Each _*_drops(k, a, v, radix) lists the index drops of the moves on
+# Each _*_drops(k, a, v, ranks) lists the index drops of the moves on
 # column c = len(a) of a board whose columns are a, then v at column c,
 # that keep the other columns in place; lattice_table carries the Nim
 # moves that re-sort column c below a[-1] from the column before.
 
 
-def _monotone_drops(k: int | None, a: tuple, v: int, radix: list) -> list:
+def _monotone_drops(k: int | None, a: tuple, v: int, ranks: list) -> list:
     # lower column c to w, with its left neighbour <= w and v - w <= k,
     # highest w first: the Nim carry relies on this order (its Slow Nim
     # budget keeps a prefix of it, and the last column's seed reverses it)
-    step, low = radix[len(a)], max(a[-1] if a else 0, v - k if k else 0)
-    return list(range(step, (v - low) * step + 1, step))
+    g, low = ranks[len(a)], max(a[-1] if a else 0, v - k if k else 0)
+    return list(map(g[v].__sub__, g[low:v][::-1]))
 
 
-def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
+def _diet_chomp_drops(k: int, a: tuple, v: int, ranks: list) -> list:
     # a cut at (column c, height r) lowers the columns of height >= r to
     # r - 1; only the top k heights of column c can be legal
-    c, drops = len(a), []
+    c, drops, g = len(a), [], ranks[len(a)]
     for r in range(max(1, v - k + 1), v + 1):
-        removed, drop, i = v - r + 1, (v - r + 1) * radix[c], c - 1
+        removed, drop, i = v - r + 1, g[v] - g[r - 1], c - 1
         while i >= 0 and a[i] >= r and removed <= k:
             removed += a[i] - r + 1
-            drop += (a[i] - r + 1) * radix[i]
+            drop += ranks[i][a[i]] - ranks[i][r - 1]
             i -= 1
         if removed <= k:
             drops.append(drop)
@@ -147,14 +157,13 @@ def _diet_chomp_drops(k: int, a: tuple, v: int, radix: list) -> list:
 
 def lattice_table(
     rules: RuleSet, convention: Convention | None, *tops: tuple
-) -> bytearray | array | dict:
+) -> bytearray | array:
     """Values of the raw, zero-padded, non-decreasing boards that lie
     elementwise below one of ``tops`` (boards of one width), for an acyclic
     family: outcomes (1 = P) under ``convention``, or normal-play Grundy
-    values when it is None.  Board a sits at index sum(a_c * R_c), R_c the
-    product of caps[i] + 1 over i < c, caps the tops' elementwise maximum:
-    in an array over the box of caps (other cells hold 0) up to
-    ``TABLE_CELL_LIMIT`` cells, else in a dict of the filled boards.
+    values when it is None.  The table has one cell per sorted board below
+    caps, the tops' elementwise maximum, and board a sits at its rank
+    sum(G_c[a_c]) (``_ranks``); the cells of boards below no top hold 0.
 
     A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
     successor lies below the same top, a fixed drop lower, and filling the
@@ -163,7 +172,7 @@ def lattice_table(
     extension shares them.  A Nim move that lowers column c from v below
     lo = a[-1] re-sorts it, to the board that a move on column c - 1
     reaches from (a, lo): each column carries the drops of the one before,
-    shifted by (v - lo) * R_c.  The last column fills a row (a fixed
+    shifted by G_c[v] - G_c[lo].  The last column fills a row (a fixed
     prefix) at a time: the cells that its moves reach form a running
     window, except for Diet Chomp cuts that lower earlier columns too, and
     an outcome cell stops at its first move to a P-board.  The tops above a
@@ -173,15 +182,14 @@ def lattice_table(
     array takes bytes while the caps sum to at most 255, else unsigned ints.
     """
     caps = tuple(map(max, zip(*tops)))
-    k, m, radix, seeded = rules.k, len(caps), _radix(caps), not rules.family.ordered
+    k, m, ranks, seeded = rules.k, len(caps), _ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
     drops_of = _diet_chomp_drops if chomp else _monotone_drops
-    if radix[m] > TABLE_CELL_LIMIT:
-        table = {}
-    elif convention is None and sum(caps) > 255:
-        table = array("I", [0]) * radix[m]
+    size = sum(map(getitem, ranks, caps)) + 1  # caps is the last board
+    if convention is None and sum(caps) > 255:
+        table = array("I", [0]) * size
     else:
-        table = bytearray(radix[m])
+        table = bytearray(size)
     table[0] = int(convention is Convention.NORMAL)  # the empty board; Grundy 0
 
     def fill(a: tuple, index: int, offsets: list, prev: list, tops: list) -> None:
@@ -190,17 +198,17 @@ def lattice_table(
         # w first.  tops: those above the prefix a, highest at column c
         # first, so those above a + (v,) are the first n, and reach[n - 1]
         # is the highest last entry among them
-        c, n, lo = len(a), len(tops), a[-1] if a else 0
+        c, n, lo, g = len(a), len(tops), a[-1] if a else 0, ranks[len(a)]
         reach = list(accumulate([t[-1] for t in tops], max))
         for v in range(lo, tops[0][c] + 1):
             while tops[n - 1][c] < v:
                 n -= 1
-            own = drops_of(k, a, v, radix)
+            own = drops_of(k, a, v, ranks)
             if seeded:  # below lo: column c - 1's moves, shifted, within k
                 # (clamped at 0: a negative stop would cut from the end)
-                shift = (v - lo) * radix[c]
+                shift = g[v] - g[lo]
                 own += [d + shift for d in (prev[: max(0, k - v + lo)] if k else prev)]
-            here, drops = index + v * radix[c], offsets + own
+            here, drops = index + g[v], offsets + own
             if c + 2 == m:
                 fill_last(a + (v,), here, drops, own, reach[n - 1])
             elif n == 1:  # one top, as in every sweep: nothing to sort
@@ -218,15 +226,16 @@ def lattice_table(
         # drops ``prev`` reach them.  seen lists the values of all these
         # boards, lowest w first, and grows along the row.  A Diet Chomp
         # cut at a height r <= lo lowers earlier columns too, so while
-        # v - k < lo its cells also read their cuts
-        lo, step = a[-1] if a else 0, radix[len(a)]
-        seen = [table[index + lo * step - d] for d in reversed(prev)] if seeded else []
+        # v - k < lo its cells also read their cuts.  The last column's G is
+        # v itself, so the row is contiguous
+        lo = a[-1] if a else 0
+        seen = [table[index + lo - d] for d in reversed(prev)] if seeded else []
         for v in range(lo, hi + 1):
-            here = index + v * step
+            here = index + v
             if here:
                 window = seen[-k:] if k else seen
                 if chomp and v - k < lo:  # k is set: window is a copy
-                    window += [table[here - d] for d in drops_of(k, a, v, radix)]
+                    window += [table[here - d] for d in drops_of(k, a, v, ranks)]
                 if convention is None:
                     table[here] = mex([table[here - d] for d in offsets] + window)
                 elif 1 in window:  # P iff no move reaches a P-board
@@ -252,7 +261,7 @@ def board_reader(boards: list) -> Callable[[RuleSet, Convention | None], list]:
     asked: True for a P-board under ``convention``, or the normal-play
     Grundy value when it is None, from that pair's own ``lattice_table``
     (a loopy family raises ``LoopyFamily`` first).  The padding of every
-    board to the widest, the tops and the indices are found once, here, so
+    board to the widest, the tops and the ranks are found once, here, so
     a board may be canonical or raw with leading zeros (``lo = 0`` in
     ``enumerate_positions``).  Boards are read unchecked; outside input is
     canonicalized first.  A board reaches exactly the boards below it, so
@@ -267,8 +276,8 @@ def board_reader(boards: list) -> Callable[[RuleSet, Convention | None], list]:
     by_sum = sorted({caps} if caps in padded else set(padded), key=sum, reverse=True)
     for _, same_sum in groupby(by_sum, sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
-    radix = _radix(caps)
-    indices = [sum(map(mul, b, radix)) for b in padded]
+    ranks = _ranks(caps)
+    indices = [sum(map(getitem, ranks, b)) for b in padded]
 
     def read(rules: RuleSet, convention: Convention | None) -> list:
         if rules.family.loopy:

@@ -818,6 +818,32 @@ def test_enumerate_positions_is_lazy():
     assert result.stdout == b"() [(1,), (1, 1), (1, 1, 1)]\n", result.stderr
 
 
+# each add limit takes heap 3 past MAX_ENTRY = 2**32 - 1
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("outcome", "--game", "extended-nim", "--add-limit", "4294967295",
+         "--position", "3", "--moves"),
+        ("outcome", "--game", "extended-slow-nim", "--k", "4294967295",
+         "--position", "3", "--moves"),
+        ("verify", "--theorem", "thm6-grundy", "--add-limit", "4294967295"),
+        ("verify", "--theorem", "thm6-pset", "--k", "4294967295"),
+    ],
+)
+def test_add_limit_past_max_entry_exits_2_before_listing_moves(args):
+    # the child's address space is capped, so a version that lists the
+    # adds before it checks the bound fails fast instead of filling memory
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import sys; from gamesolve.cli import main\n"
+        f"sys.exit(main({list(args)!r}))\n"
+    )
+    result = run_process("-c", code)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, b"", b"error: entry 4294967296 exceeds limit 4294967295\n"
+    )
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every CLI call; -S keeps site's own
     # imports out of the check

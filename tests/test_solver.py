@@ -4,7 +4,8 @@ from array import array
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import le
+from math import comb
+from operator import getitem, le
 import random
 from unittest.mock import patch
 
@@ -29,7 +30,11 @@ from gamesolve import (
     verify_grundy_consistency,
     verify_pset,
 )
-from gamesolve.closedforms import nim_grundy_formula, slow_nim_grundy_formula
+from gamesolve.closedforms import (
+    nim_grundy_formula,
+    nim_p_misere,
+    slow_nim_grundy_formula,
+)
 
 
 def naive_outcome(rules, convention, p):
@@ -344,13 +349,34 @@ DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
 def raw_boards(caps):
     """Every zero-padded non-decreasing board of len(caps) columns inside
-    the caps, with its mixed-radix table index."""
-    for board in combinations_with_replacement(range(max(caps) + 1), len(caps)):
-        if all(a <= cap for a, cap in zip(board, caps)):
-            index, place = 0, 1
-            for a, cap in zip(board, caps):
-                index, place = index + a * place, place * (cap + 1)
-            yield board, index
+    the caps, in lexicographic order: the i-th is the table's cell i."""
+    boards = [()]
+    for cap in caps:
+        boards = [b + (x,) for b in boards for x in range(b[-1] if b else 0, cap + 1)]
+    return boards
+
+
+def test_ranks_number_the_sorted_boards_in_lexicographic_order():
+    rng = random.Random(0)
+    for _ in range(300):
+        caps = tuple(sorted(rng.randrange(8) for _ in range(rng.randrange(6))))
+        ranks, boards = solver._ranks(caps), raw_boards(caps)
+        assert [sum(map(getitem, ranks, b)) for b in boards] == list(range(len(boards)))
+
+
+def assert_cells_hold_the_dfs(table, tops, reached, convention):
+    """Walk every sorted board below the tops' caps (zero-padded to the
+    widest top) in rank order: the table has one cell per board, a board
+    in the DFS memo ``reached`` holds its value (1 for a P-board in an
+    outcome table), and every other cell holds 0."""
+    m = max(map(len, tops))
+    caps = tuple(map(max, zip(*[(0,) * (m - len(t)) + t for t in tops])))
+    canonical = [b[b.count(0):] for b in raw_boards(caps)]
+    assert len(table) == len(canonical)
+    assert set(reached) <= set(canonical)
+    for cell, p in zip(table, canonical):
+        value = reached.get(p, 0)
+        assert cell == (value if convention is None else value is Outcome.P), p
 
 
 @pytest.mark.parametrize("caps, count", [((20, 20, 20), 1771), ((9, 9, 9, 9), 715)])
@@ -364,12 +390,10 @@ def test_outcome_table_matches_dfs(k, convention, caps, count):
     def dfs(board):
         return outcome(rules, convention, canonicalize(board, rules.family), memo)
 
-    boards = list(raw_boards(caps))
-    assert len(boards) == count
-    mismatches = [b for b, i in boards if (table[i] == 1) != (dfs(b) is Outcome.P)]
+    boards = raw_boards(caps)
+    assert len(boards) == len(table) == count
+    mismatches = [b for b, cell in zip(boards, table) if cell != (dfs(b) is Outcome.P)]
     assert mismatches == []
-    # the cells of no board stay 0
-    assert sum(table) == sum(dfs(b) is Outcome.P for b, _ in boards)
 
 
 TABLE_RULES = [
@@ -396,12 +420,10 @@ def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
             return grundy(rules, p, memo)
         return int(outcome(rules, convention, p, memo) is Outcome.P)
 
-    boards = list(raw_boards(caps))
-    assert len(boards) == 715
-    mismatches = [b for b, i in boards if table[i] != dfs(b)]
+    boards = raw_boards(caps)
+    assert len(boards) == len(table) == 715
+    mismatches = [b for b, cell in zip(boards, table) if cell != dfs(b)]
     assert mismatches == []
-    # the cells of no board stay 0
-    assert sum(table) == sum(dfs(b) for b, _ in boards)
 
 
 TRIPLES = list(combinations_with_replacement(range(7), 3))
@@ -418,57 +440,52 @@ def record_tables(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rules, points, limit, kinds",
+    "rules, points, kinds",
     [
         # leading zeros canonicalize to 0- to 3-column boards, all read from
         # one table
-        (DC2, TRIPLES, solver.TABLE_CELL_LIMIT, [bytearray]),
-        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], solver.TABLE_CELL_LIMIT, [bytearray]),
-        (DC2, [], solver.TABLE_CELL_LIMIT, []),
-        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, solver.TABLE_CELL_LIMIT, [bytearray]),
-        # one cell short of the 7x7x7 box: the table is a dict
-        (DC2, TRIPLES, 7**3 - 1, [dict]),
+        (DC2, TRIPLES, [bytearray]),
+        (DC2, [(0, 0, 5), (0, 0, 0), (0, 1, 2)], [bytearray]),
+        (DC2, [], []),
+        (RuleSet(Family.MONOTONIC_NIM), TRIPLES, [bytearray]),
     ],
 )
 @pytest.mark.parametrize("convention", list(Convention))
-def test_lattice_outcomes_match_the_dfs(
-    monkeypatch, rules, points, limit, kinds, convention
-):
+def test_lattice_outcomes_match_the_dfs(monkeypatch, rules, points, kinds, convention):
     built = record_tables(monkeypatch)
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
-    expected = [
-        outcome(rules, convention, canonicalize(p, rules.family), memo) is Outcome.P
-        for p in points
-    ]
+    canonical = [canonicalize(p, rules.family) for p in points]
+    expected = [outcome(rules, convention, p, memo) is Outcome.P for p in canonical]
     assert analysis.lattice_values(rules, convention, points) == expected
     assert list(map(type, built)) == kinds
+    if built:
+        reached = memo.outcomes[(rules, convention)]
+        assert_cells_hold_the_dfs(built[0], canonical, reached, convention)
 
 
 SLOW1 = RuleSet(Family.SLOW_NIM, k=1)
 
 
 @pytest.mark.parametrize(
-    "rules, points, limit, kind",
+    "rules, points, kind",
     [
         # a mex is at most the entry sum: 255 still fits a byte, 256 takes
         # a wider cell
-        (RuleSet(Family.NIM), [(255,)], solver.TABLE_CELL_LIMIT, bytearray),
-        (RuleSet(Family.NIM), [(256,)], solver.TABLE_CELL_LIMIT, array),
-        (SLOW1, [(0, 127, 128), (5, 6)], solver.TABLE_CELL_LIMIT, bytearray),
-        (SLOW1, [(0, 128, 128), (5, 6)], solver.TABLE_CELL_LIMIT, array),
-        (RuleSet(Family.NIM), TRIPLES, 7**3, bytearray),
-        # one cell short of the 3-column box, which takes a dict
-        (RuleSet(Family.NIM), TRIPLES, 7**3 - 1, dict),
+        (RuleSet(Family.NIM), [(255,)], bytearray),
+        (RuleSet(Family.NIM), [(256,)], array),
+        (SLOW1, [(0, 127, 128), (5, 6)], bytearray),
+        (SLOW1, [(0, 128, 128), (5, 6)], array),
+        (RuleSet(Family.NIM), TRIPLES, bytearray),
     ],
 )
-def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, limit, kind):
+def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, kind):
     built = record_tables(monkeypatch)
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     memo = MemoTable()
-    expected = [grundy(rules, canonicalize(p, rules.family), memo) for p in points]
+    canonical = [canonicalize(p, rules.family) for p in points]
+    expected = [grundy(rules, p, memo) for p in canonical]
     assert analysis.lattice_values(rules, None, points) == expected
     assert list(map(type, built)) == [kind]
+    assert_cells_hold_the_dfs(built[0], canonical, memo.grundy_values[rules], None)
 
 
 def test_grundy_tables_widen_past_a_byte():
@@ -478,6 +495,16 @@ def test_grundy_tables_widen_past_a_byte():
     assert wide.typecode == "I" and list(wide) == list(range(257))
     # outcome tables stay bytes whatever the caps
     assert isinstance(solver.lattice_table(nim, Convention.MISERE, (256,)), bytearray)
+
+
+def test_a_table_holds_only_its_sorted_boards():
+    # the box of (10,)*8 holds 11**8 > 2**24 boards, the table its 43,758
+    # sorted ones, each at its rank
+    table = solver.lattice_table(RuleSet(Family.NIM), Convention.MISERE, (10,) * 8)
+    assert isinstance(table, bytearray)
+    assert len(table) == comb(18, 8) == 43_758
+    boards = raw_boards((10,) * 8)
+    assert list(table) == [nim_p_misere(b[b.count(0):]) for b in boards]
 
 
 FIVE_FAMILIES = [
@@ -498,20 +525,24 @@ def dfs_answers(rules, convention, boards):
             for p in boards]
 
 
-@pytest.mark.parametrize("limit", [solver.TABLE_CELL_LIMIT, 1])
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("rules", FIVE_FAMILIES, ids=RuleSet.describe)
-def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention, limit):
+def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention):
     built = record_tables(monkeypatch)
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", limit)
     # widths 0..3 interleaved; the caps (6, 6, 300) sum past 255, so in
-    # normal play the array takes wide cells
+    # normal play the table takes wide cells
     boards = sorted(enumerate_positions(Domain(3, 6)), key=sum) + [(300,)]
     assert cli.solve_position(rules, convention, boards) == dfs_answers(
         rules, convention, boards
     )
     wide = array if convention is Convention.NORMAL else bytearray
-    assert list(map(type, built)) == [wide if limit > 1 else dict]
+    assert list(map(type, built)) == [wide]
+    # normal play reads a Grundy table
+    read_as = None if convention is Convention.NORMAL else convention
+    memo = MemoTable()
+    reached = solve_into(rules, read_as, (6, 6, 6), memo)
+    solve_into(rules, read_as, (300,), memo)
+    assert_cells_hold_the_dfs(built[0], boards, reached, read_as)
 
 
 # no board dominates another, and the corner (3, 4, 4, 4) is none of them
@@ -529,10 +560,13 @@ SLOW_WINDOWS = [
 
 # (4,) and (9,) fill a one-column table; in the seven-column board a heap
 # lowered to 0 re-sorts past six columns, so the Nim moves that each
-# column carries from the one before go through every column
+# column carries from the one before go through every column.  (200,) and
+# (5, 300) have long rows, whose Grundy cells in Nim and Monotonic Nim
+# read the whole row so far; (5, 300) sums past 255, so they take 4 bytes
 @pytest.mark.parametrize(
     "boards",
-    [[(300,), (5, 5, 5)], ANTICHAIN, [(4,), (9,)], [(1, 2, 2, 3, 4, 5, 6)]],
+    [[(300,), (5, 5, 5)], ANTICHAIN, [(4,), (9,)], [(1, 2, 2, 3, 4, 5, 6)],
+     [(200,)], [(5, 300)]],
 )
 @pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
 @pytest.mark.parametrize("rules", FIVE_FAMILIES + SLOW_WINDOWS, ids=RuleSet.describe)
@@ -548,11 +582,8 @@ def test_one_pruned_table_fills_what_the_dfs_reaches(
         expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
         reached = memo.outcomes[(rules, convention)]
     assert solver.board_values(rules, convention, boards) == expected
-    assert len(built) == 1 and not isinstance(built[0], dict)
-    # over the limit the dict holds exactly the boards the DFS solved
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
-    assert solver.board_values(rules, convention, boards) == expected
-    assert isinstance(built[1], dict) and len(built[1]) == len(reached)
+    assert len(built) == 1
+    assert_cells_hold_the_dfs(built[0], boards, reached, convention)
 
 
 # 11 four-column boards of one sum (none dominates another), and narrower
@@ -566,8 +597,8 @@ MIXED_ANTICHAIN = [
 @pytest.mark.parametrize("rules", FIVE_FAMILIES + SLOW_WINDOWS, ids=RuleSet.describe)
 def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
     # each column narrows the tops above a prefix as its value grows; the
-    # dict over the limit shows that no board below a top is missed and no
-    # other board is filled
+    # walk of the cells shows that no board below a top is missed and no
+    # other board holds a value
     assert len(MIXED_ANTICHAIN) == 15
     memo = MemoTable()
     if convention is None:
@@ -578,11 +609,9 @@ def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
             outcome(rules, convention, p, memo) is Outcome.P for p in MIXED_ANTICHAIN
         ]
         reached = memo.outcomes[(rules, convention)]
-    assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
     built = record_tables(monkeypatch)
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
     assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
-    assert isinstance(built[0], dict) and len(built[0]) == len(reached)
+    assert_cells_hold_the_dfs(built[0], MIXED_ANTICHAIN, reached, convention)
 
 
 # every acyclic rule set: the slow games and Diet Chomp with k in 1..5
@@ -606,10 +635,8 @@ RANDOM_BOARDS = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(RANDOM_RULES, st.sampled_from([*Convention, None]), RANDOM_BOARDS, st.booleans())
-def test_board_values_match_the_dfs_on_random_boards(
-    rules, convention, boards, over_limit
-):
+@given(RANDOM_RULES, st.sampled_from([*Convention, None]), RANDOM_BOARDS)
+def test_board_values_match_the_dfs_on_random_boards(rules, convention, boards):
     memo = MemoTable()
     if convention is None:  # Grundy values
         expected = [grundy(rules, p, memo) for p in boards]
@@ -618,16 +645,11 @@ def test_board_values_match_the_dfs_on_random_boards(
         expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
         reached = memo.outcomes[(rules, convention)]
     built, real = [], solver.lattice_table
-    limit = 1 if over_limit else solver.TABLE_CELL_LIMIT
-    with patch.object(solver, "TABLE_CELL_LIMIT", limit), patch.object(
+    with patch.object(
         solver, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
     ):
         assert solver.board_values(rules, convention, boards) == expected
-    if over_limit:
-        # a dict of exactly the boards the DFS solved, unless the boards
-        # have no column: then the table is one cell, the empty board
-        assert isinstance(built[0], dict) or not any(boards)
-        assert len(built[0]) == len(reached)
+    assert_cells_hold_the_dfs(built[0], boards, reached, convention)
 
 
 # one to six raw boards of widths 0..4, entries 0..6 sorted, so some carry
@@ -761,22 +783,26 @@ def forbid_the_dfs(monkeypatch):
 MIXED_BATCH = "1,2,3\n4,4\n7\n2,5,6\n3\n1,1,1,1\n0\n"
 
 
-def test_sweeps_over_the_cell_limit_fill_a_dict(monkeypatch, capsys, tmp_path):
+def test_sweep_tables_hold_the_dfs_value_in_every_cell(monkeypatch, capsys, tmp_path):
+    # each table that the lattice sweeps and a batch build, walked in rank
+    # order against a DFS from the tops it was handed
     mixed = tmp_path / "mixed.txt"
     mixed.write_text(MIXED_BATCH)
-    batch = ["batch", "--game", "diet-chomp", "--convention", "misere",
-             "--input", str(mixed)]
-    from_arrays = lattice_sweeps()
-    assert cli.main(batch) == 0
-    printed = capsys.readouterr()
-    built = record_tables(monkeypatch)
-    forbid_the_dfs(monkeypatch)
-    monkeypatch.setattr(solver, "TABLE_CELL_LIMIT", 1)
-    assert lattice_sweeps() == from_arrays
-    assert cli.main(batch) == 0
-    assert capsys.readouterr() == printed
-    assert len(built) == len(from_arrays) + 1
-    assert all(isinstance(table, dict) for table in built)
+    handed, real = [], solver.lattice_table
+    monkeypatch.setattr(
+        solver, "lattice_table",
+        lambda *args: handed.append((args, real(*args))) or handed[-1][1],
+    )
+    sweeps = lattice_sweeps()
+    assert cli.main(["batch", "--game", "diet-chomp", "--convention", "misere",
+                     "--input", str(mixed)]) == 0
+    capsys.readouterr()
+    assert len(handed) == len(sweeps) + 1
+    for (rules, convention, *tops), table in handed:
+        memo = MemoTable()
+        for top in tops:
+            reached = solve_into(rules, convention, canonicalize(top, rules.family), memo)
+        assert_cells_hold_the_dfs(table, tops, reached, convention)
 
 
 def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
