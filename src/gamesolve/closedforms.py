@@ -8,9 +8,8 @@ zero-padding step depends on raw length parity.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from operator import le, sub, xor
-from typing import Callable
 
 from .core import Convention, Family, GameError, NonMonotoneInput, Position, RuleSet
 
@@ -58,22 +57,10 @@ def difference_position(raw) -> Position:
     return tuple(map(sub, seq[1::2], seq[::2]))
 
 
-def monotonic_p(
-    rules: RuleSet, convention: Convention, differences: Callable, raw
-) -> bool:
+def difference_p(rules: RuleSet, convention: Convention, b: Position) -> bool:
     """P-position test for the monotone games via the difference reduction:
-    the matching (Slow-)Nim predicate on ``differences(raw)``, the
-    difference position (``difference_position``, or a sweep's memo of it:
-    ``verify --theorem thm7`` asks about each raw board once per case).
-    The predicate is pure, so its value is memoized per (rules, convention,
-    difference position): the 1,820 raw boards of ``thm7 --max-entry 11``
-    have 91.  ``differences`` runs on every call, so a bad raw board raises
-    every time."""
-    return _difference_p(rules, convention, differences(raw))
-
-
-@cache
-def _difference_p(rules: RuleSet, convention: Convention, b: Position) -> bool:
+    a raw sequence is P iff the matching (Slow-)Nim predicate holds on its
+    difference position b (``difference_position``)."""
     slow = rules.family is Family.MONOTONIC_SLOW_NIM
     if convention is Convention.NORMAL:
         g = slow_nim_grundy_formula(rules.k, b) if slow else nim_grundy_formula(b)

@@ -45,21 +45,13 @@ class Family(enum.Enum):
     MONOTONIC_SLOW_NIM = "monotonic-slow-nim"
     DIET_CHOMP = "diet-chomp"
 
-    @property
-    def ordered(self) -> bool:
-        """True if positions are ordered monotone sequences rather than multisets."""
-        return self in _ORDERED_FAMILIES
-
-    @property
-    def loopy(self) -> bool:
-        """True if the game graph has cycles (add-moves allowed)."""
-        return self in _LOOPY_FAMILIES
+    def __init__(self, value: str):
+        # ordered: positions are monotone sequences rather than multisets;
+        # loopy: the game graph has cycles (add-moves allowed)
+        self.ordered = value.startswith("monotonic-") or value == "diet-chomp"
+        self.loopy = value.startswith("extended-")
 
 
-_ORDERED_FAMILIES = frozenset(
-    {Family.MONOTONIC_NIM, Family.MONOTONIC_SLOW_NIM, Family.DIET_CHOMP}
-)
-_LOOPY_FAMILIES = frozenset({Family.EXTENDED_NIM, Family.EXTENDED_SLOW_NIM})
 _NEEDS_K = frozenset(
     {
         Family.SLOW_NIM,

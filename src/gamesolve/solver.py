@@ -1,11 +1,10 @@
 """Sprague-Grundy values and outcomes of the acyclic families, from one
 pruned retrograde table per (rules, convention) and list of boards, with
-one cell per sorted board, at its rank (``board_reader``, which ranks
-generated boards as they are once for every pair), or a memoized DFS
-(``grundy``, ``outcome``: the tests' oracle), plus the local verifiers
-that make the loopy extended families checkable: ``verify_pset`` and
-``verify_grundy_consistency`` check a claimed labeling without ever
-solving the loopy graph.
+one cell per sorted board, at its rank (``lattice_table``, read through
+``board_values``), or a memoized DFS (``grundy``, ``outcome``: the tests'
+oracle), plus the local verifiers that make the loopy extended families
+checkable: ``verify_pset`` and ``verify_grundy_consistency`` check a
+claimed labeling without ever solving the loopy graph.
 """
 
 from __future__ import annotations
@@ -256,20 +255,22 @@ def lattice_table(
     return table
 
 
-def board_reader(boards: list) -> Callable[[RuleSet, Convention | None], list]:
-    """Reads the values of ``boards``, in order, for each (rules, convention)
-    asked: True for a P-board under ``convention``, or the normal-play
-    Grundy value when it is None, from that pair's own ``lattice_table``
-    (a loopy family raises ``LoopyFamily`` first).  The padding of every
-    board to the widest, the tops and the ranks are found once, here, so
-    a board may be canonical or raw with leading zeros (``lo = 0`` in
-    ``enumerate_positions``).  Boards are read unchecked; outside input is
-    canonicalized first.  A board reaches exactly the boards below it, so
-    the tops are the box corner when it is itself a board (as in every
-    sweep), else the boards that no other board dominates.  A board
+def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
+    """The values of ``boards``, in order, under (rules, convention): True
+    for a P-board under ``convention``, or the normal-play Grundy value
+    when it is None, from one ``lattice_table`` (a loopy family raises
+    ``LoopyFamily`` first).  Each board is padded to the widest, so it may
+    be canonical or raw with leading zeros; boards are read unchecked, and
+    outside input is canonicalized first.  A board reaches exactly the
+    boards below it, so the tops are the box corner when it is itself a
+    board, else the boards that no other board dominates.  A board
     dominates another only if its sum is larger, so each sum's boards are
     checked against the tops kept from larger sums alone."""
-    m = max(map(len, boards), default=0)
+    if rules.family.loopy:
+        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    if not boards:  # no table for no boards
+        return []
+    m = max(map(len, boards))
     padded = [(0,) * (m - len(b)) + b for b in boards]
     caps = tuple(map(max, zip(*padded)))
     tops = []
@@ -277,25 +278,9 @@ def board_reader(boards: list) -> Callable[[RuleSet, Convention | None], list]:
     for _, same_sum in groupby(by_sum, sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
     ranks = _ranks(caps)
-    indices = [sum(map(getitem, ranks, b)) for b in padded]
-
-    def read(rules: RuleSet, convention: Convention | None) -> list:
-        if rules.family.loopy:
-            raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-        if not indices:  # no table for no boards
-            return []
-        table = lattice_table(rules, convention, *tops)
-        if convention is None:
-            return [table[i] for i in indices]
-        return [table[i] == 1 for i in indices]
-
-    return read
-
-
-def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
-    """``board_reader(boards)`` asked once: the values of ``boards`` under
-    (rules, convention), from one ``lattice_table``."""
-    return board_reader(boards)(rules, convention)
+    table = lattice_table(rules, convention, *tops)
+    cells = [table[sum(map(getitem, ranks, b))] for b in padded]
+    return cells if convention is None else [cell == 1 for cell in cells]
 
 
 class Domain(NamedTuple):
@@ -307,18 +292,15 @@ class Domain(NamedTuple):
     max_entry: int
 
 
-def enumerate_positions(domain: Domain, lo: int = 1) -> Iterator[Position]:
-    """Every non-decreasing sequence of at most max_piles entries in
-    lo..max_entry, once, in lexicographic order and lazily: with lo = 1
-    the canonical positions of the domain, with lo = 0 the raw sequences
-    that the monotone-game difference map reads, where zero padding and
-    length parity matter.  After p comes its least extension, else p with
-    its last entry below max_entry raised by one and the rest cut."""
+def enumerate_positions(domain: Domain) -> Iterator[Position]:
+    """The canonical positions of the domain, once each, in lexicographic
+    order and lazily.  After p comes its least extension, else p with its
+    last entry below max_entry raised by one and the rest cut."""
     m, top, p = domain.max_piles, domain.max_entry, ()
     while True:
         yield p
-        if len(p) < m and lo <= top:
-            p += (p[-1] if p else lo,)
+        if len(p) < m and top >= 1:
+            p += (p[-1] if p else 1,)
             continue
         while p and p[-1] == top:
             p = p[:-1]

@@ -5,7 +5,9 @@ engine (``THEOREMS``; ``verify_theorem`` runs one).
 
 from __future__ import annotations
 
-from functools import cache, partial
+from array import array
+from functools import partial
+from itertools import combinations_with_replacement, islice
 from typing import Callable, NamedTuple
 
 from . import closedforms, solver
@@ -17,11 +19,14 @@ NIM = RuleSet(Family.NIM)
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
 
+CHUNK = 256  # points compared with their cells at a time
+
+
 def _case_checker(check: str, bounds: dict) -> Callable:
     """The function that checks one (rules, convention, closed form) case
-    of a sweep as ``check`` says.  What the cases share, the domain, its
-    points and their ``solver.board_reader``, is built here, once per
-    sweep."""
+    of a sweep as ``check`` says.  What the cases share is built here, once
+    per sweep: the domain, and for "monotone" each raw sequence's
+    difference position."""
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
         from . import analysis
 
@@ -38,17 +43,51 @@ def _case_checker(check: str, bounds: dict) -> Callable:
         return lambda rules, convention, form: solver.verify_grundy_consistency(
             rules, form, domain
         )
-    # closed form vs engine at each generated board; "monotone" reads raw
-    # sequences (zeros allowed), as the difference map does
-    points = list(solver.enumerate_positions(domain, 0 if check == "monotone" else 1))
-    read = solver.board_reader(points)  # pads and indexes the points once
+    # closed form vs engine, from one table per case over the caps
+    # (max_entry,) * max_piles, whose cells in rank order are the sorted
+    # boards below the caps in lexicographic order.  The board with m - L
+    # zeros in front is the canonical position of its L other entries, so
+    # "values" reads the positions of length 0, 1, ..., m from consecutive
+    # cells; "monotone" reads the raw sequences of each length L (zeros
+    # allowed, as the difference map reads them) from cells 0, 1, ...
+    m, top = domain
+    caps, lo = (top,) * m, int(check == "values")  # lo: the least entry
+    # "monotone": the closed form reads difference positions.  Each raw
+    # sequence is mapped to its own once per sweep, kept as the index of
+    # that position in ``differences``, and each case asks the closed form
+    # once per distinct position
+    differences, indices = {}, []  # indices: one array per length
+    for length in range(m + 1 if check == "monotone" else 0):
+        raws = combinations_with_replacement(range(top + 1), length)
+        found = map(closedforms.difference_position, raws)
+        run = (differences.setdefault(b, len(differences)) for b in found)
+        indices.append(array("I", run))
 
     def check_values(rules, convention, form) -> solver.VerificationReport:
-        report = solver.VerificationReport(checked_count=len(points))
-        for p, actual in zip(points, read(rules, convention)):
-            expected = form(p)
-            if expected != actual:
-                report.add(p, f"closed form {expected} != solver {actual}")
+        table, failures, checked = solver.lattice_table(rules, convention, caps), [], 0
+        verdicts = list(map(form, differences))
+        for length in range(m + 1):
+            start = checked if lo else 0
+            points = combinations_with_replacement(range(lo, top + 1), length)
+            while chunk := list(islice(points, CHUNK)):
+                stop = start + len(chunk)
+                if lo:
+                    expected = list(map(form, chunk))
+                else:  # the verdict of each raw sequence's difference position
+                    run = indices[length][start:stop]
+                    expected = list(map(verdicts.__getitem__, run))
+                cells = table[start:stop]
+                if expected != list(cells):  # agreement, the usual case, is in C
+                    failures += [
+                        (p, x, y) for p, x, y in zip(chunk, expected, cells) if x != y
+                    ]
+                checked, start = checked + len(chunk), stop
+        # counterexamples in lexicographic order, as enumerate_positions
+        # walks: a case fails at most once per point, so points decide
+        report = solver.VerificationReport(checked_count=checked)
+        for p, expected, cell in sorted(failures):
+            actual = cell if convention is None else cell == 1
+            report.add(p, f"closed form {expected} != solver {actual}")
         return report
 
     return check_values
@@ -59,7 +98,8 @@ class Theorem(NamedTuple):
     convention, closed form) checked, in order; a counterexample's reason is
     prefixed with its case's tag, if any.  ``check`` compares a closed form
     with the engine's values ("values": Grundy values where the convention
-    is None, else P-booleans; "monotone": the same on raw sequences),
+    is None, else P-booleans; "monotone": P-booleans on raw sequences,
+    the closed form reading their difference positions),
     locally as the loopy games need ("pset": ``verify_pset``; "labels":
     ``verify_grundy_consistency``), or through
     ``analysis.bulk_formula_agreement`` ("bulk")."""
@@ -93,12 +133,8 @@ def _monotone_cases(opts):
     conventions = [Convention(opts.convention)] if opts.convention else list(Convention)
     variants = [RuleSet(Family.MONOTONIC_NIM)]
     variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
-    # one memo for every case: a raw board's difference position is
-    # computed once per sweep
-    differences = cache(closedforms.difference_position)
     return [
-        (f"{r.describe()} {c.value}", r, c,
-         partial(closedforms.monotonic_p, r, c, differences))
+        (f"{r.describe()} {c.value}", r, c, partial(closedforms.difference_p, r, c))
         for r in variants
         for c in conventions
     ]

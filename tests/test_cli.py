@@ -1,5 +1,6 @@
 from argparse import Namespace
 from collections import Counter
+from itertools import combinations_with_replacement
 import json
 import os
 import subprocess
@@ -1074,47 +1075,82 @@ def test_cor2_reads_successors_up_to_the_first_witness(monkeypatch):
     assert 0 < len(drawn) < full
 
 
+def raw_sequences(piles, entry):
+    """The raw sequences (zeros allowed) of at most ``piles`` entries in
+    0..entry that thm7 checks, in lexicographic order."""
+    return sorted(
+        raw
+        for n in range(piles + 1)
+        for raw in combinations_with_replacement(range(entry + 1), n)
+    )
+
+
 def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
     calls = Counter()
     counting(monkeypatch, closedforms, "difference_position", calls)
     report = theorems.verify_theorem("thm7", verify_opts(max_piles=3, max_entry=4))
-    raw = list(enumerate_positions(Domain(3, 4), lo=0))
+    raw = raw_sequences(3, 4)
     assert report.checked_count == 8 * len(raw)  # 4 games x 2 conventions
     assert calls == Counter(("difference_position", p) for p in raw)
+
+
+def test_thm7_asks_each_case_once_per_difference_position(monkeypatch):
+    calls = Counter()
+    counting(monkeypatch, closedforms, "difference_p", calls)
+    report = theorems.verify_theorem("thm7", verify_opts(max_piles=4, max_entry=11))
+    assert report.ok
+    positions = set(map(closedforms.difference_position, raw_sequences(4, 11)))
+    assert len(positions) == 91
+    cases = theorems.THEOREMS["thm7"].cases(verify_opts())
+    assert calls == Counter(
+        ("difference_p", rules, convention, b)
+        for _, rules, convention, _ in cases
+        for b in positions
+    )
 
 
 def test_thm7_fault_shows_after_a_clean_run_in_the_same_process(
     capsys, monkeypatch
 ):
-    # the predicates' memo outlives a sweep, so a clean run first must not
-    # hide a wrong verdict injected around monotonic_p, nor the injected
-    # run leave wrong verdicts behind for the clean run after it
+    # no memo outlives a sweep: a clean run first must not hide a wrong
+    # difference position injected at the raw board (1, 2), nor the
+    # injected run leave wrong verdicts behind for the clean run after it
     args = ["verify", "--theorem", "thm7", "--max-piles", "2", "--max-entry", "3"]
-    real = closedforms.monotonic_p
+    real = closedforms.difference_position
 
-    def wrong(*call_args):
-        return real(*call_args) != (call_args[-1] == (1, 2))
+    def wrong(raw):
+        return real(raw) + (1,) if raw == (1, 2) else real(raw)
 
     assert run(capsys, *args)[0] == 0
-    monkeypatch.setattr(closedforms, "monotonic_p", wrong)
+    monkeypatch.setattr(closedforms, "difference_position", wrong)
     code, out, _ = run(capsys, *args)
     report = json.loads(out)
     assert code == 1 and len(report["counterexamples"]) == 8  # every case
     assert {tuple(c["position"]) for c in report["counterexamples"]} == {(1, 2)}
-    monkeypatch.setattr(closedforms, "monotonic_p", real)
+    monkeypatch.setattr(closedforms, "difference_position", real)
     assert run(capsys, *args)[0] == 0
 
 
-@pytest.mark.parametrize(
-    "theorem, bounds",
-    [
-        ("thm4", {"max_entry": 6}),
-        ("thm5", {"max_entry": 6}),
-        ("thm7", {"max_piles": 3, "max_entry": 4}),
-    ],
-)
-def test_value_sweeps_enumerate_their_domain_once(monkeypatch, theorem, bounds):
+VALUE_SWEEPS = [
+    name for name, t in theorems.THEOREMS.items() if t.check in ("values", "monotone")
+]
+
+
+@pytest.mark.parametrize("theorem", VALUE_SWEEPS)
+def test_value_sweeps_fill_one_table_per_case_and_list_no_domain(
+    monkeypatch, theorem
+):
+    # each case walks its own table's cells in rank order: no sweep lists
+    # its domain through enumerate_positions
     calls = Counter()
     counting(monkeypatch, solver, "enumerate_positions", calls)
-    report = theorems.verify_theorem(theorem, verify_opts(**bounds))
-    assert report.ok and sum(calls.values()) == 1
+    counting(monkeypatch, solver, "lattice_table", calls)
+    opts = verify_opts(max_piles=3, max_entry=6)
+    report = theorems.verify_theorem(theorem, opts)
+    cases = theorems.THEOREMS[theorem].cases(opts)
+    assert report.ok and sum(calls.values()) == len(cases)
+    assert [(rules, convention) for _, rules, convention, *_ in calls] == [
+        (rules, convention) for _, rules, convention, _ in cases
+    ]
+
+

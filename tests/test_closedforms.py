@@ -1,4 +1,4 @@
-from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +10,8 @@ from gamesolve.closedforms import (
     diet2_misere_bulk_conjecture,
     diet2_misere_p_narrow,
     diet2_normal_p,
+    difference_p,
     difference_position,
-    monotonic_p,
     nim_grundy_formula,
     nim_p_misere,
     slow_nim_grundy_formula,
@@ -64,11 +64,17 @@ def test_difference_position():
         difference_position((-1, 2))
 
 
+def monotonic_p(rules, convention, raw):
+    """The P-test of a raw sequence of a monotone game: ``difference_p`` on
+    its difference position."""
+    return difference_p(rules, convention, difference_position(raw))
+
+
 def test_monotonic_p_examples():
     nim = RuleSet(Family.MONOTONIC_NIM)
-    assert monotonic_p(nim, Convention.NORMAL, difference_position, (2, 2)) is True
-    assert monotonic_p(nim, Convention.NORMAL, difference_position, (1, 2)) is False
-    assert monotonic_p(nim, Convention.MISERE, difference_position, (1, 2)) is True
+    assert monotonic_p(nim, Convention.NORMAL, (2, 2)) is True
+    assert monotonic_p(nim, Convention.NORMAL, (1, 2)) is False
+    assert monotonic_p(nim, Convention.MISERE, (1, 2)) is True
     memo = MemoTable()
     for raw, conv in [
         ((2, 2), Convention.NORMAL),
@@ -77,26 +83,27 @@ def test_monotonic_p_examples():
     ]:
         canon = canonicalize(raw, Family.MONOTONIC_NIM)
         solver_p = outcome(nim, conv, canon, memo) is Outcome.P
-        assert monotonic_p(nim, conv, difference_position, raw) == solver_p
+        assert monotonic_p(nim, conv, raw) == solver_p
 
 
 def test_monotonic_p_raw_vs_stripped_agree():
     # zero-stripping changes length parity but not the verdict
+    raws = [
+        raw for n in range(5) for raw in combinations_with_replacement(range(7), n)
+    ]
     for rules in [
         RuleSet(Family.MONOTONIC_NIM),
         RuleSet(Family.MONOTONIC_SLOW_NIM, k=2),
     ]:
         for conv in Convention:
-            for raw in enumerate_positions(Domain(4, 6), lo=0):
+            for raw in raws:
                 stripped = tuple(e for e in raw if e)
-                assert monotonic_p(rules, conv, difference_position, raw) == (
-                    monotonic_p(rules, conv, difference_position, stripped)
-                )
+                assert monotonic_p(rules, conv, raw) == monotonic_p(rules, conv, stripped)
 
 
 def old_monotonic_p(rules, convention, raw):
-    """``monotonic_p`` before its memo: the (Slow-)Nim predicate computed
-    on the difference position at every call."""
+    """``monotonic_p`` as it was before ``difference_p``: the (Slow-)Nim
+    predicate computed on the difference position of a raw sequence."""
     b = difference_position(raw)
     slow = rules.family is Family.MONOTONIC_SLOW_NIM
     if convention is Convention.NORMAL:
@@ -117,25 +124,24 @@ MONOTONE_RULES = st.one_of(
     st.sampled_from(list(Convention)),
     st.lists(st.integers(-3, 9), max_size=6),
 )
-def test_memoized_monotonic_p_matches_the_old_body(rules, convention, entries):
-    # a raw board with zeros allowed, asked twice through each difference
-    # map, so the second call reads the memo
+def test_difference_p_matches_the_old_body(rules, convention, entries):
+    # a raw board with zeros allowed, asked twice: no memo carries a
+    # verdict from one call to the next
     raw = tuple(sorted(map(abs, entries)))
     expected = old_monotonic_p(rules, convention, raw)
-    for differences in (difference_position, cache(difference_position)):
-        for _ in range(2):
-            assert monotonic_p(rules, convention, differences, raw) is expected
+    for _ in range(2):
+        assert monotonic_p(rules, convention, raw) is expected
     # the entries as drawn, when negative or decreasing, raise at every call
     bad = tuple(entries)
     if bad != raw:
         error = ValueError if min(bad) < 0 else NonMonotoneInput
         for _ in range(2):
             with pytest.raises(error):
-                monotonic_p(rules, convention, difference_position, bad)
+                monotonic_p(rules, convention, bad)
 
 
 @pytest.mark.parametrize("conv", list(Convention))
-def test_bad_raw_boards_raise_after_their_difference_position_is_memoized(conv):
+def test_bad_raw_boards_raise_after_a_good_board_of_their_difference_position(conv):
     # (0, 1, 1, 2) and the decreasing (1, 2, 0, 1) pair up to (1, 1); (0, 3)
     # and the negative (-1, 2) to (3,)
     nim = RuleSet(Family.MONOTONIC_NIM)
@@ -143,10 +149,10 @@ def test_bad_raw_boards_raise_after_their_difference_position_is_memoized(conv):
         ((0, 1, 1, 2), (1, 2, 0, 1), NonMonotoneInput),
         ((0, 3), (-1, 2), ValueError),
     ]:
-        monotonic_p(nim, conv, difference_position, good)
+        monotonic_p(nim, conv, good)
         for _ in range(2):
             with pytest.raises(error):
-                monotonic_p(nim, conv, difference_position, bad)
+                monotonic_p(nim, conv, bad)
 
 
 def test_diet2_normal_p():

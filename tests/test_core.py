@@ -137,3 +137,18 @@ def test_position_text_round_trip():
     assert parse_position("0") == ()
     with pytest.raises(ValueError):
         parse_position("1,x")
+
+
+def test_family_flags_are_pinned_for_every_family():
+    # ordered: positions are monotone sequences; loopy: add-moves make cycles
+    assert {f: (f.ordered, f.loopy) for f in Family} == {
+        Family.NIM: (False, False),
+        Family.SLOW_NIM: (False, False),
+        Family.EXTENDED_NIM: (False, True),
+        Family.EXTENDED_SLOW_NIM: (False, True),
+        Family.MONOTONIC_NIM: (True, False),
+        Family.MONOTONIC_SLOW_NIM: (True, False),
+        Family.DIET_CHOMP: (True, False),
+    }
+    # plain member attributes, so reading one calls no Python code
+    assert all({"ordered", "loopy"} <= vars(f).keys() for f in Family)

@@ -221,8 +221,29 @@ def test_enumerate_positions_unique_and_lexicographic():
     assert seen == sorted(seen)
 
 
+def recursive_positions(domain, lo):
+    """The recursive walk that ``enumerate_positions`` replaced: a prefix,
+    then each extension by an entry no lower than its last.  With lo = 0 it
+    is the tests' walk of the raw sequences (zeros allowed) that the
+    monotone-game difference map reads."""
+
+    def rec(prefix, lo):
+        yield prefix
+        if len(prefix) < domain.max_piles:
+            for v in range(lo, domain.max_entry + 1):
+                yield from rec(prefix + (v,), v)
+
+    return rec((), lo)
+
+
+def walk(domain, lo):
+    """``enumerate_positions`` for canonical positions, the recursive walk
+    for raw sequences."""
+    return enumerate_positions(domain) if lo else recursive_positions(domain, 0)
+
+
 def test_enumerate_raw_sequences_allows_zeros():
-    raws = list(enumerate_positions(Domain(2, 1), lo=0))
+    raws = list(walk(Domain(2, 1), 0))
     assert raws == [(), (0,), (0, 0), (0, 1), (1,), (1, 1)]
 
 
@@ -238,27 +259,14 @@ def test_enumerate_positions_matches_brute_force(domain, lo):
         for p in product(range(lo, domain.max_entry + 1), repeat=n)
         if list(p) == sorted(p)
     )
-    assert list(enumerate_positions(domain, lo)) == expected
-
-
-def recursive_positions(domain, lo):
-    """The recursive walk that ``enumerate_positions`` replaced: a prefix,
-    then each extension by an entry no lower than its last."""
-
-    def rec(prefix, lo):
-        yield prefix
-        if len(prefix) < domain.max_piles:
-            for v in range(lo, domain.max_entry + 1):
-                yield from rec(prefix + (v,), v)
-
-    return rec((), lo)
+    assert list(walk(domain, lo)) == expected
 
 
 def test_enumerate_positions_matches_the_recursive_walk():
-    for piles, entry, lo in product(range(6), range(8), (0, 1)):
+    for piles, entry in product(range(6), range(8)):
         domain = Domain(piles, entry)
-        expected = list(recursive_positions(domain, lo))
-        assert list(enumerate_positions(domain, lo)) == expected, (domain, lo)
+        expected = list(recursive_positions(domain, 1))
+        assert list(enumerate_positions(domain)) == expected, domain
 
 
 def test_verify_pset_nim_normal():
@@ -668,10 +676,9 @@ READ_PAIRS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(RAW_BOARDS, READ_PAIRS)
-def test_one_board_reader_serves_every_pair(boards, pairs):
-    # each pair reads its own table, and equals a fresh board_values call
-    # and the DFS on the canonical boards
-    read = solver.board_reader(boards)
+def test_board_values_of_raw_boards_match_the_dfs_for_every_pair(boards, pairs):
+    # raw boards land in their canonical boards' cells: each pair's values
+    # equal the DFS on the canonical boards
     for rules, convention in pairs:
         memo = MemoTable()
         canon = [canonicalize(b, rules.family) for b in boards]
@@ -679,15 +686,12 @@ def test_one_board_reader_serves_every_pair(boards, pairs):
             expected = [grundy(rules, p, memo) for p in canon]
         else:
             expected = [outcome(rules, convention, p, memo) is Outcome.P for p in canon]
-        assert read(rules, convention) == expected
         assert solver.board_values(rules, convention, boards) == expected
 
 
-def test_board_reader_of_no_boards_builds_no_table(monkeypatch):
+def test_board_values_of_no_boards_builds_no_table(monkeypatch):
     built = record_tables(monkeypatch)
-    read = solver.board_reader([])
     for rules, convention in [(DC2, Convention.MISERE), (RuleSet(Family.NIM), None)]:
-        assert read(rules, convention) == []
         assert solver.board_values(rules, convention, []) == []
     assert built == []
 
@@ -698,14 +702,11 @@ def test_board_reader_of_no_boards_builds_no_table(monkeypatch):
     [RuleSet(Family.EXTENDED_NIM, add_limit=1), RuleSet(Family.EXTENDED_SLOW_NIM, k=2)],
     ids=RuleSet.describe,
 )
-def test_board_reader_rejects_loopy_families_before_any_table(
+def test_board_values_rejects_loopy_families_before_any_table(
     monkeypatch, rules, boards
 ):
     built = record_tables(monkeypatch)
-    read = solver.board_reader(boards)
     for convention in [*Convention, None]:
-        with pytest.raises(LoopyFamily):
-            read(rules, convention)
         with pytest.raises(LoopyFamily):
             solver.board_values(rules, convention, boards)
     assert built == []

@@ -39,7 +39,9 @@ VERIFY_CASES = [
 ]
 
 # (verify arguments, closed form to break, the argument it gives a wrong
-# label for); one case per theorem, so every check kind and tag is pinned
+# label for); one case per theorem, so every check kind and tag is pinned.
+# thm7 asks its predicate once per difference position, so a wrong label
+# at one raw board is a wrong difference position there
 INJECTED_CASES = [
     (("thm1", "--max-piles", "3", "--max-entry", "3"),
      "nim_grundy_formula", (1, 2, 3)),
@@ -56,7 +58,7 @@ INJECTED_CASES = [
     (("thm6-pset", "--add-limit", "1", "--max-entry", "4"),
      "slow_nim_grundy_formula", (1, 1)),
     (("thm7", "--max-piles", "2", "--max-entry", "3"),
-     "monotonic_p", (1, 2)),
+     "difference_position", (1, 2)),
     (("lemma8", "--max-cols", "3", "--max-height", "3"),
      "diet2_normal_p", (1, 2)),
     (("lemma8", "--max-cols", "2", "--max-height", "2"),
@@ -291,6 +293,8 @@ def test_verify_injected_counterexample_pinned(capsys, monkeypatch, args, name, 
         value = real(*call_args)
         if call_args[-1] != at:
             return value
+        if isinstance(value, tuple):  # (1,) becomes (1, 1): the verdict flips
+            return value + (1,)
         return (not value) if isinstance(value, bool) else value + 1
 
     monkeypatch.setattr(closedforms, name, wrong)
