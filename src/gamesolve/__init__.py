@@ -8,7 +8,6 @@ from .core import (
     LoopyFamily,
     MoveRecord,
     NonMonotoneInput,
-    Outcome,
     Position,
     RuleSet,
     canonicalize,
@@ -37,7 +36,6 @@ __all__ = [
     "MemoTable",
     "MoveRecord",
     "NonMonotoneInput",
-    "Outcome",
     "Position",
     "RuleSet",
     "VerificationReport",

@@ -31,9 +31,9 @@ def directional_period(
     values_of: Callable[[list], list],
     base: Sequence[int],
     direction: Sequence[int],
-    probe_length: int = 60,
-    max_period: int = 16,
-    max_preperiod: int = 24,
+    probe_length: int,
+    max_period: int,
+    max_preperiod: int,
 ) -> PeriodReport:
     """Minimal (preperiod, period), lexicographic, fitting the values that
     ``values_of`` gives the points base + t*direction, t = 0..probe_length-1."""
@@ -99,7 +99,7 @@ def figure_grids(
     a1_values: Sequence[int],
     width: int,
     height: int,
-    triangular: bool = False,
+    triangular: bool,
 ) -> list:
     """One raster per a1, from one ``lattice_values`` call: rows of
     booleans, bottom row (y = 0) first, marking the P-positions with first

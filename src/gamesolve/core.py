@@ -67,11 +67,6 @@ class Convention(enum.Enum):
     MISERE = "misere"
 
 
-class Outcome(enum.Enum):
-    P = "P"  # previous player wins
-    N = "N"  # next player wins
-
-
 class _Rules(NamedTuple):  # a NamedTuple cannot define __new__ itself
     family: Family
     k: int | None = None

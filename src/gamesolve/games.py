@@ -11,10 +11,10 @@ each result is built in canonical form directly.  The subtract moves come
 lazily, so a reader that stops early builds no more of them; the add and
 cut moves come as lists: an add past ``MAX_ENTRY`` raises
 ``BoundsExceeded`` at the call, and the tests compare the cuts with a
-reference list.  ``moves`` returns the deduplicated, lexicographically
-sorted results, so output is deterministic across platforms;
-``move_records`` the annotated moves; ``successor_stream`` the results as
-generated, which the local verifiers read until a board is settled.
+reference list.  ``move_records`` returns the annotated moves;
+``successor_stream`` the results as generated, which the local verifiers
+read until a board is settled, and which ``solver.successors``
+deduplicates and sorts for the DFS.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ def diet_chomp2_moves_explicit(p: Position) -> list[Position]:
 
 def _replace(p: Position, i: int, value: int) -> Position:
     return canonicalize(p[:i] + (value,) + p[i + 1 :], Family.DIET_CHOMP)
-
-
-def moves(rules: RuleSet, p: Position) -> list[Position]:
-    """Deduplicated, sorted canonical successors of canonical p."""
-    return sorted(set(successor_stream(rules, p)))
 
 
 def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:

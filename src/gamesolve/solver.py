@@ -14,20 +14,20 @@ from itertools import accumulate, groupby
 from operator import getitem, itemgetter, le
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Convention, Family, LoopyFamily, Outcome, Position, RuleSet
+from .core import Convention, Family, LoopyFamily, Position, RuleSet
 
 
-_moves = None  # games.moves, imported at the first successors call
+_stream = None  # games.successor_stream, imported at the first successors call
 
 
 def successors(rules: RuleSet, p: Position) -> list[Position]:
-    """``games.moves``: the boards one move from p, deduplicated and sorted.
-    Only the DFS calls it, so ``games`` loads on its first call; the local
-    verifiers read ``games.successor_stream`` instead."""
-    global _moves
-    if _moves is None:
-        from .games import moves as _moves
-    return _moves(rules, p)
+    """The boards one move from canonical p, deduplicated, in lexicographic
+    order.  Only the DFS calls it, so ``games`` loads on its first call;
+    the local verifiers read ``games.successor_stream`` as generated."""
+    global _stream
+    if _stream is None:
+        from .games import successor_stream as _stream
+    return sorted(set(_stream(rules, p)))
 
 
 def mex(values: Iterable[int]) -> int:
@@ -88,19 +88,16 @@ def outcome(
     convention: Convention,
     p: Position,
     memo: MemoTable | None = None,
-) -> Outcome:
-    """P/N outcome of p under the given convention.
-
-    Terminal is P in normal play and N in misere play (the previous
-    player made the last move); a nonterminal position is N iff some
-    successor is P.
+) -> bool:
+    """True iff p is a P-position under the given convention, the value
+    ``board_values`` gives.  Terminal is P in normal play and N in misere
+    play (the previous player made the last move); a nonterminal position
+    is P iff no successor is P.
     """
-    terminal = Outcome.P if convention is Convention.NORMAL else Outcome.N
+    terminal = convention is Convention.NORMAL
 
-    def node_value(values: list) -> Outcome:
-        if not values:
-            return terminal
-        return Outcome.N if Outcome.P in values else Outcome.P
+    def node_value(values: list) -> bool:
+        return not any(values) if values else terminal
 
     tables = (memo or MemoTable()).outcomes
     return _solve(rules, p, tables, (rules, convention), node_value)

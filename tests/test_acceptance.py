@@ -10,10 +10,10 @@ from gamesolve import (
     Domain,
     Family,
     MemoTable,
-    Outcome,
     RuleSet,
     canonicalize,
     outcome,
+    successors,
     verify_pset,
 )
 from gamesolve import theorems
@@ -34,7 +34,7 @@ from gamesolve.closedforms import (
     nim_p_misere,
     slow_nim_p_misere,
 )
-from gamesolve.games import diet_chomp2_moves_explicit, moves
+from gamesolve.games import diet_chomp2_moves_explicit
 from gamesolve.solver import enumerate_positions
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
@@ -143,9 +143,9 @@ def test_criterion_9_figure_rasters_and_directional_periods():
     size = 16
     renders_ok = True
     for a1 in range(12):
-        grid = figure_grids(DC2, Convention.MISERE, [a1], size, size)[0]
-        again = figure_grids(DC2, Convention.MISERE, [a1], size, size)[0]
-        shifted = figure_grids(DC2, Convention.MISERE, [a1 + 12], size, size)[0]
+        grid = figure_grids(DC2, Convention.MISERE, [a1], size, size, False)[0]
+        again = figure_grids(DC2, Convention.MISERE, [a1], size, size, False)[0]
+        shifted = figure_grids(DC2, Convention.MISERE, [a1 + 12], size, size, False)[0]
         renders_ok &= render_pbm(grid) == render_pbm(again)
         renders_ok &= grid == shifted
 
@@ -159,8 +159,8 @@ def test_criterion_9_figure_rasters_and_directional_periods():
     for a1 in range(12):
         for dx in range(13):
             base = (a1, a1 + dx, a1 + dx)
-            row = directional_period(fn, base, ROW_DIRECTION, 60)
-            diag = directional_period(fn, base, NE_DIAGONAL_DIRECTION, 60)
+            row = directional_period(fn, base, ROW_DIRECTION, 60, 16, 24)
+            diag = directional_period(fn, base, NE_DIAGONAL_DIRECTION, 60, 16, 24)
             periods_ok &= row.period in ROW_PERIODS
             periods_ok &= diag.period in NE_DIAGONAL_PERIODS
     check(
@@ -200,7 +200,7 @@ def test_criterion_10_bulk_formula_wide_window():
 def test_criterion_11_generator_cross_check():
     t0 = time.perf_counter()
     ok = all(
-        set(moves(DC2, p)) == set(diet_chomp2_moves_explicit(p))
+        successors(DC2, p) == diet_chomp2_moves_explicit(p)
         for p in enumerate_positions(Domain(5, 10))
     )
     check(

@@ -38,42 +38,44 @@ def misere_fn():
 
 
 def test_single_column_period_three(misere_fn):
-    report = directional_period(misere_fn, (0,), (1,), probe_length=60)
+    report = directional_period(misere_fn, (0,), (1,), 60, 16, 24)
     assert (report.preperiod, report.period) == (0, 3)
 
 
 def test_constant_function_period_one():
-    report = directional_period(lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1, 1), 60)
+    report = directional_period(
+        lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1, 1), 60, 16, 24
+    )
     assert report.period == 1
     assert report.preperiod == 0
 
 
 def test_flat_diagonal_period_twelve(misere_fn):
-    report = directional_period(
-        misere_fn, (0, 0, 0), (1, 1, 1), probe_length=60, max_period=16
-    )
+    report = directional_period(misere_fn, (0, 0, 0), (1, 1, 1), 60, 16, 24)
     assert report.period == 12
 
 
 def test_insufficient_probe_rejected(misere_fn):
     with pytest.raises(InsufficientProbe):
-        directional_period(misere_fn, (0,), (1,), probe_length=10)
+        directional_period(misere_fn, (0,), (1,), 10, 16, 24)
 
 
 def test_direction_must_be_nonzero(misere_fn):
     with pytest.raises(ValueError):
-        directional_period(misere_fn, (0, 0, 0), (0, 0, 0), 60)
+        directional_period(misere_fn, (0, 0, 0), (0, 0, 0), 60, 16, 24)
 
 
 def test_direction_arity_must_match_base():
     with pytest.raises(ValueError, match="direction arity must match base"):
-        directional_period(lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1), 60)
+        directional_period(lambda ps: ["x"] * len(ps), (0, 0, 0), (1, 1), 60, 16, 24)
 
 
 def test_preperiod_preferred_over_period():
     # sequence: one-off head then all equal; (1,1) beats any (0,p)
     seq = [1, 0, 0, 0] + [0] * 60
-    report = directional_period(lambda ps: [seq[p[0]] for p in ps], (0,), (1,), 60)
+    report = directional_period(
+        lambda ps: [seq[p[0]] for p in ps], (0,), (1,), 60, 16, 24
+    )
     assert (report.preperiod, report.period) == (1, 1)
 
 
@@ -92,7 +94,7 @@ def test_translation_period_three_normal():
 
 
 def test_figure_grid_corner_cells():
-    rows = figure_grids(DC2, Convention.MISERE, [0], 2, 2)[0]
+    rows = figure_grids(DC2, Convention.MISERE, [0], 2, 2, False)[0]
     assert rows[0][0] is False  # (0,0,0) terminal is N in misere
     assert rows[1][0] is True  # (0,0,1) -> single square, P
     [corner] = lattice_values(DC2, Convention.MISERE, [(0, 1, 1)])
@@ -110,7 +112,7 @@ def test_render_ascii():
 
 
 def test_pbm_round_trip():
-    rows = figure_grids(DC2, Convention.MISERE, [3], 7, 5)[0]
+    rows = figure_grids(DC2, Convention.MISERE, [3], 7, 5, False)[0]
     assert (len(rows), len(rows[0])) == (5, 7)
     assert parse_pbm(render_pbm(rows)) == rows
 

@@ -22,7 +22,6 @@ from gamesolve.games import (
     diet_chomp2_moves_explicit,
     diet_chomp_move_records,
     move_records,
-    moves,
 )
 
 NIM = RuleSet(Family.NIM)
@@ -171,7 +170,7 @@ def test_canonical_generators_equal_slow_reference(rules):
         records = move_records(rules, p)
         assert records == expected, p
         assert all(type(r) is MoveRecord for r in records)
-        assert moves(rules, p) == sorted({r.result for r in expected}), p
+        assert successors(rules, p) == sorted({r.result for r in expected}), p
 
 
 def test_a_k_as_large_as_every_entry_is_no_limit():
@@ -213,45 +212,45 @@ def test_add_moves_past_max_entry_raise_like_canonicalize():
 
 
 def test_nim_moves_examples():
-    assert moves(NIM, (2,)) == [(), (1,)]
-    assert moves(NIM, (1, 1)) == [(1,)]
-    assert set(moves(NIM, (1, 2))) == {(2,), (1, 1), (1,)}
+    assert successors(NIM, (2,)) == [(), (1,)]
+    assert successors(NIM, (1, 1)) == [(1,)]
+    assert set(successors(NIM, (1, 2))) == {(2,), (1, 1), (1,)}
 
 
 def test_slow_nim_moves_examples():
-    assert moves(slow_nim(2), (3,)) == [(1,), (2,)]
-    assert moves(slow_nim(1), (1, 1)) == [(1,)]
-    assert moves(slow_nim(3), (5,)) == [(2,), (3,), (4,)]
+    assert successors(slow_nim(2), (3,)) == [(1,), (2,)]
+    assert successors(slow_nim(1), (1, 1)) == [(1,)]
+    assert successors(slow_nim(3), (5,)) == [(2,), (3,), (4,)]
 
 
 def test_extended_nim_moves_examples():
-    assert moves(extended_nim(2), (1,)) == [(), (2,), (3,)]
-    assert moves(extended_nim(1), ()) == []
-    assert moves(extended_nim(1), (1, 1)) == [(1,), (1, 2)]
+    assert successors(extended_nim(2), (1,)) == [(), (2,), (3,)]
+    assert successors(extended_nim(1), ()) == []
+    assert successors(extended_nim(1), (1, 1)) == [(1,), (1, 2)]
 
 
 def test_extended_slow_nim_moves_examples():
-    assert moves(extended_slow_nim(1), (1,)) == [(), (2,)]
-    assert moves(extended_slow_nim(2), (2,)) == [(), (1,), (3,), (4,)]
-    assert moves(extended_slow_nim(2), ()) == []
+    assert successors(extended_slow_nim(1), (1,)) == [(), (2,)]
+    assert successors(extended_slow_nim(2), (2,)) == [(), (1,), (3,), (4,)]
+    assert successors(extended_slow_nim(2), ()) == []
 
 
 def test_monotonic_nim_moves_examples():
-    assert set(moves(MONOTONIC_NIM, (1, 2))) == {(2,), (1, 1)}
-    assert set(moves(MONOTONIC_NIM, (2, 2))) == {(1, 2), (2,)}
-    assert moves(MONOTONIC_NIM, (1, 1)) == [(1,)]
+    assert set(successors(MONOTONIC_NIM, (1, 2))) == {(2,), (1, 1)}
+    assert set(successors(MONOTONIC_NIM, (2, 2))) == {(1, 2), (2,)}
+    assert successors(MONOTONIC_NIM, (1, 1)) == [(1,)]
 
 
 def test_monotonic_slow_nim_moves_examples():
-    assert set(moves(monotonic_slow_nim(1), (1, 2))) == {(2,), (1, 1)}
-    assert set(moves(monotonic_slow_nim(2), (3, 3))) == {(1, 3), (2, 3)}
-    assert moves(monotonic_slow_nim(5), (2,)) == [(), (1,)]
+    assert set(successors(monotonic_slow_nim(1), (1, 2))) == {(2,), (1, 1)}
+    assert set(successors(monotonic_slow_nim(2), (3, 3))) == {(1, 3), (2, 3)}
+    assert successors(monotonic_slow_nim(5), (2,)) == [(), (1,)]
 
 
 def test_diet_chomp_moves_examples():
-    assert set(moves(diet_chomp(2), (1, 2, 2))) == {(2, 2), (1, 1, 2), (1, 1, 1)}
-    assert moves(diet_chomp(1), (1, 1)) == [(1,)]
-    assert set(moves(diet_chomp(100), (2, 2))) == {(2,), (1, 2), (1, 1), ()}
+    assert set(successors(diet_chomp(2), (1, 2, 2))) == {(2, 2), (1, 1, 2), (1, 1, 1)}
+    assert successors(diet_chomp(1), (1, 1)) == [(1,)]
+    assert set(successors(diet_chomp(100), (2, 2))) == {(2,), (1, 2), (1, 1), ()}
 
 
 def test_diet_chomp2_explicit_examples():
@@ -271,7 +270,7 @@ def test_diet_chomp2_explicit_examples():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_diet_chomp_matches_quadrant_oracle(k):
     for p in young_positions(4, 5):
-        assert set(moves(diet_chomp(k), p)) == quadrant_oracle(k, p), p
+        assert set(successors(diet_chomp(k), p)) == quadrant_oracle(k, p), p
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -292,35 +291,36 @@ def test_single_tall_column_has_k_records(k):
 def test_explicit_rules_equal_quadrant_moves():
     # exhaustive cross-check at small scale; acceptance widens the box
     for p in young_positions(4, 6):
-        assert set(moves(diet_chomp(2), p)) == set(diet_chomp2_moves_explicit(p)), p
+        assert successors(diet_chomp(2), p) == diet_chomp2_moves_explicit(p), p
 
 
 def test_unrestricted_k_gives_all_quadrant_cuts():
     for p in young_positions(3, 4):
         total = sum(p)
         if total:
-            assert set(moves(diet_chomp(total), p)) == quadrant_oracle(total, p)
+            assert set(successors(diet_chomp(total), p)) == quadrant_oracle(total, p)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_slow_moves_are_subsets(k):
     for p in young_positions(3, 6):
-        assert set(moves(slow_nim(k), p)) <= set(moves(NIM, p))
-        assert set(moves(monotonic_slow_nim(k), p)) <= set(moves(MONOTONIC_NIM, p))
+        assert set(successors(slow_nim(k), p)) <= set(successors(NIM, p))
+        slow = set(successors(monotonic_slow_nim(k), p))
+        assert slow <= set(successors(MONOTONIC_NIM, p))
 
 
 def test_slow_equals_full_when_k_covers_max():
     for p in young_positions(3, 5):
-        assert moves(slow_nim(5), p) == moves(NIM, p)
-        assert moves(monotonic_slow_nim(5), p) == moves(MONOTONIC_NIM, p)
+        assert successors(slow_nim(5), p) == successors(NIM, p)
+        assert successors(monotonic_slow_nim(5), p) == successors(MONOTONIC_NIM, p)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_extended_slow_decreasing_part_is_slow_nim(k):
     for p in young_positions(3, 6):
         total = sum(p)
-        dec = {q for q in moves(extended_slow_nim(k), p) if sum(q) < total}
-        assert dec == set(moves(slow_nim(k), p))
+        dec = {q for q in successors(extended_slow_nim(k), p) if sum(q) < total}
+        assert dec == set(successors(slow_nim(k), p))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -328,9 +328,9 @@ def test_add_moves_reach_back(k):
     # every add-successor has a subtraction move returning to the source
     for p in young_positions(2, 6):
         total = sum(p)
-        for q in moves(extended_slow_nim(k), p):
+        for q in successors(extended_slow_nim(k), p):
             if sum(q) > total:
-                assert p in moves(slow_nim(k), q)
+                assert p in successors(slow_nim(k), q)
 
 
 def test_successors_monotone_for_ordered_families():
@@ -375,5 +375,5 @@ def test_move_records_results_are_legal_successors():
 )
 def test_diet_chomp_output_sorted_dedup(entries, k):
     p = canonicalize(sorted(entries), Family.DIET_CHOMP)
-    out = moves(diet_chomp(k), p)
+    out = successors(diet_chomp(k), p)
     assert out == sorted(set(out))

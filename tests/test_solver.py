@@ -19,7 +19,6 @@ from gamesolve import (
     Family,
     LoopyFamily,
     MemoTable,
-    Outcome,
     RuleSet,
     enumerate_positions,
     grundy,
@@ -44,12 +43,8 @@ def naive_outcome(rules, convention, p):
     def solve(q):
         succ = successors(rules, q)
         if not succ:
-            return Outcome.P if convention is Convention.NORMAL else Outcome.N
-        return (
-            Outcome.N
-            if any(solve(s) is Outcome.P for s in succ)
-            else Outcome.P
-        )
+            return convention is Convention.NORMAL
+        return not any(solve(s) for s in succ)
 
     return solve(p)
 
@@ -88,15 +83,12 @@ def test_grundy_examples():
 
 def test_outcome_terminal_rules():
     for rules in [RuleSet(Family.NIM), RuleSet(Family.DIET_CHOMP, k=2)]:
-        assert outcome(rules, Convention.NORMAL, ()) is Outcome.P
-        assert outcome(rules, Convention.MISERE, ()) is Outcome.N
+        assert outcome(rules, Convention.NORMAL, ()) is True
+        assert outcome(rules, Convention.MISERE, ()) is False
 
 
 def test_outcome_lemma9_base_case():
-    assert (
-        outcome(RuleSet(Family.DIET_CHOMP, k=2), Convention.MISERE, (1,))
-        is Outcome.P
-    )
+    assert outcome(RuleSet(Family.DIET_CHOMP, k=2), Convention.MISERE, (1,)) is True
 
 
 @pytest.mark.parametrize(
@@ -184,7 +176,7 @@ def test_grundy_zero_iff_normal_p():
     memo = MemoTable()
     for rules in [RuleSet(Family.NIM), RuleSet(Family.DIET_CHOMP, k=2)]:
         for p in enumerate_positions(Domain(3, 7)):
-            is_p = outcome(rules, Convention.NORMAL, p, memo) is Outcome.P
+            is_p = outcome(rules, Convention.NORMAL, p, memo)
             assert (grundy(rules, p, memo) == 0) == is_p
 
 
@@ -383,8 +375,7 @@ def assert_cells_hold_the_dfs(table, tops, reached, convention):
     assert len(table) == len(canonical)
     assert set(reached) <= set(canonical)
     for cell, p in zip(table, canonical):
-        value = reached.get(p, 0)
-        assert cell == (value if convention is None else value is Outcome.P), p
+        assert cell == reached.get(p, 0), p
 
 
 @pytest.mark.parametrize("caps, count", [((20, 20, 20), 1771), ((9, 9, 9, 9), 715)])
@@ -400,7 +391,7 @@ def test_outcome_table_matches_dfs(k, convention, caps, count):
 
     boards = raw_boards(caps)
     assert len(boards) == len(table) == count
-    mismatches = [b for b, cell in zip(boards, table) if cell != (dfs(b) is Outcome.P)]
+    mismatches = [b for b, cell in zip(boards, table) if cell != dfs(b)]
     assert mismatches == []
 
 
@@ -426,7 +417,7 @@ def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
         p = canonicalize(board, rules.family)
         if convention is None:
             return grundy(rules, p, memo)
-        return int(outcome(rules, convention, p, memo) is Outcome.P)
+        return outcome(rules, convention, p, memo)
 
     boards = raw_boards(caps)
     assert len(boards) == len(table) == 715
@@ -434,7 +425,23 @@ def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
     assert mismatches == []
 
 
-TRIPLES = list(combinations_with_replacement(range(7), 3))
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TABLE_RULES),
+    st.sampled_from(list(Convention)),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=4),
+)
+def test_the_dfs_answers_in_the_tables_vocabulary(rules, convention, entries):
+    # the oracle and the tables give the very same values: a P-boolean
+    # (not merely a truthy value) and a Grundy int
+    p = canonicalize(sorted(entries), rules.family)
+    is_p = outcome(rules, convention, p)
+    assert type(is_p) is bool
+    assert is_p is solver.board_values(rules, convention, [p])[0]
+    assert grundy(rules, p) == solver.board_values(rules, None, [p])[0]
+
+
+TRIPLES =list(combinations_with_replacement(range(7), 3))
 
 
 def record_tables(monkeypatch):
@@ -463,7 +470,7 @@ def test_lattice_outcomes_match_the_dfs(monkeypatch, rules, points, kinds, conve
     built = record_tables(monkeypatch)
     memo = MemoTable()
     canonical = [canonicalize(p, rules.family) for p in points]
-    expected = [outcome(rules, convention, p, memo) is Outcome.P for p in canonical]
+    expected = [outcome(rules, convention, p, memo) for p in canonical]
     assert analysis.lattice_values(rules, convention, points) == expected
     assert list(map(type, built)) == kinds
     if built:
@@ -529,8 +536,8 @@ def dfs_answers(rules, convention, boards):
     if convention is Convention.NORMAL:
         values = [grundy(rules, p) for p in boards]
         return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
-    return [{"outcome": outcome(rules, convention, p).value, "grundy": None}
-            for p in boards]
+    values = [outcome(rules, convention, p) for p in boards]
+    return [{"outcome": "P" if v else "N", "grundy": None} for v in values]
 
 
 @pytest.mark.parametrize("convention", list(Convention))
@@ -587,7 +594,7 @@ def test_one_pruned_table_fills_what_the_dfs_reaches(
         expected = [grundy(rules, p, memo) for p in boards]
         reached = memo.grundy_values[rules]
     else:
-        expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
+        expected = [outcome(rules, convention, p, memo) for p in boards]
         reached = memo.outcomes[(rules, convention)]
     assert solver.board_values(rules, convention, boards) == expected
     assert len(built) == 1
@@ -613,9 +620,7 @@ def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
         expected = [grundy(rules, p, memo) for p in MIXED_ANTICHAIN]
         reached = memo.grundy_values[rules]
     else:
-        expected = [
-            outcome(rules, convention, p, memo) is Outcome.P for p in MIXED_ANTICHAIN
-        ]
+        expected = [outcome(rules, convention, p, memo) for p in MIXED_ANTICHAIN]
         reached = memo.outcomes[(rules, convention)]
     built = record_tables(monkeypatch)
     assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
@@ -650,7 +655,7 @@ def test_board_values_match_the_dfs_on_random_boards(rules, convention, boards):
         expected = [grundy(rules, p, memo) for p in boards]
         reached = memo.grundy_values[rules]
     else:
-        expected = [outcome(rules, convention, p, memo) is Outcome.P for p in boards]
+        expected = [outcome(rules, convention, p, memo) for p in boards]
         reached = memo.outcomes[(rules, convention)]
     built, real = [], solver.lattice_table
     with patch.object(
@@ -685,7 +690,7 @@ def test_board_values_of_raw_boards_match_the_dfs_for_every_pair(boards, pairs):
         if convention is None:  # Grundy values
             expected = [grundy(rules, p, memo) for p in canon]
         else:
-            expected = [outcome(rules, convention, p, memo) is Outcome.P for p in canon]
+            expected = [outcome(rules, convention, p, memo) for p in canon]
         assert solver.board_values(rules, convention, boards) == expected
 
 
@@ -947,7 +952,7 @@ def test_verify_pset_matches_the_eager_reference(
     flipped = {p for p in enumerate_positions(domain) if rng.random() < flip_rate}
 
     def claimed_p(p):
-        return (outcome(base, convention, p, memo) is Outcome.P) != (p in flipped)
+        return outcome(base, convention, p, memo) != (p in flipped)
 
     expected = ref_verify_pset(rules, convention, claimed_p, domain).to_dict()
     assert verify_pset(rules, convention, claimed_p, domain).to_dict() == expected
