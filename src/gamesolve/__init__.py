@@ -14,10 +14,8 @@ from .core import (
     parse_position,
 )
 from .solver import (
-    Domain,
     MemoTable,
     VerificationReport,
-    enumerate_positions,
     grundy,
     mex,
     outcome,
@@ -29,7 +27,6 @@ from .solver import (
 __all__ = [
     "BoundsExceeded",
     "Convention",
-    "Domain",
     "Family",
     "GameError",
     "LoopyFamily",
@@ -40,7 +37,6 @@ __all__ = [
     "RuleSet",
     "VerificationReport",
     "canonicalize",
-    "enumerate_positions",
     "grundy",
     "mex",
     "outcome",

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import solver
 from .core import (
+    MAX_ENTRY,
     Convention,
     Family,
     GameError,
@@ -92,14 +93,16 @@ def cmd_verify(opts) -> int:
 def _parse_a1_range(text: str) -> list[int]:
     lo, dots, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise ValueError(f"--a1 must be an int or lo..hi, not {text!r}") from None
-    if not values:
+    if lo > hi:
         raise ValueError(f"empty --a1 range {text!r}")
-    if values[0] < 0:
+    if lo < 0:
         raise ValueError(f"--a1 must be >= 0, not {text!r}")
-    return values
+    if hi > MAX_ENTRY:
+        raise ValueError(f"--a1 must be <= {MAX_ENTRY}, not {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_figure(opts) -> int:

@@ -7,13 +7,12 @@ heap, and the Extended games list its moves after the subtract moves;
 canonical position and generates its legal moves as ``(kind, index,
 amount, result)`` tuples, the fields of ``MoveRecord``.  Every legal move
 keeps a position's shape (a multiset, or a non-decreasing sequence), so
-each result is built in canonical form directly.  The subtract moves come
-lazily, so a reader that stops early builds no more of them; the add and
-cut moves come as lists: an add past ``MAX_ENTRY`` raises
-``BoundsExceeded`` at the call, and the tests compare the cuts with a
-reference list.  ``move_records`` returns the annotated moves;
-``successor_stream`` the results as generated, which the local verifiers
-read until a board is settled, and which ``solver.successors``
+each result is built in canonical form directly.  The subtract and cut
+moves come lazily, so a reader that stops early builds no more of them;
+the add moves come as a list, so that an add past ``MAX_ENTRY`` raises
+``BoundsExceeded`` at the call.  ``move_records`` returns the annotated
+moves; ``successor_stream`` the results as generated, which the local
+verifiers read until a board is settled, and which ``solver.successors``
 deduplicates and sorts for the DFS.
 """
 
@@ -67,7 +66,7 @@ def add_move_records(limit: int, p: Position) -> list[tuple]:
     return records
 
 
-def diet_chomp_move_records(k: int, p: Position) -> list[tuple]:
+def diet_chomp_move_records(k: int, p: Position) -> Iterator[tuple]:
     """Quadrant chomp moves removing between 1 and k squares.
 
     A move at (column j, height r) truncates columns 1..j to height r-1;
@@ -77,7 +76,6 @@ def diet_chomp_move_records(k: int, p: Position) -> list[tuple]:
     # can be legal; p is non-decreasing, so the cut reaches leftwards
     # exactly as far as the columns of height >= r, and leaves the
     # columns left of those alone.
-    records = []
     for j in range(1, len(p) + 1):
         tail = p[j:]
         for r in range(max(1, p[j - 1] - k + 1), p[j - 1] + 1):
@@ -90,8 +88,7 @@ def diet_chomp_move_records(k: int, p: Position) -> list[tuple]:
                 # columns i+1..j-1 become r-1; for r = 1 every column left
                 # of j is cut to nothing
                 result = p[: i + 1] + (r - 1,) * (j - 1 - i) + tail if r > 1 else tail
-                records.append(("chomp", j, r, result))
-    return records
+                yield ("chomp", j, r, result)
 
 
 def diet_chomp2_moves_explicit(p: Position) -> list[Position]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, groupby
 from operator import getitem, itemgetter, le
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable
 
 from .core import Convention, Family, LoopyFamily, Position, RuleSet
 
@@ -280,32 +280,6 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     return cells if convention is None else [cell == 1 for cell in cells]
 
 
-class Domain(NamedTuple):
-    """Finite set of canonical positions: length <= max_piles, entries in
-    1..max_entry (canonical forms carry no zeros); ``enumerate_positions``
-    lists them."""
-
-    max_piles: int
-    max_entry: int
-
-
-def enumerate_positions(domain: Domain) -> Iterator[Position]:
-    """The canonical positions of the domain, once each, in lexicographic
-    order and lazily.  After p comes its least extension, else p with its
-    last entry below max_entry raised by one and the rest cut."""
-    m, top, p = domain.max_piles, domain.max_entry, ()
-    while True:
-        yield p
-        if len(p) < m and top >= 1:
-            p += (p[-1] if p else 1,)
-            continue
-        while p and p[-1] == top:
-            p = p[:-1]
-        if not p:
-            return
-        p = p[:-1] + (p[-1] + 1,)
-
-
 class VerificationReport:
     def __init__(self, checked_count: int = 0, skipped_boundary_count: int = 0):
         self.checked_count = checked_count
@@ -335,9 +309,10 @@ def verify_pset(
     rules: RuleSet,
     convention: Convention,
     claimed_p: Callable[[Position], bool],
-    domain: Domain,
+    positions: Iterable[Position],
 ) -> VerificationReport:
-    """Check a claimed P-set locally over a finite domain.
+    """Check a claimed P-set locally over a finite domain: the canonical
+    ``positions``, each checked once, in the order given.
 
     For each position: terminals must carry the convention's terminal
     label; a claimed P-position must have no in-domain P-successor; a
@@ -355,7 +330,7 @@ def verify_pset(
 
     report = VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
-    labels = {p: claimed_p(p) for p in enumerate_positions(domain)}
+    labels = {p: claimed_p(p) for p in positions}
     for p, is_p in labels.items():
         report.checked_count += 1
         if not is_p and any(map(labels.get, successor_stream(rules, p))):
@@ -378,16 +353,17 @@ def verify_pset(
 def verify_grundy_consistency(
     ext_rules: RuleSet,
     labeling: Callable[[Position], int],
-    domain: Domain,
+    positions: Iterable[Position],
 ) -> VerificationReport:
     """Check that a claimed Grundy labeling is mex-consistent under the
-    extended move set, for positions whose successors all stay in the
-    domain; positions with out-of-domain successors are skipped, at the
-    first one read.  Each position is labeled once, as in ``verify_pset``."""
+    extended move set, for each of the canonical ``positions`` (the
+    domain) whose successors all stay in the domain; positions with
+    out-of-domain successors are skipped, at the first one read.  Each
+    position is labeled once, as in ``verify_pset``."""
     from .games import successor_stream
 
     report = VerificationReport()
-    labels = {p: labeling(p) for p in enumerate_positions(domain)}
+    labels = {p: labeling(p) for p in positions}
     for p, label in labels.items():
         values = []
         for q in successor_stream(ext_rules, p):

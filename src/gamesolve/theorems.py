@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 from typing import Callable, NamedTuple
 
 from . import closedforms, solver
@@ -25,8 +25,9 @@ CHUNK = 256  # points compared with their cells at a time
 def _case_checker(check: str, bounds: dict) -> Callable:
     """The function that checks one (rules, convention, closed form) case
     of a sweep as ``check`` says.  What the cases share is built here, once
-    per sweep: the domain, and for "monotone" each raw sequence's
-    difference position."""
+    per sweep: for "pset" and "labels" the list of canonical positions
+    that the local verifier checks, and for "monotone" each raw sequence's
+    difference position.  The value sweeps list no positions."""
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
         from . import analysis
 
@@ -34,14 +35,18 @@ def _case_checker(check: str, bounds: dict) -> Callable:
         return lambda rules, convention, form: analysis.bulk_formula_agreement(
             rules, convention, positions, analysis.PINNED_BULK_MARGINS
         )
-    domain = solver.Domain(**bounds)
+    m, top = bounds["max_piles"], bounds["max_entry"]
+    if check in ("pset", "labels"):  # in lexicographic order, as reports list them
+        entries = range(1, top + 1)
+        runs = (combinations_with_replacement(entries, n) for n in range(m + 1))
+        positions = sorted(chain.from_iterable(runs))
     if check == "pset":  # the closed form is a Grundy labeling: P iff it is 0
         return lambda rules, convention, form: solver.verify_pset(
-            rules, convention, lambda p: form(p) == 0, domain
+            rules, convention, lambda p: form(p) == 0, positions
         )
     if check == "labels":
         return lambda rules, convention, form: solver.verify_grundy_consistency(
-            rules, form, domain
+            rules, form, positions
         )
     # closed form vs engine, from one table per case over the caps
     # (max_entry,) * max_piles, whose cells in rank order are the sorted
@@ -50,7 +55,6 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     # "values" reads the positions of length 0, 1, ..., m from consecutive
     # cells; "monotone" reads the raw sequences of each length L (zeros
     # allowed, as the difference map reads them) from cells 0, 1, ...
-    m, top = domain
     caps, lo = (top,) * m, int(check == "values")  # lo: the least entry
     # "monotone": the closed form reads difference positions.  Each raw
     # sequence is mapped to its own once per sweep, kept as the index of
@@ -82,8 +86,8 @@ def _case_checker(check: str, bounds: dict) -> Callable:
                         (p, x, y) for p, x, y in zip(chunk, expected, cells) if x != y
                     ]
                 checked, start = checked + len(chunk), stop
-        # counterexamples in lexicographic order, as enumerate_positions
-        # walks: a case fails at most once per point, so points decide
+        # counterexamples in lexicographic order, as the local verifiers
+        # list them: a case fails at most once per point, so points decide
         report = solver.VerificationReport(checked_count=checked)
         for p, expected, cell in sorted(failures):
             actual = cell if convention is None else cell == 1

@@ -7,7 +7,6 @@ from argparse import Namespace
 
 from gamesolve import (
     Convention,
-    Domain,
     Family,
     MemoTable,
     RuleSet,
@@ -35,7 +34,7 @@ from gamesolve.closedforms import (
     slow_nim_p_misere,
 )
 from gamesolve.games import diet_chomp2_moves_explicit
-from gamesolve.solver import enumerate_positions
+from helpers import positions
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
@@ -201,7 +200,7 @@ def test_criterion_11_generator_cross_check():
     t0 = time.perf_counter()
     ok = all(
         successors(DC2, p) == diet_chomp2_moves_explicit(p)
-        for p in enumerate_positions(Domain(5, 10))
+        for p in positions(5, 10)
     )
     check(
         11, "quadrant generator equals explicit rules, <=5 cols <=10",
@@ -217,20 +216,20 @@ def test_criterion_12_verifier_sensitivity():
 
     cases = [
         (RuleSet(Family.NIM), Convention.NORMAL,
-         lambda p: nim_grundy_formula(p) == 0, (1, 2, 3), Domain(3, 7)),
+         lambda p: nim_grundy_formula(p) == 0, (1, 2, 3), positions(3, 7)),
         (RuleSet(Family.NIM), Convention.MISERE,
-         nim_p_misere, (1, 1, 1), Domain(3, 7)),
+         nim_p_misere, (1, 1, 1), positions(3, 7)),
         (RuleSet(Family.SLOW_NIM, k=2), Convention.MISERE,
-         lambda p: slow_nim_p_misere(2, p), (1, 3), Domain(3, 8)),
-        (DC2, Convention.NORMAL, diet2_normal_p, (1, 2, 3), Domain(4, 6)),
-        (DC2, Convention.MISERE, diet2_misere_p_narrow, (4,), Domain(2, 12)),
+         lambda p: slow_nim_p_misere(2, p), (1, 3), positions(3, 8)),
+        (DC2, Convention.NORMAL, diet2_normal_p, (1, 2, 3), positions(4, 6)),
+        (DC2, Convention.MISERE, diet2_misere_p_narrow, (4,), positions(2, 12)),
     ]
     ok = True
-    for rules, convention, pred, at, domain in cases:
+    for rules, convention, pred, at, window in cases:
         assert pred(at) is True  # flip a genuine P-position label
-        report = verify_pset(rules, convention, flip(pred, at), domain)
+        report = verify_pset(rules, convention, flip(pred, at), window)
         ok &= len(report.counterexamples) >= 1
-        unflipped = verify_pset(rules, convention, pred, domain)
+        unflipped = verify_pset(rules, convention, pred, window)
         ok &= unflipped.ok
     check(
         12, "flipping one predicate label is always detected",

@@ -1,6 +1,6 @@
 from argparse import Namespace
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 import json
 import os
 import subprocess
@@ -11,19 +11,18 @@ import pytest
 
 from gamesolve import (
     Convention,
-    Domain,
     Family,
     RuleSet,
     analysis,
     cli,
     closedforms,
-    enumerate_positions,
     games,
     solver,
     theorems,
     verify_pset,
 )
 from gamesolve.cli import main
+from helpers import positions, recursive_positions
 
 
 def run(capsys, *args):
@@ -268,7 +267,7 @@ def test_misere_extended_answers_are_a_consistent_p_set(capsys):
             [answer] = cli.solve_position(rules, Convention.MISERE, [p])
             return answer["outcome"] == "P"
 
-        report = verify_pset(rules, Convention.MISERE, claimed_p, Domain(2, 12))
+        report = verify_pset(rules, Convention.MISERE, claimed_p, positions(2, 12))
         assert report.ok, rules.describe()
         assert report.checked_count == 91
     code, out, _ = run(
@@ -515,6 +514,10 @@ def test_figure_unparsable_a1_names_the_option(capsys, tmp_path, text):
         ("--a1", "0", "--height", "0"),
         # solving fails: a loopy family has no outcomes to draw
         ("--game", "extended-nim", "--a1", "0", "--width", "2", "--height", "2"),
+        # past the entry limit: the range is too long for a list (a long
+        # but valid range, such as 0..4294967295, is never run here)
+        ("--a1", "0..100000000000000000000"),
+        ("--a1", "4294967296"),
     ],
 )
 def test_figure_bad_arguments_exit_2_before_writing(capsys, tmp_path, args):
@@ -804,21 +807,6 @@ def run_process(*args, **env):
     )
 
 
-def test_enumerate_positions_is_lazy():
-    # far too many boards to list, and too many entries to hold: only the
-    # boards read are built.  The child's address space is capped, so a
-    # version that lists its entries fails fast instead of filling memory.
-    code = (
-        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "from itertools import islice\n"
-        "from gamesolve import Domain, enumerate_positions\n"
-        "positions = enumerate_positions(Domain(3, 10**9))\n"
-        "print(next(positions), list(islice(positions, 3)))\n"
-    )
-    result = run_process("-c", code)
-    assert result.stdout == b"() [(1,), (1, 1), (1, 1, 1)]\n", result.stderr
-
-
 # each add limit takes heap 3 past MAX_ENTRY = 2**32 - 1
 @pytest.mark.parametrize(
     "args",
@@ -1036,9 +1024,9 @@ def counting(monkeypatch, module, name, calls):
 @pytest.mark.parametrize(
     "theorem, bounds, domain",
     [
-        ("cor2", {"max_piles": 3, "max_entry": 6}, Domain(3, 6)),
-        ("thm6-pset", {"max_entry": 6}, Domain(2, 6)),
-        ("thm6-grundy", {"max_entry": 6}, Domain(2, 6)),
+        ("cor2", {"max_piles": 3, "max_entry": 6}, positions(3, 6)),
+        ("thm6-pset", {"max_entry": 6}, positions(2, 6)),
+        ("thm6-grundy", {"max_entry": 6}, positions(2, 6)),
     ],
 )
 def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, domain):
@@ -1046,15 +1034,42 @@ def test_local_verifiers_label_each_position_once(monkeypatch, theorem, bounds, 
     for name in ("nim_grundy_formula", "slow_nim_grundy_formula"):
         counting(monkeypatch, closedforms, name, calls)
     theorems.verify_theorem(theorem, verify_opts(**bounds))
-    positions = list(enumerate_positions(domain))
     if theorem == "cor2":
-        expected = Counter(("nim_grundy_formula", p) for p in positions)
+        expected = Counter(("nim_grundy_formula", p) for p in domain)
     else:  # slow-nim k = 1, 2, 3, and nim with add limits 1 and 2
         expected = Counter(
-            ("slow_nim_grundy_formula", k, p) for k in (1, 2, 3) for p in positions
+            ("slow_nim_grundy_formula", k, p) for k in (1, 2, 3) for p in domain
         )
-        expected.update(("nim_grundy_formula", p) for p in positions * 2)
+        expected.update(("nim_grundy_formula", p) for p in domain * 2)
     assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "theorem, verifier",
+    [
+        ("cor2", "verify_pset"),
+        ("thm6-pset", "verify_pset"),
+        ("thm6-grundy", "verify_grundy_consistency"),
+    ],
+)
+def test_local_sweeps_hand_their_verifier_one_list_of_the_window(
+    monkeypatch, theorem, verifier
+):
+    # the positions come last in both verifiers' arguments; every case of
+    # a sweep receives the same list, the canonical positions of the
+    # window in the order of the tests' recursive walk
+    received = []
+    monkeypatch.setattr(
+        solver, verifier,
+        lambda *args: received.append(args[-1]) or solver.VerificationReport(),
+    )
+    for piles, entry in product(range(4), range(7)):
+        received.clear()
+        opts = verify_opts(max_piles=piles, max_entry=entry)
+        assert theorems.verify_theorem(theorem, opts).ok
+        assert len(received) == len(theorems.THEOREMS[theorem].cases(opts))
+        assert received[0] == list(recursive_positions(piles, entry, 1))
+        assert all(r is received[0] for r in received), (piles, entry)
 
 
 def test_cor2_reads_successors_up_to_the_first_witness(monkeypatch):
@@ -1070,8 +1085,7 @@ def test_cor2_reads_successors_up_to_the_first_witness(monkeypatch):
     monkeypatch.setattr(games, "subtract_move_records", counting)
     report = theorems.verify_theorem("cor2", verify_opts(max_piles=3, max_entry=6))
     assert report.ok
-    positions = list(enumerate_positions(Domain(3, 6)))
-    full = sum(len(list(real(None, False, p))) for p in positions)
+    full = sum(len(list(real(None, False, p))) for p in positions(3, 6))
     assert 0 < len(drawn) < full
 
 
@@ -1140,10 +1154,8 @@ VALUE_SWEEPS = [
 def test_value_sweeps_fill_one_table_per_case_and_list_no_domain(
     monkeypatch, theorem
 ):
-    # each case walks its own table's cells in rank order: no sweep lists
-    # its domain through enumerate_positions
+    # each case walks its own table's cells in rank order
     calls = Counter()
-    counting(monkeypatch, solver, "enumerate_positions", calls)
     counting(monkeypatch, solver, "lattice_table", calls)
     opts = verify_opts(max_piles=3, max_entry=6)
     report = theorems.verify_theorem(theorem, opts)

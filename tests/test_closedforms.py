@@ -3,8 +3,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import Convention, Domain, Family, MemoTable, RuleSet
-from gamesolve import canonicalize, enumerate_positions, grundy, outcome
+from gamesolve import Convention, Family, MemoTable, RuleSet
+from gamesolve import canonicalize, grundy, outcome
 from gamesolve.closedforms import (
     TooWide,
     diet2_misere_bulk_conjecture,
@@ -19,6 +19,7 @@ from gamesolve.closedforms import (
     stairs_mod3_fact,
 )
 from gamesolve.core import NonMonotoneInput
+from helpers import positions
 
 
 def test_nim_grundy_formula():
@@ -188,7 +189,7 @@ def test_diet2_misere_bulk_conjecture_raw_formula():
 def test_slow_nim_formulas_match_solver(k):
     rules = RuleSet(Family.SLOW_NIM, k=k)
     memo = MemoTable()
-    for p in enumerate_positions(Domain(3, 8)):
+    for p in positions(3, 8):
         assert slow_nim_grundy_formula(k, p) == grundy(rules, p, memo)
         solver_p = outcome(rules, Convention.MISERE, p, memo)
         assert slow_nim_p_misere(k, p) == solver_p
@@ -197,7 +198,7 @@ def test_slow_nim_formulas_match_solver(k):
 def test_nim_formulas_match_solver():
     rules = RuleSet(Family.NIM)
     memo = MemoTable()
-    for p in enumerate_positions(Domain(3, 8)):
+    for p in positions(3, 8):
         assert nim_grundy_formula(p) == grundy(rules, p, memo)
         solver_p = outcome(rules, Convention.MISERE, p, memo)
         assert nim_p_misere(p) == solver_p

@@ -277,7 +277,7 @@ def test_diet_chomp_matches_quadrant_oracle(k):
 def test_windowed_records_equal_all_cuts(k):
     for p in young_positions(4, 9):
         expected = [rec for removed, rec in all_cuts_records(p) if 1 <= removed <= k]
-        assert diet_chomp_move_records(k, p) == expected, p
+        assert list(diet_chomp_move_records(k, p)) == expected, p
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])

@@ -15,12 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gamesolve import analysis, cli, solver, theorems
 from gamesolve import (
     Convention,
-    Domain,
     Family,
     LoopyFamily,
     MemoTable,
     RuleSet,
-    enumerate_positions,
     grundy,
     mex,
     outcome,
@@ -34,6 +32,7 @@ from gamesolve.closedforms import (
     nim_p_misere,
     slow_nim_grundy_formula,
 )
+from helpers import positions, recursive_positions
 
 
 def naive_outcome(rules, convention, p):
@@ -103,9 +102,9 @@ def test_outcome_lemma9_base_case():
 def test_solver_matches_naive_reference(rules):
     memo = MemoTable()
     for conv in Convention:
-        for p in enumerate_positions(Domain(3, 6)):
+        for p in positions(3, 6):
             assert outcome(rules, conv, p, memo) is naive_outcome(rules, conv, p)
-    for p in enumerate_positions(Domain(3, 6)):
+    for p in positions(3, 6):
         assert grundy(rules, p, memo) == naive_grundy(rules, p)
 
 
@@ -175,7 +174,7 @@ def test_cold_solve_expands_each_entry_once(monkeypatch, rules, p, convention):
 def test_grundy_zero_iff_normal_p():
     memo = MemoTable()
     for rules in [RuleSet(Family.NIM), RuleSet(Family.DIET_CHOMP, k=2)]:
-        for p in enumerate_positions(Domain(3, 7)):
+        for p in positions(3, 7):
             is_p = outcome(rules, Convention.NORMAL, p, memo)
             assert (grundy(rules, p, memo) == 0) == is_p
 
@@ -184,12 +183,12 @@ def test_memo_clearing_is_stable():
     rules = RuleSet(Family.DIET_CHOMP, k=2)
     first = {
         p: outcome(rules, Convention.MISERE, p, MemoTable())
-        for p in enumerate_positions(Domain(3, 5))
+        for p in positions(3, 5)
     }
     memo = MemoTable()
     second = {
         p: outcome(rules, Convention.MISERE, p, memo)
-        for p in enumerate_positions(Domain(3, 5))
+        for p in positions(3, 5)
     }
     assert first == second
 
@@ -201,64 +200,24 @@ def test_loopy_families_rejected():
         outcome(RuleSet(Family.EXTENDED_SLOW_NIM, k=2), Convention.NORMAL, (1,))
 
 
-def test_enumerate_positions_examples():
-    assert list(enumerate_positions(Domain(1, 2))) == [(), (1,), (2,)]
-    assert list(enumerate_positions(Domain(2, 1))) == [(), (1,), (1, 1)]
-    assert len(list(enumerate_positions(Domain(2, 3)))) == 10
-
-
-def test_enumerate_positions_unique_and_lexicographic():
-    seen = list(enumerate_positions(Domain(3, 4)))
-    assert len(seen) == len(set(seen))
-    assert seen == sorted(seen)
-
-
-def recursive_positions(domain, lo):
-    """The recursive walk that ``enumerate_positions`` replaced: a prefix,
-    then each extension by an entry no lower than its last.  With lo = 0 it
-    is the tests' walk of the raw sequences (zeros allowed) that the
-    monotone-game difference map reads."""
-
-    def rec(prefix, lo):
-        yield prefix
-        if len(prefix) < domain.max_piles:
-            for v in range(lo, domain.max_entry + 1):
-                yield from rec(prefix + (v,), v)
-
-    return rec((), lo)
-
-
-def walk(domain, lo):
-    """``enumerate_positions`` for canonical positions, the recursive walk
-    for raw sequences."""
-    return enumerate_positions(domain) if lo else recursive_positions(domain, 0)
-
-
 def test_enumerate_raw_sequences_allows_zeros():
-    raws = list(walk(Domain(2, 1), 0))
+    raws = list(recursive_positions(2, 1, 0))
     assert raws == [(), (0,), (0, 0), (0, 1), (1,), (1, 1)]
 
 
-@pytest.mark.parametrize(
-    "domain", [Domain(0, 3), Domain(3, 0), Domain(2, 12), Domain(4, 5)]
-)
-@pytest.mark.parametrize("lo", [0, 1])
+@pytest.mark.parametrize("domain", [(0, 3), (3, 0), (2, 12), (4, 5)])
+@pytest.mark.parametrize("lo", [0])
 def test_enumerate_positions_matches_brute_force(domain, lo):
-    # every tuple over lo..max_entry of every length, kept if non-decreasing
+    # the tests' walk of the raw sequences: every tuple over lo..max_entry
+    # of every length, kept if non-decreasing
+    piles, entry = domain
     expected = sorted(
         p
-        for n in range(domain.max_piles + 1)
-        for p in product(range(lo, domain.max_entry + 1), repeat=n)
+        for n in range(piles + 1)
+        for p in product(range(lo, entry + 1), repeat=n)
         if list(p) == sorted(p)
     )
-    assert list(walk(domain, lo)) == expected
-
-
-def test_enumerate_positions_matches_the_recursive_walk():
-    for piles, entry in product(range(6), range(8)):
-        domain = Domain(piles, entry)
-        expected = list(recursive_positions(domain, 1))
-        assert list(enumerate_positions(domain)) == expected, domain
+    assert list(recursive_positions(piles, entry, lo)) == expected
 
 
 def test_verify_pset_nim_normal():
@@ -266,7 +225,7 @@ def test_verify_pset_nim_normal():
         RuleSet(Family.NIM),
         Convention.NORMAL,
         lambda p: nim_grundy_formula(p) == 0,
-        Domain(3, 7),
+        positions(3, 7),
     )
     assert report.ok
     assert report.checked_count > 0
@@ -279,7 +238,7 @@ def test_verify_pset_slow_nim_misere():
         RuleSet(Family.SLOW_NIM, k=2),
         Convention.MISERE,
         lambda p: slow_nim_p_misere(2, p),
-        Domain(3, 10),
+        positions(3, 10),
     )
     assert report.ok
 
@@ -289,7 +248,7 @@ def test_verify_pset_extended_boundary_aware():
         RuleSet(Family.EXTENDED_SLOW_NIM, k=2),
         Convention.NORMAL,
         lambda p: slow_nim_grundy_formula(2, p) == 0,
-        Domain(2, 9),
+        positions(2, 9),
     )
     assert report.ok
 
@@ -302,7 +261,7 @@ def test_verify_pset_sensitivity():
         return not want if p == flipped_at else want
 
     report = verify_pset(
-        RuleSet(Family.NIM), Convention.NORMAL, flipped, Domain(3, 7)
+        RuleSet(Family.NIM), Convention.NORMAL, flipped, positions(3, 7)
     )
     assert len(report.counterexamples) >= 1
 
@@ -311,21 +270,21 @@ def test_verify_grundy_consistency_examples():
     ok = verify_grundy_consistency(
         RuleSet(Family.EXTENDED_SLOW_NIM, k=1),
         lambda p: slow_nim_grundy_formula(1, p),
-        Domain(1, 20),
+        positions(1, 20),
     )
     assert ok.ok and ok.checked_count > 0
 
     ok = verify_grundy_consistency(
         RuleSet(Family.EXTENDED_SLOW_NIM, k=3),
         lambda p: slow_nim_grundy_formula(3, p),
-        Domain(2, 12),
+        positions(2, 12),
     )
     assert ok.ok
 
     ok = verify_grundy_consistency(
         RuleSet(Family.EXTENDED_NIM, add_limit=2),
         nim_grundy_formula,
-        Domain(2, 10),
+        positions(2, 10),
     )
     assert ok.ok
 
@@ -336,7 +295,7 @@ def test_verify_grundy_consistency_sensitivity():
         return g + 1 if p == (1, 2) else g
 
     report = verify_grundy_consistency(
-        RuleSet(Family.EXTENDED_NIM, add_limit=1), wrong, Domain(2, 8)
+        RuleSet(Family.EXTENDED_NIM, add_limit=1), wrong, positions(2, 8)
     )
     assert not report.ok
 
@@ -546,7 +505,7 @@ def test_solve_position_matches_a_fresh_memo_dfs(monkeypatch, rules, convention)
     built = record_tables(monkeypatch)
     # widths 0..3 interleaved; the caps (6, 6, 300) sum past 255, so in
     # normal play the table takes wide cells
-    boards = sorted(enumerate_positions(Domain(3, 6)), key=sum) + [(300,)]
+    boards = sorted(positions(3, 6), key=sum) + [(300,)]
     assert cli.solve_position(rules, convention, boards) == dfs_answers(
         rules, convention, boards
     )
@@ -877,7 +836,7 @@ def ref_verify_pset(rules, convention, claimed_p, domain):
     successors: the reference that the lazy verifier must match."""
     report = solver.VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
-    labels = {p: claimed_p(p) for p in enumerate_positions(domain)}
+    labels = {p: claimed_p(p) for p in domain}
     for p, is_p in labels.items():
         report.checked_count += 1
         succ = successors(rules, p)
@@ -903,7 +862,7 @@ def ref_verify_pset(rules, convention, claimed_p, domain):
 def ref_verify_grundy_consistency(ext_rules, labeling, domain):
     """``verify_grundy_consistency`` over sorted, deduplicated successors."""
     report = solver.VerificationReport()
-    labels = {p: labeling(p) for p in enumerate_positions(domain)}
+    labels = {p: labeling(p) for p in domain}
     for p, label in labels.items():
         succ = successors(ext_rules, p)
         if any(q not in labels for q in succ):
@@ -923,7 +882,7 @@ VERIFIER_RULES = st.one_of(
     st.builds(lambda a: RuleSet(Family.EXTENDED_NIM, add_limit=a), st.integers(1, 3)),
     st.builds(lambda k: RuleSet(Family.EXTENDED_SLOW_NIM, k=k), st.integers(1, 4)),
 )
-SMALL_DOMAINS = st.builds(Domain, st.integers(0, 3), st.integers(0, 6))
+SMALL_DOMAINS = st.builds(positions, st.integers(0, 3), st.integers(0, 6))
 
 
 def base_rules(rules):
@@ -949,7 +908,7 @@ def test_verify_pset_matches_the_eager_reference(
     # the base game's true P-set (Theorem 6 keeps it for the extended
     # games), flipped at random boards
     memo, base = MemoTable(), base_rules(rules)
-    flipped = {p for p in enumerate_positions(domain) if rng.random() < flip_rate}
+    flipped = {p for p in domain if rng.random() < flip_rate}
 
     def claimed_p(p):
         return outcome(base, convention, p, memo) != (p in flipped)
@@ -972,7 +931,7 @@ def test_verify_grundy_consistency_matches_the_eager_reference(
     memo, base = MemoTable(), base_rules(rules)
     raised = {
         p: rng.choice((1, 2))
-        for p in enumerate_positions(domain)
+        for p in domain
         if rng.random() < flip_rate
     }
 

@@ -11,21 +11,22 @@ from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import Convention, Domain, closedforms, solver, theorems
-from gamesolve.solver import VerificationReport, enumerate_positions
+from gamesolve import Convention, closedforms, solver, theorems
+from gamesolve.solver import VerificationReport
+from helpers import positions
 
 VALUE_SWEEPS = [
     name for name, t in theorems.THEOREMS.items() if t.check in ("values", "monotone")
 ]
 
 
-def raw_sequences(domain):
+def raw_sequences(max_piles, max_entry):
     """The raw sequences (zeros allowed) of the domain, in lexicographic
     order: what "monotone" sweeps check."""
     return sorted(
         raw
-        for n in range(domain.max_piles + 1)
-        for raw in combinations_with_replacement(range(domain.max_entry + 1), n)
+        for n in range(max_piles + 1)
+        for raw in combinations_with_replacement(range(max_entry + 1), n)
     )
 
 
@@ -34,12 +35,12 @@ def per_point_report(theorem, bounds, cases) -> VerificationReport:
     list the domain's points, read them through ``board_values`` and
     compare each with its closed form; a "monotone" closed form reads the
     point's difference position."""
-    domain = Domain(**bounds)
+    domain = bounds["max_piles"], bounds["max_entry"]
     if theorem.check == "monotone":
-        points = raw_sequences(domain)
+        points = raw_sequences(*domain)
         expected_at = [closedforms.difference_position(p) for p in points]
     else:
-        points = expected_at = list(enumerate_positions(domain))
+        points = expected_at = positions(*domain)
     report = VerificationReport()
     for tag, rules, convention, form in cases:
         values = solver.board_values(rules, convention, points)
@@ -49,8 +50,8 @@ def per_point_report(theorem, bounds, cases) -> VerificationReport:
             if expected != actual:
                 report.add(p, f"{tag}: closed form {expected} != solver {actual}")
     if theorem.fact is not None:
-        reason, positions, holds = theorem.fact
-        for p in positions:
+        reason, fact_points, holds = theorem.fact
+        for p in fact_points:
             report.checked_count += 1
             if not holds(p):
                 report.add(p, reason)
@@ -84,9 +85,9 @@ def test_value_sweeps_match_the_per_point_route(
         convention=convention if "convention" in theorem.params else None,
     )
     bounds = {**theorem.fixed, **{o: getattr(opts, o) for o in theorem.bounds}}
-    domain = Domain(**bounds)
+    domain = bounds["max_piles"], bounds["max_entry"]
     monotone = theorem.check == "monotone"
-    points = raw_sequences(domain) if monotone else list(enumerate_positions(domain))
+    points = raw_sequences(*domain) if monotone else positions(*domain)
     # 0-3 wrong verdicts: at a position, in the closed form; at a raw
     # sequence, in its difference position or in the verdict there
     wrong = data.draw(st.lists(st.sampled_from(points), max_size=3, unique=True))
