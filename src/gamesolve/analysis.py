@@ -1,6 +1,9 @@
 """Periodicity scanning on outcome lattices and P-position rasters for
-three-column boards, plus PBM/ASCII rendering.  Their lattice points are
-built from user options, so ``lattice_values`` validates them first.
+three-column boards, plus PBM/ASCII rendering.  The rasters, the
+translation check and the bulk check take their window's bounds, and
+read each row (a1, a2) of it, a3 running, as one slice of one table
+(``_window``); the directional scan reads its points through
+``lattice_values``.  Both check the boards built from user options first.
 
 Coordinates: a three-column board (a1, a2, a3) maps to raster cell
 x = a2 - a1, y = a3 - a2, so the raster covers a full rectangle whose
@@ -9,10 +12,10 @@ bottom-left cell is the flat board (a1, a1, a1).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import Convention, GameError, RuleSet, canonicalize
+from .core import MAX_ENTRY, Convention, GameError, LoopyFamily, RuleSet, canonicalize
 from . import solver
 
 
@@ -69,28 +72,68 @@ def lattice_values(
     return solver.board_values(rules, convention, boards)
 
 
-def three_column_domain(max_a1: int, max_extent: int) -> Iterator[tuple]:
-    """Raw triples (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent,
-    in lexicographic order."""
-    extents = list(combinations_with_replacement(range(max_extent + 1), 2))
-    return ((a1, a1 + d2, a1 + d3) for a1 in range(max_a1 + 1) for d2, d3 in extents)
+def _window(
+    rules: RuleSet, convention: Convention, a1_values: Sequence[int],
+    offsets: Iterable[tuple], top: tuple,
+) -> tuple:
+    """The outcome table over ``top``, the largest board of the window of
+    raw boards a1 + offset (a1 in ``a1_values``, consecutive and rising,
+    then each of ``offsets``, non-negative and non-decreasing), and the
+    ranks G_0, G_1 that place its row (a1, a2) at G_0[a1] + G_1[a2]: the
+    cell of (a1, a2, a3) is that plus a3.  The boards are canonicalized in
+    that order up to the first one out of range, if any, within the first
+    a1 that has one: it raises as it did when every board was.  Else the
+    first board stands for them all.  A loopy family raises next, before
+    any table."""
+    first, reach = a1_values[0], top[-1] - a1_values[-1]
+    past = max(first, MAX_ENTRY - reach + 1)  # the first a1 reaching past the limit
+    a1 = past if first >= 0 and past in a1_values else first
+    for offset in offsets:
+        canonicalize(tuple(a1 + o for o in offset), rules.family)
+        if 0 <= a1 <= MAX_ENTRY - reach:
+            break
+    if rules.family.loopy:
+        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    return solver.lattice_table(rules, convention, top), *solver._ranks(top)[:2]
 
 
 def translation_period_check(
     rules: RuleSet,
     convention: Convention,
-    positions: Iterable[tuple],
-    period: int,
-) -> solver.VerificationReport:
-    """Compare each position's outcome with the all-coordinates +period
-    translate; counterexamples are the positions where they differ."""
-    pairs = [(p, tuple(a + period for a in p)) for p in positions]
-    is_p = iter(lattice_values(rules, convention, [q for pair in pairs for q in pair]))
-    report = solver.VerificationReport(checked_count=len(pairs))
-    for p, shifted in pairs:
-        if next(is_p) != next(is_p):
-            report.add(p, f"outcome differs from translate {shifted}")
-    return report
+    max_a1: int,
+    max_extent: int,
+    periods: Sequence[int],
+) -> list:
+    """One report per period t, from one table: each board (a1, a2, a3)
+    with a1 <= max_a1 and a3 - a1 <= max_extent against its translate by
+    +t in every coordinate; the counterexamples, in lexicographic order,
+    are the boards where the outcomes differ.  A row that matches its
+    translate's row as bytes is not read cell by cell."""
+    boards = (max_a1 + 1) * (max_extent + 1) * (max_extent + 2) // 2
+    reports = [solver.VerificationReport(boards) for _ in periods]
+    offsets = (
+        offset
+        for d2 in range(max_extent + 1)
+        for d3 in range(d2, max_extent + 1)
+        for offset in [(0, d2, d3), *((t, t + d2, t + d3) for t in periods)]
+    )
+    shift = max_a1 + max(periods)
+    top = (shift, shift + max_extent, shift + max_extent)
+    table, g0, g1 = _window(rules, convention, range(max_a1 + 1), offsets, top)
+    for a1 in range(max_a1 + 1):
+        last = a1 + max_extent
+        for a2 in range(a1, last + 1):
+            here = g0[a1] + g1[a2]
+            row = table[here + a2 : here + last + 1]
+            for t, report in zip(periods, reports):
+                there = g0[a1 + t] + g1[a2 + t] + t
+                if table[there + a2 : there + last + 1] != row:
+                    for a3 in range(a2, last + 1):
+                        if table[here + a3] != table[there + a3]:
+                            shifted = (a1 + t, a2 + t, a3 + t)
+                            reason = f"outcome differs from translate {shifted}"
+                            report.add((a1, a2, a3), reason)
+    return reports
 
 
 def figure_grids(
@@ -101,29 +144,31 @@ def figure_grids(
     height: int,
     triangular: bool,
 ) -> list:
-    """One raster per a1, from one ``lattice_values`` call: rows of
-    booleans, bottom row (y = 0) first, marking the P-positions with first
-    column a1, where cell x of row y covers (a1, a1+x, a1+x+y).  A
+    """One raster per a1 of ``a1_values`` (consecutive and rising), from
+    one table: rows of booleans, bottom row (y = 0) first, marking the
+    P-positions with first column a1, where cell x of row y covers
+    (a1, a1+x, a1+x+y): column x is the table's row (a1, a1+x).  A
     triangular raster has y = a3 - a1 instead, and its cells below the
     diagonal (y < x) are not positions."""
-    points = [
-        (a1, a1 + x, a1 + y if triangular else a1 + x + y)
-        for a1 in a1_values
-        for y in range(height)
-        for x in range(width)
-        if y >= x or not triangular
-    ]
-    is_p = iter(lattice_values(rules, convention, points))
-    return [
-        tuple(
-            tuple(
-                (y >= x or not triangular) and next(is_p)
-                for x in range(width)
-            )
-            for y in range(height)
-        )
-        for _ in a1_values
-    ]
+    hi = a1_values[-1]
+    if triangular:
+        offsets = ((0, x, y) for y in range(height) for x in range(min(width, y + 1)))
+        top = (hi, hi + min(width, height) - 1, hi + height - 1)
+    else:
+        offsets = ((0, x, x + y) for y in range(height) for x in range(width))
+        top = (hi, hi + width - 1, hi + width + height - 2)
+    table, g0, g1 = _window(rules, convention, a1_values, offsets, top)
+    grids = []
+    for a1 in a1_values:
+        columns = []
+        for x in range(width):
+            below, cells = min(x, height) if triangular else 0, b""
+            if below < height:  # from the cell (a1, a1+x, a1+x), at y = below
+                start = g0[a1] + g1[a1 + x] + a1 + x
+                cells = table[start : start + height - below]
+            columns.append([*repeat(False, below), *map(bool, cells)])
+        grids.append(tuple(zip(*columns)))
+    return grids
 
 
 def render_pbm(rows: tuple) -> bytes:
@@ -148,29 +193,43 @@ class Margins(NamedTuple):
     bottom_rows: int = 0  # exclude y < bottom_rows
     top_diagonals: int = 0  # exclude x < top_diagonals
 
-    def excludes(self, p: tuple) -> bool:
-        a1, a2, a3 = p
-        return a3 - a2 < self.bottom_rows or a2 - a1 < self.top_diagonals
-
 
 def bulk_formula_agreement(
     rules: RuleSet,
     convention: Convention,
-    positions: Iterable[tuple],
+    max_a1: int,
+    max_extent: int,
     margins: Margins,
 ) -> solver.VerificationReport:
     """Compare solver outcomes against the three-column bulk formula over
-    the positions outside the margins; those inside are skipped."""
+    the boards (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent
+    outside the margins, in lexicographic order; those inside are skipped.
+    The formula is asked once per board, and its verdicts on a row
+    (a1, a2) are compared with the table's row as bytes."""
     from . import closedforms  # only the bulk check reads a closed form
 
-    positions = list(positions)
-    inside = [p for p in positions if not margins.excludes(p)]
-    report = solver.VerificationReport(
-        checked_count=len(inside), skipped_boundary_count=len(positions) - len(inside)
-    )
-    for p, is_p in zip(inside, lattice_values(rules, convention, inside)):
-        if is_p != closedforms.diet2_misere_bulk_conjecture(p):
-            report.add(p, "bulk formula disagrees with solver")
+    form, y0, x0 = closedforms.diet2_misere_bulk_conjecture, *margins
+    # per a1, the n rows x = a2 - a1 = x0 .. x0 + n - 1 are checked from
+    # y = a3 - a2 = y0 up, max_extent - y0 - x + 1 boards each
+    n = max(0, max_extent - y0 - x0 + 1)
+    checked = (max_a1 + 1) * n * (n + 1) // 2
+    boards = (max_a1 + 1) * (max_extent + 1) * (max_extent + 2) // 2
+    report = solver.VerificationReport(checked, boards - checked)
+    if not checked:  # no table
+        return report
+    xs = range(x0, x0 + n)
+    offsets = ((0, x, z) for x in xs for z in range(x + y0, max_extent + 1))
+    top = (max_a1, max_a1 + max_extent - y0, max_a1 + max_extent)
+    table, g0, g1 = _window(rules, convention, range(max_a1 + 1), offsets, top)
+    for a1 in range(max_a1 + 1):
+        for a2 in range(a1 + x0, a1 + x0 + n):
+            row = list(zip(repeat(a1), repeat(a2), range(a2 + y0, a1 + max_extent + 1)))
+            start = g0[a1] + g1[a2] + a2 + y0
+            cells, expected = table[start : start + len(row)], bytes(map(form, row))
+            if expected != cells:
+                for p, x, y in zip(row, expected, cells):
+                    if x != y:
+                        report.add(p, "bulk formula disagrees with solver")
     return report
 
 

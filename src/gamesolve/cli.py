@@ -90,7 +90,7 @@ def cmd_verify(opts) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES
 
 
-def _parse_a1_range(text: str) -> list[int]:
+def _parse_a1_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if dots else lo)
@@ -102,7 +102,7 @@ def _parse_a1_range(text: str) -> list[int]:
         raise ValueError(f"--a1 must be >= 0, not {text!r}")
     if hi > MAX_ENTRY:
         raise ValueError(f"--a1 must be <= {MAX_ENTRY}, not {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def cmd_figure(opts) -> int:
@@ -131,9 +131,8 @@ def cmd_period(opts) -> int:
 
     rules, convention = game_of(opts)
     if opts.translation is not None:
-        positions = analysis.three_column_domain(opts.max_a1, opts.max_extent)
-        report = analysis.translation_period_check(
-            rules, convention, positions, opts.translation
+        [report] = analysis.translation_period_check(
+            rules, convention, opts.max_a1, opts.max_extent, [opts.translation]
         )
         print(json.dumps({"translation": opts.translation, **report.to_dict()}))
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLES

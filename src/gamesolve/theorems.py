@@ -31,9 +31,9 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     if check == "bulk":  # the formula is the one bulk_formula_agreement applies
         from . import analysis
 
-        positions = analysis.three_column_domain(bounds["max_a1"], bounds["max_extent"])
+        window = bounds["max_a1"], bounds["max_extent"], analysis.PINNED_BULK_MARGINS
         return lambda rules, convention, form: analysis.bulk_formula_agreement(
-            rules, convention, positions, analysis.PINNED_BULK_MARGINS
+            rules, convention, *window
         )
     m, top = bounds["max_piles"], bounds["max_entry"]
     if check in ("pset", "labels"):  # in lexicographic order, as reports list them

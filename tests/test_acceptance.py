@@ -23,7 +23,6 @@ from gamesolve.analysis import (
     directional_period,
     figure_grids,
     render_pbm,
-    three_column_domain,
     translation_period_check,
 )
 from gamesolve.closedforms import (
@@ -124,12 +123,11 @@ def test_criterion_7_diet_chomp_misere_narrow():
 
 def test_criterion_8_translation_period_12_minimal():
     t0 = time.perf_counter()
-    domain = list(three_column_domain(12, 20))
-    ok = translation_period_check(DC2, Convention.MISERE, domain, 12).ok
-    smaller_all_fail = all(
-        not translation_period_check(DC2, Convention.MISERE, domain, per).ok
-        for per in range(1, 12)
+    *smaller, twelve = translation_period_check(
+        DC2, Convention.MISERE, 12, 20, range(1, 13)
     )
+    ok = twelve.ok
+    smaller_all_fail = all(not report.ok for report in smaller)
     check(
         8, "translation period 12 holds and 1..11 fail",
         ok and smaller_all_fail, time.perf_counter() - t0, 30,
@@ -170,11 +168,10 @@ def test_criterion_9_figure_rasters_and_directional_periods():
 
 def test_criterion_10_bulk_formula_margins():
     t0 = time.perf_counter()
-    domain = list(three_column_domain(11, 20))
     pinned = bulk_formula_agreement(
-        DC2, Convention.MISERE, domain, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, 11, 20, PINNED_BULK_MARGINS
     )
-    bare = bulk_formula_agreement(DC2, Convention.MISERE, domain, Margins())
+    bare = bulk_formula_agreement(DC2, Convention.MISERE, 11, 20, Margins())
     check(
         10, "bulk formula exact inside pinned margins, not without",
         pinned.ok and pinned.checked_count > 0 and not bare.ok,
@@ -185,9 +182,8 @@ def test_criterion_10_bulk_formula_margins():
 def test_criterion_10_bulk_formula_wide_window():
     # the README's computed observation, read from one retrograde table
     t0 = time.perf_counter()
-    domain = list(three_column_domain(40, 80))
     report = bulk_formula_agreement(
-        DC2, Convention.MISERE, domain, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, 40, 80, PINNED_BULK_MARGINS
     )
     counts = (report.checked_count, report.skipped_boundary_count)
     check(

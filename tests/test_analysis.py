@@ -1,6 +1,6 @@
 import pytest
 
-from gamesolve import Convention, Family, RuleSet
+from gamesolve import Convention, Family, RuleSet, analysis
 from gamesolve.analysis import (
     InsufficientProbe,
     Margins,
@@ -11,9 +11,9 @@ from gamesolve.analysis import (
     lattice_values,
     render_ascii,
     render_pbm,
-    three_column_domain,
     translation_period_check,
 )
+from helpers import three_column_domain
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
 
@@ -80,16 +80,14 @@ def test_preperiod_preferred_over_period():
 
 
 def test_translation_period_twelve():
-    domain = list(three_column_domain(6, 12))
-    report = translation_period_check(DC2, Convention.MISERE, domain, 12)
+    [report] = translation_period_check(DC2, Convention.MISERE, 6, 12, [12])
     assert report.ok
-    report1 = translation_period_check(DC2, Convention.MISERE, domain, 1)
+    [report1] = translation_period_check(DC2, Convention.MISERE, 6, 12, [1])
     assert not report1.ok
 
 
 def test_translation_period_three_normal():
-    domain = list(three_column_domain(6, 12))
-    report = translation_period_check(DC2, Convention.NORMAL, domain, 3)
+    [report] = translation_period_check(DC2, Convention.NORMAL, 6, 12, [3])
     assert report.ok
 
 
@@ -118,17 +116,15 @@ def test_pbm_round_trip():
 
 
 def test_bulk_agreement_pinned_margins():
-    domain = list(three_column_domain(8, 16))
     result = bulk_formula_agreement(
-        DC2, Convention.MISERE, domain, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, 8, 16, PINNED_BULK_MARGINS
     )
     assert result.ok
     assert result.checked_count > 0
 
 
 def test_bulk_agreement_zero_margins_fails():
-    domain = list(three_column_domain(8, 16))
-    result = bulk_formula_agreement(DC2, Convention.MISERE, domain, Margins())
+    result = bulk_formula_agreement(DC2, Convention.MISERE, 8, 16, Margins())
     assert not result.ok
     assert result.counterexamples
 
@@ -145,10 +141,14 @@ def test_three_column_domain_matches_the_triple_loop():
             assert list(three_column_domain(max_a1, max_extent)) == expected
 
 
-def test_bulk_single_interior_point():
+def test_bulk_window_inside_the_margins_checks_nothing(monkeypatch):
+    # extent 5 < 3 + 3: every board, (5, 6, 8) among them (x = 1 < 3), sits
+    # in the excluded fringe, so no table is filled
+    monkeypatch.setattr(analysis.solver, "lattice_table", None)
     result = bulk_formula_agreement(
-        DC2, Convention.MISERE, [(5, 6, 8)], PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, 5, 5, PINNED_BULK_MARGINS
     )
-    assert result.checked_count == 0 or result.ok
-    # (5,6,8): x=1 < 3, so it sits in the excluded fringe
-    assert PINNED_BULK_MARGINS.excludes((5, 6, 8))
+    assert result.to_dict() == {
+        "checked": 0, "skipped_boundary": 126, "counterexamples": [], "ok": True
+    }
+    assert (5, 6, 8) in three_column_domain(5, 5)

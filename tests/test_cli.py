@@ -13,6 +13,7 @@ from gamesolve import (
     Convention,
     Family,
     RuleSet,
+    VerificationReport,
     analysis,
     cli,
     closedforms,
@@ -369,13 +370,14 @@ def test_period_defaults_fill_in_only_their_own_mode(capsys, monkeypatch):
         "--max-preperiod", "24",
     )
     assert given == explicit and given[0] == 0
-    domains = []
+    windows = []
     monkeypatch.setattr(
-        analysis, "three_column_domain", lambda *args: domains.append(args) or []
+        analysis, "translation_period_check",
+        lambda *args: windows.append(args[2:]) or [VerificationReport()],
     )
     code, _, _ = run(capsys, "period", "--translation", "12")
     assert code == 0
-    assert domains == [(12, 20)]
+    assert windows == [(12, 20, [12])]
 
 
 def test_batch(capsys, tmp_path):
@@ -527,6 +529,80 @@ def test_figure_bad_arguments_exit_2_before_writing(capsys, tmp_path, args):
     assert out == ""
     assert err.startswith("error:")
     assert not out_dir.exists()
+
+
+PAST_LIMIT = "error: entry 4294967296 exceeds limit 4294967295\n"
+LOOPY = "error: extended-nim has add-moves; use the verifiers\n"
+
+
+# windows with a board past the entry limit, and loopy families: the stderr
+# of each is the one the per-point route gave, which canonicalized every
+# board of the window in order (only windows it listed fast are run here)
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (("figure", "--a1", "4294967290", "--width", "3", "--height", "10"),
+         PAST_LIMIT),
+        (("figure", "--a1", "4294967290", "--width", "3", "--height", "10",
+          "--triangular"), PAST_LIMIT),
+        (("figure", "--a1", "4294967280..4294967290", "--width", "5",
+          "--height", "8"), PAST_LIMIT),
+        (("figure", "--a1", "4294967295", "--width", "2", "--height", "1"),
+         PAST_LIMIT),
+        (("figure", "--game", "nim", "--convention", "normal", "--a1",
+          "4294967290", "--width", "9", "--height", "2"), PAST_LIMIT),
+        (("figure", "--game", "extended-nim", "--a1", "0..2", "--width", "3",
+          "--height", "3"), LOOPY),
+        # the first board past the limit raises before the family does
+        (("figure", "--game", "extended-nim", "--a1", "4294967290", "--width",
+          "3", "--height", "10"), PAST_LIMIT),
+        (("period", "--translation", "4294967290", "--max-a1", "2",
+          "--max-extent", "8"), PAST_LIMIT),
+        # the first translate, (t, t, t), is past the limit by more than 1
+        (("period", "--translation", "5000000000", "--max-a1", "1",
+          "--max-extent", "2"), "error: entry 5000000000 exceeds limit 4294967295\n"),
+        (("period", "--game", "extended-nim", "--translation", "12",
+          "--max-a1", "2", "--max-extent", "3"), LOOPY),
+        (("period", "--game", "extended-slow-nim", "--translation",
+          "4294967290", "--max-a1", "2", "--max-extent", "8"), PAST_LIMIT),
+    ],
+)
+def test_windows_past_the_limit_or_loopy_exit_2_before_any_table(
+    capsys, monkeypatch, tmp_path, args, err
+):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(solver, "lattice_table", refuse)
+    monkeypatch.setattr(solver, "_ranks", refuse)
+    out_dir = tmp_path / "figs"
+    out = ("--out", str(out_dir)) if args[0] == "figure" else ()
+    assert run(capsys, *args, *out) == (2, "", err)
+    assert not out_dir.exists()
+
+
+# windows whose boards reach past the limit only at an a1 near it: the
+# per-point route listed every board of the window first, so it is not run
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--theorem", "bulk-conjecture", "--max-a1", "4294967290"),
+        ("period", "--translation", "1", "--max-a1", "4294967290",
+         "--max-extent", "8"),
+    ],
+)
+def test_windows_past_the_limit_at_a_large_a1_exit_2_at_once(args):
+    # the child's address space is capped, so a version that lists the
+    # window's boards fails fast instead of filling memory
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import sys; from gamesolve.cli import main\n"
+        f"sys.exit(main({list(args)!r}))\n"
+    )
+    result = run_process("-c", code)
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (
+        2, b"", PAST_LIMIT
+    )
 
 
 @pytest.mark.parametrize(

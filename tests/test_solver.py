@@ -719,19 +719,18 @@ def test_board_values_hands_its_table_the_undominated_boards(monkeypatch):
 
 def lattice_sweeps():
     """The lattice sweeps that read tables, as comparable values."""
-    domain = list(analysis.three_column_domain(4, 10))
     return [
         analysis.figure_grids(DC2, Convention.MISERE, [a1], 9, 7, tri)[0]
         for a1 in (0, 5)
         for tri in (False, True)
     ] + [
         analysis.translation_period_check(
-            DC2, Convention.MISERE, domain, period
-        ).to_dict()
+            DC2, Convention.MISERE, 4, 10, [period]
+        )[0].to_dict()
         for period in (12, 3)
     ] + [
         analysis.bulk_formula_agreement(
-            DC2, Convention.MISERE, domain, margins
+            DC2, Convention.MISERE, 4, 10, margins
         ).to_dict()
         for margins in (analysis.PINNED_BULK_MARGINS, analysis.Margins())
     ]
