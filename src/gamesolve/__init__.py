@@ -6,23 +6,13 @@ from .core import (
     Family,
     GameError,
     LoopyFamily,
-    MoveRecord,
     NonMonotoneInput,
     Position,
     RuleSet,
     canonicalize,
     parse_position,
 )
-from .solver import (
-    MemoTable,
-    VerificationReport,
-    grundy,
-    mex,
-    outcome,
-    successors,
-    verify_grundy_consistency,
-    verify_pset,
-)
+from .tables import VerificationReport, mex
 
 __all__ = [
     "BoundsExceeded",
@@ -30,20 +20,13 @@ __all__ = [
     "Family",
     "GameError",
     "LoopyFamily",
-    "MemoTable",
-    "MoveRecord",
     "NonMonotoneInput",
     "Position",
     "RuleSet",
     "VerificationReport",
     "canonicalize",
-    "grundy",
     "mex",
-    "outcome",
     "parse_position",
-    "successors",
-    "verify_grundy_consistency",
-    "verify_pset",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import MAX_ENTRY, Convention, GameError, LoopyFamily, RuleSet, canonicalize
-from . import solver
+from . import tables
 
 
 class InsufficientProbe(GameError):
@@ -64,12 +64,12 @@ def directional_period(
 def lattice_values(
     rules: RuleSet, convention: Convention | None, points: Iterable[tuple]
 ) -> list:
-    """``solver.board_values`` of lattice points built from user options, in
+    """``tables.board_values`` of lattice points built from user options, in
     order: P-booleans under ``convention``, Grundy values when it is None.
     Each point is canonicalized first, so the first bad one (negative, or
     past ``MAX_ENTRY``) raises before any table is filled."""
     boards = [canonicalize(p, rules.family) for p in points]
-    return solver.board_values(rules, convention, boards)
+    return tables.board_values(rules, convention, boards)
 
 
 def _window(
@@ -94,7 +94,7 @@ def _window(
             break
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-    return solver.lattice_table(rules, convention, top), *solver._ranks(top)[:2]
+    return tables.lattice_table(rules, convention, top), *tables._ranks(top)[:2]
 
 
 def translation_period_check(
@@ -110,7 +110,7 @@ def translation_period_check(
     are the boards where the outcomes differ.  A row that matches its
     translate's row as bytes is not read cell by cell."""
     boards = (max_a1 + 1) * (max_extent + 1) * (max_extent + 2) // 2
-    reports = [solver.VerificationReport(boards) for _ in periods]
+    reports = [tables.VerificationReport(boards) for _ in periods]
     offsets = (
         offset
         for d2 in range(max_extent + 1)
@@ -200,7 +200,7 @@ def bulk_formula_agreement(
     max_a1: int,
     max_extent: int,
     margins: Margins,
-) -> solver.VerificationReport:
+) -> tables.VerificationReport:
     """Compare solver outcomes against the three-column bulk formula over
     the boards (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent
     outside the margins, in lexicographic order; those inside are skipped.
@@ -214,7 +214,7 @@ def bulk_formula_agreement(
     n = max(0, max_extent - y0 - x0 + 1)
     checked = (max_a1 + 1) * n * (n + 1) // 2
     boards = (max_a1 + 1) * (max_extent + 1) * (max_extent + 2) // 2
-    report = solver.VerificationReport(checked, boards - checked)
+    report = tables.VerificationReport(checked, boards - checked)
     if not checked:  # no table
         return report
     xs = range(x0, x0 + n)

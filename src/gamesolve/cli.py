@@ -13,7 +13,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import solver
+from . import tables
 from .core import (
     MAX_ENTRY,
     Convention,
@@ -46,7 +46,7 @@ def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list
     normal play its Grundy value (P iff 0).  The loopy extended families
     are answered via their non-extended closed forms, which ``verify
     --theorem thm6-*`` checks for local consistency only (no route shows
-    that play ends), the others by ``solver.board_values``."""
+    that play ends), the others by ``tables.board_values``."""
     normal = convention is Convention.NORMAL
     if rules.family.loopy:
         from . import closedforms
@@ -58,7 +58,7 @@ def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list
             grundy_of, is_p = closedforms.nim_grundy_formula, closedforms.nim_p_misere
         values = list(map(grundy_of if normal else is_p, boards))
     else:
-        values = solver.board_values(rules, None if normal else convention, boards)
+        values = tables.board_values(rules, None if normal else convention, boards)
     if normal:
         return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
     return [{"outcome": "P" if v else "N", "grundy": None} for v in values]

@@ -105,15 +105,6 @@ class RuleSet(_Rules):
         return " ".join(parts)
 
 
-class MoveRecord(NamedTuple):
-    """One legal move, in human-readable terms, with its resulting position."""
-
-    kind: str  # "subtract" | "add" | "chomp"
-    index: int  # 1-based pile index, or chomp column j
-    amount: int  # tokens subtracted/added, or chomp height r
-    result: Position
-
-
 def canonicalize(entries: Iterable[int], family: Family) -> Position:
     """Return the canonical form of a raw entry sequence.
 

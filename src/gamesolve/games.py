@@ -21,17 +21,25 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     MAX_ENTRY,
     BoundsExceeded,
     Family,
-    MoveRecord,
     Position,
     RuleSet,
     canonicalize,
 )
+
+
+class MoveRecord(NamedTuple):
+    """One legal move, in human-readable terms, with its resulting position."""
+
+    kind: str  # "subtract" | "add" | "chomp"
+    index: int  # 1-based pile index, or chomp column j
+    amount: int  # tokens subtracted/added, or chomp height r
+    result: Position
 
 
 def subtract_move_records(k: int | None, ordered: bool, p: Position) -> Iterator[tuple]:

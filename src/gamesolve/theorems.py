@@ -5,12 +5,11 @@ engine (``THEOREMS``; ``verify_theorem`` runs one).
 
 from __future__ import annotations
 
-from array import array
 from functools import partial
 from itertools import chain, combinations_with_replacement, islice
 from typing import Callable, NamedTuple
 
-from . import closedforms, solver
+from . import closedforms, tables
 from .core import Convention, Family, RuleSet
 
 DEFAULT_KS = (1, 2, 3)
@@ -37,6 +36,8 @@ def _case_checker(check: str, bounds: dict) -> Callable:
         )
     m, top = bounds["max_piles"], bounds["max_entry"]
     if check in ("pset", "labels"):  # in lexicographic order, as reports list them
+        from . import solver  # the local verifiers expand boards through games
+
         entries = range(1, top + 1)
         runs = (combinations_with_replacement(entries, n) for n in range(m + 1))
         positions = sorted(chain.from_iterable(runs))
@@ -61,14 +62,17 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     # that position in ``differences``, and each case asks the closed form
     # once per distinct position
     differences, indices = {}, []  # indices: one array per length
-    for length in range(m + 1 if check == "monotone" else 0):
-        raws = combinations_with_replacement(range(top + 1), length)
-        found = map(closedforms.difference_position, raws)
-        run = (differences.setdefault(b, len(differences)) for b in found)
-        indices.append(array("I", run))
+    if check == "monotone":
+        from array import array
 
-    def check_values(rules, convention, form) -> solver.VerificationReport:
-        table, failures, checked = solver.lattice_table(rules, convention, caps), [], 0
+        for length in range(m + 1):
+            raws = combinations_with_replacement(range(top + 1), length)
+            found = map(closedforms.difference_position, raws)
+            run = (differences.setdefault(b, len(differences)) for b in found)
+            indices.append(array("I", run))
+
+    def check_values(rules, convention, form) -> tables.VerificationReport:
+        table, failures, checked = tables.lattice_table(rules, convention, caps), [], 0
         verdicts = list(map(form, differences))
         for length in range(m + 1):
             start = checked if lo else 0
@@ -88,7 +92,7 @@ def _case_checker(check: str, bounds: dict) -> Callable:
                 checked, start = checked + len(chunk), stop
         # counterexamples in lexicographic order, as the local verifiers
         # list them: a case fails at most once per point, so points decide
-        report = solver.VerificationReport(checked_count=checked)
+        report = tables.VerificationReport(checked_count=checked)
         for p, expected, cell in sorted(failures):
             actual = cell if convention is None else cell == 1
             report.add(p, f"closed form {expected} != solver {actual}")
@@ -207,7 +211,7 @@ THEOREMS = {
 }
 
 
-def verify_theorem(name: str, opts) -> solver.VerificationReport:
+def verify_theorem(name: str, opts) -> tables.VerificationReport:
     """Run the THEOREMS entry ``name``; each domain bound is the option's
     value, else the entry's default."""
     theorem = THEOREMS[name]
@@ -215,7 +219,7 @@ def verify_theorem(name: str, opts) -> solver.VerificationReport:
     for option, default in theorem.bounds.items():
         value = getattr(opts, option)
         bounds[option] = default if value is None else value
-    check, report = _case_checker(theorem.check, bounds), solver.VerificationReport()
+    check, report = _case_checker(theorem.check, bounds), tables.VerificationReport()
     for tag, rules, convention, form in theorem.cases(opts):
         sub = check(rules, convention, form)
         report.checked_count += sub.checked_count

@@ -5,17 +5,7 @@ bounds and time budgets."""
 import time
 from argparse import Namespace
 
-from gamesolve import (
-    Convention,
-    Family,
-    MemoTable,
-    RuleSet,
-    canonicalize,
-    outcome,
-    successors,
-    verify_pset,
-)
-from gamesolve import theorems
+from gamesolve import Convention, Family, RuleSet, canonicalize, theorems
 from gamesolve.analysis import (
     Margins,
     PINNED_BULK_MARGINS,
@@ -33,6 +23,7 @@ from gamesolve.closedforms import (
     slow_nim_p_misere,
 )
 from gamesolve.games import diet_chomp2_moves_explicit
+from gamesolve.solver import MemoTable, outcome, successors, verify_pset
 from helpers import positions
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)

@@ -19,10 +19,11 @@ from gamesolve import (
     closedforms,
     games,
     solver,
+    tables,
     theorems,
-    verify_pset,
 )
 from gamesolve.cli import main
+from gamesolve.solver import verify_pset
 from helpers import positions, recursive_positions
 
 
@@ -573,8 +574,8 @@ def test_windows_past_the_limit_or_loopy_exit_2_before_any_table(
     def refuse(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(solver, "lattice_table", refuse)
-    monkeypatch.setattr(solver, "_ranks", refuse)
+    monkeypatch.setattr(tables, "lattice_table", refuse)
+    monkeypatch.setattr(tables, "_ranks", refuse)
     out_dir = tmp_path / "figs"
     out = ("--out", str(out_dir)) if args[0] == "figure" else ()
     assert run(capsys, *args, *out) == (2, "", err)
@@ -910,51 +911,64 @@ def test_add_limit_past_max_entry_exits_2_before_listing_moves(args):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time on every CLI call; -S keeps site's own
-    # imports out of the check
+    # each costs start-up time on every CLI call, and only the commands
+    # that run the DFS or the local verifiers need solver and games; -S
+    # keeps site's own imports out of the check
     code = (
-        "import sys, gamesolve.cli; "
-        "print({'dataclasses', 'inspect'} & set(sys.modules))"
+        "import sys, gamesolve.cli; print({'dataclasses', 'inspect', "
+        "'gamesolve.solver', 'gamesolve.games', 'array'} & set(sys.modules))"
     )
     result = run_process("-S", "-c", code)
     assert (result.returncode, result.stdout, result.stderr) == (0, b"set()\n", b"")
 
 
-# each command -> the modules it loads of those that load on first use
+# each command -> the modules it loads of those tracked: every command
+# reads values from tables; solver (the DFS and the local verifiers) loads
+# only for the verifiers' sweeps, and array only for thm7's indices
 LOADED = {
-    ("outcome", "--game", "nim", "--position", "3,5,6"): set(),
+    ("outcome", "--game", "nim", "--position", "3,5,6"): {"tables"},
     ("outcome", "--game", "diet-chomp", "--convention", "misere",
-     "--position", "2,4,4"): set(),
-    ("batch", "--game", "nim", "--input", "{tmp}/positions.txt"): set(),
+     "--position", "2,4,4"): {"tables"},
+    ("batch", "--game", "nim", "--input", "{tmp}/positions.txt"): {"tables"},
     ("batch", "--game", "diet-chomp", "--k", "3", "--input",
-     "{tmp}/positions.txt"): set(),
-    ("verify", "--theorem", "thm1", "--max-entry", "3"): {"theorems", "closedforms"},
-    ("verify", "--theorem", "thm7", "--max-entry", "3"): {"theorems", "closedforms"},
-    ("verify", "--theorem", "lemma8", "--max-entry", "3"): {"theorems", "closedforms"},
+     "{tmp}/positions.txt"): {"tables"},
+    ("verify", "--theorem", "thm1", "--max-entry", "3"):
+        {"tables", "theorems", "closedforms"},
+    ("verify", "--theorem", "thm7", "--max-entry", "3"):
+        {"tables", "theorems", "closedforms", "array"},
+    ("verify", "--theorem", "lemma8", "--max-entry", "3"):
+        {"tables", "theorems", "closedforms"},
     ("verify", "--theorem", "cor2", "--max-entry", "3"):
-        {"theorems", "closedforms", "games"},
+        {"tables", "theorems", "closedforms", "solver", "games"},
     ("verify", "--theorem", "thm6-pset", "--max-entry", "3"):
-        {"theorems", "closedforms", "games"},
+        {"tables", "theorems", "closedforms", "solver", "games"},
+    ("verify", "--theorem", "thm6-grundy", "--max-entry", "3"):
+        {"tables", "theorems", "closedforms", "solver", "games"},
     ("verify", "--theorem", "bulk-conjecture", "--max-a1", "1", "--max-extent", "3"):
-        {"theorems", "closedforms", "analysis"},
-    ("outcome", "--moves", "--game", "nim", "--position", "3,5,6"): {"games"},
-    ("outcome", "--game", "extended-nim", "--position", "3,5,6"): {"closedforms"},
+        {"tables", "theorems", "closedforms", "analysis"},
+    ("outcome", "--moves", "--game", "nim", "--position", "3,5,6"):
+        {"tables", "games"},
+    ("outcome", "--game", "extended-nim", "--position", "3,5,6"):
+        {"tables", "closedforms"},
     ("figure", "--a1", "0", "--width", "3", "--height", "3", "--out", "{tmp}"):
-        {"analysis"},
+        {"tables", "analysis"},
+    ("period", "--game", "diet-chomp", "--convention", "misere",
+     "--base", "2,3,3", "--direction", "0,0,1"): {"tables", "analysis"},
 }
 
 
 @pytest.mark.parametrize("args", LOADED, ids=" ".join)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args):
     # compiling a module costs start-up time on every call; games,
-    # closedforms, theorems and analysis load only for the commands that
-    # run them
+    # closedforms, theorems, analysis, solver and array load only for the
+    # commands that run them
     (tmp_path / "positions.txt").write_text("1,2\n3,5,6\n")
     code = (
         "import sys; from gamesolve.cli import main; code = main(sys.argv[1:]); "
-        "print(sorted({'games', 'closedforms', 'theorems', 'analysis'} & "
-        "{m.rpartition('.')[2] for m in sys.modules if m.startswith('gamesolve.')}),"
-        " file=sys.stderr); sys.exit(code)"
+        "print(sorted({'games', 'closedforms', 'theorems', 'analysis', 'solver', "
+        "'tables', 'array'} & {m.rpartition('.')[2] for m in sys.modules "
+        "if m.startswith('gamesolve.') or m == 'array'}), file=sys.stderr); "
+        "sys.exit(code)"
     )
     result = run_process("-S", "-c", code, *[a.format(tmp=tmp_path) for a in args])
     assert result.returncode == 0, result.stderr
@@ -1005,8 +1019,11 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
         ("verify", "--theorem", "lemma9", "--max-height", "5"),
         ("verify", "--theorem", "cor2", "--max-entry", "3"),
         ("verify", "--theorem", "thm6-pset", "--max-entry", "4"),
+        ("verify", "--theorem", "thm6-grundy", "--max-entry", "4"),
         ("figure", "--a1", "0", "--width", "3", "--height", "3",
          "--out", str(tmp_path / "figs")),
+        ("period", "--game", "diet-chomp", "--convention", "misere",
+         "--base", "2,3,3", "--direction", "0,0,1"),
         ("batch", "--game", "diet-chomp", "--input", str(positions)),
         ("outcome", "--game", "nim", "--position", "3,5,6"),
         ("outcome", "--moves", "--game", "slow-nim", "--k", "2", "--position", "2,4,4"),
@@ -1017,7 +1034,11 @@ def test_traced_cli_runs_and_keeps_stdout(tmp_path):
         traced = run_process(str(TRACE_CLI), *args, PERFBENCH_TRACE_OUT=str(trace))
         assert (plain.returncode, traced.returncode) == (0, 0), args
         assert traced.stdout == plain.stdout, args
-        assert json.loads(trace.read_text())["counts"], args
+        counts = json.loads(trace.read_text())["counts"]
+        assert counts, args
+        # the tracer still reaches the verifiers it patches in solver
+        verifies = args[2] in ("cor2", "thm6-pset", "thm6-grundy")
+        assert ("solver.verify.calls" in counts) == verifies, args
 
 
 @pytest.mark.parametrize(
@@ -1137,7 +1158,7 @@ def test_local_sweeps_hand_their_verifier_one_list_of_the_window(
     received = []
     monkeypatch.setattr(
         solver, verifier,
-        lambda *args: received.append(args[-1]) or solver.VerificationReport(),
+        lambda *args: received.append(args[-1]) or tables.VerificationReport(),
     )
     for piles, entry in product(range(4), range(7)):
         received.clear()
@@ -1232,7 +1253,7 @@ def test_value_sweeps_fill_one_table_per_case_and_list_no_domain(
 ):
     # each case walks its own table's cells in rank order
     calls = Counter()
-    counting(monkeypatch, solver, "lattice_table", calls)
+    counting(monkeypatch, tables, "lattice_table", calls)
     opts = verify_opts(max_piles=3, max_entry=6)
     report = theorems.verify_theorem(theorem, opts)
     cases = theorems.THEOREMS[theorem].cases(opts)

@@ -3,8 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import Convention, Family, MemoTable, RuleSet
-from gamesolve import canonicalize, grundy, outcome
+from gamesolve import Convention, Family, RuleSet, canonicalize
 from gamesolve.closedforms import (
     TooWide,
     diet2_misere_bulk_conjecture,
@@ -19,6 +18,7 @@ from gamesolve.closedforms import (
     stairs_mod3_fact,
 )
 from gamesolve.core import NonMonotoneInput
+from gamesolve.solver import MemoTable, grundy, outcome
 from helpers import positions
 
 

@@ -8,8 +8,8 @@ from gamesolve import (
     RuleSet,
     canonicalize,
     parse_position,
-    successors,
 )
+from gamesolve.solver import successors
 
 entries_st = st.lists(st.integers(min_value=0, max_value=20), max_size=8)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamesolve import Convention, Family, RuleSet
-from gamesolve.solver import board_values
+from gamesolve.tables import board_values
 
 VALUES = [None, *Convention]  # Grundy values, then P-booleans in each convention
 NIM = RuleSet(Family.NIM)

@@ -7,22 +7,19 @@ from gamesolve import (
     BoundsExceeded,
     Convention,
     Family,
-    MemoTable,
-    MoveRecord,
     RuleSet,
     canonicalize,
     games,
-    grundy,
-    outcome,
-    successors,
 )
 from gamesolve.core import MAX_ENTRY
 from gamesolve.games import (
+    MoveRecord,
     add_move_records,
     diet_chomp2_moves_explicit,
     diet_chomp_move_records,
     move_records,
 )
+from gamesolve.solver import MemoTable, grundy, outcome, successors
 
 NIM = RuleSet(Family.NIM)
 MONOTONIC_NIM = RuleSet(Family.MONOTONIC_NIM)

@@ -1,4 +1,5 @@
 from argparse import Namespace
+import ast
 import builtins
 from array import array
 from collections import Counter, defaultdict
@@ -6,31 +7,34 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 from operator import getitem, le
+from pathlib import Path
 import random
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import analysis, cli, solver, theorems
+from gamesolve import analysis, cli, solver, tables, theorems
 from gamesolve import (
     Convention,
     Family,
     LoopyFamily,
-    MemoTable,
     RuleSet,
-    grundy,
     mex,
-    outcome,
     canonicalize,
-    successors,
-    verify_grundy_consistency,
-    verify_pset,
 )
 from gamesolve.closedforms import (
     nim_grundy_formula,
     nim_p_misere,
     slow_nim_grundy_formula,
+)
+from gamesolve.solver import (
+    MemoTable,
+    grundy,
+    outcome,
+    successors,
+    verify_grundy_consistency,
+    verify_pset,
 )
 from helpers import positions, recursive_positions
 
@@ -319,7 +323,7 @@ def test_ranks_number_the_sorted_boards_in_lexicographic_order():
     rng = random.Random(0)
     for _ in range(300):
         caps = tuple(sorted(rng.randrange(8) for _ in range(rng.randrange(6))))
-        ranks, boards = solver._ranks(caps), raw_boards(caps)
+        ranks, boards = tables._ranks(caps), raw_boards(caps)
         assert [sum(map(getitem, ranks, b)) for b in boards] == list(range(len(boards)))
 
 
@@ -342,7 +346,7 @@ def assert_cells_hold_the_dfs(table, tops, reached, convention):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_outcome_table_matches_dfs(k, convention, caps, count):
     rules = RuleSet(Family.DIET_CHOMP, k=k)
-    table = solver.lattice_table(rules, convention, caps)
+    table = tables.lattice_table(rules, convention, caps)
     memo = MemoTable()
 
     def dfs(board):
@@ -369,7 +373,7 @@ TABLE_RULES = [
 @pytest.mark.parametrize("rules", TABLE_RULES, ids=RuleSet.describe)
 def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
     caps = (9, 9, 9, 9)
-    table = solver.lattice_table(rules, convention, caps)
+    table = tables.lattice_table(rules, convention, caps)
     memo = MemoTable()
 
     def dfs(board):
@@ -396,19 +400,19 @@ def test_the_dfs_answers_in_the_tables_vocabulary(rules, convention, entries):
     p = canonicalize(sorted(entries), rules.family)
     is_p = outcome(rules, convention, p)
     assert type(is_p) is bool
-    assert is_p is solver.board_values(rules, convention, [p])[0]
-    assert grundy(rules, p) == solver.board_values(rules, None, [p])[0]
+    assert is_p is tables.board_values(rules, convention, [p])[0]
+    assert grundy(rules, p) == tables.board_values(rules, None, [p])[0]
 
 
 TRIPLES =list(combinations_with_replacement(range(7), 3))
 
 
 def record_tables(monkeypatch):
-    """Patch ``solver.lattice_table`` to append each table it builds to the
+    """Patch ``tables.lattice_table`` to append each table it builds to the
     returned list."""
-    built, real = [], solver.lattice_table
+    built, real = [], tables.lattice_table
     monkeypatch.setattr(
-        solver, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
+        tables, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
     )
     return built
 
@@ -464,17 +468,32 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, kind):
 
 def test_grundy_tables_widen_past_a_byte():
     nim = RuleSet(Family.NIM)
-    assert isinstance(solver.lattice_table(nim, None, (255,)), bytearray)
-    wide = solver.lattice_table(nim, None, (256,))
+    assert isinstance(tables.lattice_table(nim, None, (255,)), bytearray)
+    wide = tables.lattice_table(nim, None, (256,))
     assert wide.typecode == "I" and list(wide) == list(range(257))
     # outcome tables stay bytes whatever the caps
-    assert isinstance(solver.lattice_table(nim, Convention.MISERE, (256,)), bytearray)
+    assert isinstance(tables.lattice_table(nim, Convention.MISERE, (256,)), bytearray)
+
+
+def test_the_tables_import_neither_games_nor_the_dfs():
+    # the tables' drops are computed from the rules, never from games'
+    # generators, so the DFS, which expands boards through games, stays an
+    # independent oracle for them; lazy imports inside functions count too
+    tree = ast.parse(Path(tables.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            imported.update(part for name in names for part in name.split("."))
+    assert "core" in imported  # the walk sees the package's own imports
+    assert {"games", "solver"} & imported == set()
 
 
 def test_a_table_holds_only_its_sorted_boards():
     # the box of (10,)*8 holds 11**8 > 2**24 boards, the table its 43,758
     # sorted ones, each at its rank
-    table = solver.lattice_table(RuleSet(Family.NIM), Convention.MISERE, (10,) * 8)
+    table = tables.lattice_table(RuleSet(Family.NIM), Convention.MISERE, (10,) * 8)
     assert isinstance(table, bytearray)
     assert len(table) == comb(18, 8) == 43_758
     boards = raw_boards((10,) * 8)
@@ -555,7 +574,7 @@ def test_one_pruned_table_fills_what_the_dfs_reaches(
     else:
         expected = [outcome(rules, convention, p, memo) for p in boards]
         reached = memo.outcomes[(rules, convention)]
-    assert solver.board_values(rules, convention, boards) == expected
+    assert tables.board_values(rules, convention, boards) == expected
     assert len(built) == 1
     assert_cells_hold_the_dfs(built[0], boards, reached, convention)
 
@@ -582,7 +601,7 @@ def test_many_tops_fill_what_the_dfs_reaches(monkeypatch, rules, convention):
         expected = [outcome(rules, convention, p, memo) for p in MIXED_ANTICHAIN]
         reached = memo.outcomes[(rules, convention)]
     built = record_tables(monkeypatch)
-    assert solver.board_values(rules, convention, MIXED_ANTICHAIN) == expected
+    assert tables.board_values(rules, convention, MIXED_ANTICHAIN) == expected
     assert_cells_hold_the_dfs(built[0], MIXED_ANTICHAIN, reached, convention)
 
 
@@ -616,11 +635,11 @@ def test_board_values_match_the_dfs_on_random_boards(rules, convention, boards):
     else:
         expected = [outcome(rules, convention, p, memo) for p in boards]
         reached = memo.outcomes[(rules, convention)]
-    built, real = [], solver.lattice_table
+    built, real = [], tables.lattice_table
     with patch.object(
-        solver, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
+        tables, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
     ):
-        assert solver.board_values(rules, convention, boards) == expected
+        assert tables.board_values(rules, convention, boards) == expected
     assert_cells_hold_the_dfs(built[0], boards, reached, convention)
 
 
@@ -650,13 +669,13 @@ def test_board_values_of_raw_boards_match_the_dfs_for_every_pair(boards, pairs):
             expected = [grundy(rules, p, memo) for p in canon]
         else:
             expected = [outcome(rules, convention, p, memo) for p in canon]
-        assert solver.board_values(rules, convention, boards) == expected
+        assert tables.board_values(rules, convention, boards) == expected
 
 
 def test_board_values_of_no_boards_builds_no_table(monkeypatch):
     built = record_tables(monkeypatch)
     for rules, convention in [(DC2, Convention.MISERE), (RuleSet(Family.NIM), None)]:
-        assert solver.board_values(rules, convention, []) == []
+        assert tables.board_values(rules, convention, []) == []
     assert built == []
 
 
@@ -672,7 +691,7 @@ def test_board_values_rejects_loopy_families_before_any_table(
     built = record_tables(monkeypatch)
     for convention in [*Convention, None]:
         with pytest.raises(LoopyFamily):
-            solver.board_values(rules, convention, boards)
+            tables.board_values(rules, convention, boards)
     assert built == []
 
 
@@ -708,12 +727,12 @@ TOP_BATCHES = [random_batch(random.Random(seed)) for seed in range(200)] + [
 def test_board_values_hands_its_table_the_undominated_boards(monkeypatch):
     handed = []
     monkeypatch.setattr(
-        solver, "lattice_table",
+        tables, "lattice_table",
         lambda rules, convention, *tops: handed.append(tops) or defaultdict(int),
     )
     assert len(TOP_BATCHES[-2]) == 351
     for boards in TOP_BATCHES:
-        solver.board_values(DC2, None, boards)
+        tables.board_values(DC2, None, boards)
         assert sorted(handed.pop()) == pairwise_tops(boards), boards
 
 
@@ -752,9 +771,9 @@ def test_sweep_tables_hold_the_dfs_value_in_every_cell(monkeypatch, capsys, tmp_
     # order against a DFS from the tops it was handed
     mixed = tmp_path / "mixed.txt"
     mixed.write_text(MIXED_BATCH)
-    handed, real = [], solver.lattice_table
+    handed, real = [], tables.lattice_table
     monkeypatch.setattr(
-        solver, "lattice_table",
+        tables, "lattice_table",
         lambda *args: handed.append((args, real(*args))) or handed[-1][1],
     )
     sweeps = lattice_sweeps()
@@ -772,13 +791,13 @@ def test_sweep_tables_hold_the_dfs_value_in_every_cell(monkeypatch, capsys, tmp_
 def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
     forbid_the_dfs(monkeypatch)
     builds = []
-    real = solver.lattice_table
+    real = tables.lattice_table
 
     def counting(rules, convention, *tops):
         builds.append(tops)
         return real(rules, convention, *tops)
 
-    monkeypatch.setattr(solver, "lattice_table", counting)
+    monkeypatch.setattr(tables, "lattice_table", counting)
 
     def tops():
         found = list(builds)
@@ -833,7 +852,7 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
 def ref_verify_pset(rules, convention, claimed_p, domain):
     """``verify_pset`` as it read every board's sorted, deduplicated
     successors: the reference that the lazy verifier must match."""
-    report = solver.VerificationReport()
+    report = tables.VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
     labels = {p: claimed_p(p) for p in domain}
     for p, is_p in labels.items():
@@ -860,7 +879,7 @@ def ref_verify_pset(rules, convention, claimed_p, domain):
 
 def ref_verify_grundy_consistency(ext_rules, labeling, domain):
     """``verify_grundy_consistency`` over sorted, deduplicated successors."""
-    report = solver.VerificationReport()
+    report = tables.VerificationReport()
     labels = {p: labeling(p) for p in domain}
     for p, label in labels.items():
         succ = successors(ext_rules, p)

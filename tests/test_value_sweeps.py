@@ -11,8 +11,8 @@ from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from gamesolve import Convention, closedforms, solver, theorems
-from gamesolve.solver import VerificationReport
+from gamesolve import Convention, closedforms, tables, theorems
+from gamesolve.tables import VerificationReport
 from helpers import positions
 
 VALUE_SWEEPS = [
@@ -43,7 +43,7 @@ def per_point_report(theorem, bounds, cases) -> VerificationReport:
         points = expected_at = positions(*domain)
     report = VerificationReport()
     for tag, rules, convention, form in cases:
-        values = solver.board_values(rules, convention, points)
+        values = tables.board_values(rules, convention, points)
         for p, arg, actual in zip(points, expected_at, values):
             report.checked_count += 1
             expected = form(arg)
@@ -116,14 +116,14 @@ def test_value_sweeps_match_the_per_point_route(
 def test_a_five_column_sweep_peaks_within_a_small_multiple_of_its_table():
     # thm3 over 5 piles of entries <= 20: one 53,130-cell table, whose
     # points the route before the table walk listed at 9.3 MB
-    built, real = [], solver.lattice_table
+    built, real = [], tables.lattice_table
 
     def keep(*args):
         built.append(real(*args))
         return built[-1]
 
     opts = Namespace(max_piles=5, max_entry=20, k=None, convention=None)
-    with patch.object(solver, "lattice_table", keep):
+    with patch.object(tables, "lattice_table", keep):
         tracemalloc.start()
         try:
             report = theorems.verify_theorem("thm3", opts)

@@ -15,7 +15,7 @@ from gamesolve import (
     RuleSet,
     canonicalize,
     closedforms,
-    solver,
+    tables,
 )
 from gamesolve.core import MAX_ENTRY
 from gamesolve.analysis import (
@@ -42,7 +42,7 @@ conventions = st.sampled_from(list(Convention))
 
 
 def per_point_values(rules, convention, points):
-    return solver.board_values(
+    return tables.board_values(
         rules, convention, [canonicalize(p, rules.family) for p in points]
     )
 
@@ -70,7 +70,7 @@ def per_point_translation(rules, convention, max_a1, max_extent, period):
     pairs = [(p, tuple(a + period for a in p)) for p in domain]
     points = [q for pair in pairs for q in pair]
     is_p = iter(per_point_values(rules, convention, points))
-    report = solver.VerificationReport(checked_count=len(pairs))
+    report = tables.VerificationReport(checked_count=len(pairs))
     for p, shifted in pairs:
         if next(is_p) != next(is_p):
             report.add(p, f"outcome differs from translate {shifted}")
@@ -83,7 +83,7 @@ def per_point_bulk(rules, convention, max_a1, max_extent, margins):
         (a1, a2, a3) for a1, a2, a3 in positions
         if a3 - a2 >= margins.bottom_rows and a2 - a1 >= margins.top_diagonals
     ]
-    report = solver.VerificationReport(
+    report = tables.VerificationReport(
         checked_count=len(inside), skipped_boundary_count=len(positions) - len(inside)
     )
     for p, is_p in zip(inside, per_point_values(rules, convention, inside)):
@@ -155,7 +155,7 @@ def raised_before_any_table(read, *args):
     def refuse(*args):
         raise AssertionError("a table was built")
 
-    with patch.object(solver, "lattice_table", refuse):
+    with patch.object(tables, "lattice_table", refuse):
         with pytest.raises(Exception) as info:
             read(*args)
     return type(info.value), str(info.value)
