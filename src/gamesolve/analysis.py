@@ -73,28 +73,21 @@ def lattice_values(
 
 
 def _window(
-    rules: RuleSet, convention: Convention, a1_values: Sequence[int],
-    offsets: Iterable[tuple], top: tuple,
+    rules: RuleSet, convention: Convention, probes: Iterable[tuple], top: tuple
 ) -> tuple:
-    """The outcome table over ``top``, the largest board of the window of
-    raw boards a1 + offset (a1 in ``a1_values``, consecutive and rising,
-    then each of ``offsets``, non-negative and non-decreasing), and the
-    ranks G_0, G_1 that place its row (a1, a2) at G_0[a1] + G_1[a2]: the
-    cell of (a1, a2, a3) is that plus a3.  The boards are canonicalized in
-    that order up to the first one out of range, if any, within the first
-    a1 that has one: it raises as it did when every board was.  Else the
-    first board stands for them all.  A loopy family raises next, before
-    any table."""
-    first, reach = a1_values[0], top[-1] - a1_values[-1]
-    past = max(first, MAX_ENTRY - reach + 1)  # the first a1 reaching past the limit
-    a1 = past if first >= 0 and past in a1_values else first
-    for offset in offsets:
-        canonicalize(tuple(a1 + o for o in offset), rules.family)
-        if 0 <= a1 <= MAX_ENTRY - reach:
-            break
+    """The outcome table over ``top``, the largest board of a window, and
+    the ranks G_0, G_1 that place its row (a1, a2) at G_0[a1] + G_1[a2]:
+    the cell of (a1, a2, a3) is that plus a3.  ``probes`` are the boards
+    from which the window's entries rise by 1 in its reader's listing
+    order, so the first board of that order out of range has the first
+    bad probe's error, else entry MAX_ENTRY + 1: the probes, then ``top``
+    capped at that entry, are canonicalized in order.  A loopy family
+    raises next, before any table."""
+    for board in (*probes, tuple(min(e, MAX_ENTRY + 1) for e in top)):
+        canonicalize(board, rules.family)
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-    return tables.lattice_table(rules, convention, top), *tables._ranks(top)[:2]
+    return tables.lattice_table(rules, convention, top), *tables.ranks(top)[:2]
 
 
 def translation_period_check(
@@ -111,15 +104,9 @@ def translation_period_check(
     translate's row as bytes is not read cell by cell."""
     boards = (max_a1 + 1) * (max_extent + 1) * (max_extent + 2) // 2
     reports = [tables.VerificationReport(boards) for _ in periods]
-    offsets = (
-        offset
-        for d2 in range(max_extent + 1)
-        for d3 in range(d2, max_extent + 1)
-        for offset in [(0, d2, d3), *((t, t + d2, t + d3) for t in periods)]
-    )
     shift = max_a1 + max(periods)
     top = (shift, shift + max_extent, shift + max_extent)
-    table, g0, g1 = _window(rules, convention, range(max_a1 + 1), offsets, top)
+    table, g0, g1 = _window(rules, convention, ((t, t, t) for t in periods), top)
     for a1 in range(max_a1 + 1):
         last = a1 + max_extent
         for a2 in range(a1, last + 1):
@@ -152,12 +139,10 @@ def figure_grids(
     diagonal (y < x) are not positions."""
     hi = a1_values[-1]
     if triangular:
-        offsets = ((0, x, y) for y in range(height) for x in range(min(width, y + 1)))
         top = (hi, hi + min(width, height) - 1, hi + height - 1)
     else:
-        offsets = ((0, x, x + y) for y in range(height) for x in range(width))
         top = (hi, hi + width - 1, hi + width + height - 2)
-    table, g0, g1 = _window(rules, convention, a1_values, offsets, top)
+    table, g0, g1 = _window(rules, convention, [(a1_values[0],) * 3], top)
     grids = []
     for a1 in a1_values:
         columns = []
@@ -217,10 +202,8 @@ def bulk_formula_agreement(
     report = tables.VerificationReport(checked, boards - checked)
     if not checked:  # no table
         return report
-    xs = range(x0, x0 + n)
-    offsets = ((0, x, z) for x in xs for z in range(x + y0, max_extent + 1))
     top = (max_a1, max_a1 + max_extent - y0, max_a1 + max_extent)
-    table, g0, g1 = _window(rules, convention, range(max_a1 + 1), offsets, top)
+    table, g0, g1 = _window(rules, convention, [(0, x0, x0 + y0)], top)
     for a1 in range(max_a1 + 1):
         for a2 in range(a1 + x0, a1 + x0 + n):
             row = list(zip(repeat(a1), repeat(a2), range(a2 + y0, a1 + max_extent + 1)))

@@ -36,7 +36,7 @@ def game_of(opts) -> tuple[RuleSet, Convention]:
     family, k, add_limit = Family(opts.game), opts.k, opts.add_limit
     if family is Family.EXTENDED_NIM:
         add_limit = 1 if add_limit is None else add_limit
-    elif family not in (Family.NIM, Family.MONOTONIC_NIM) and k is None:
+    elif family.takes_k and k is None:
         k = 2
     return RuleSet(family, k, add_limit), Convention(opts.convention)
 

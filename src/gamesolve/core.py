@@ -47,19 +47,11 @@ class Family(enum.Enum):
 
     def __init__(self, value: str):
         # ordered: positions are monotone sequences rather than multisets;
-        # loopy: the game graph has cycles (add-moves allowed)
+        # loopy: the game graph has cycles (add-moves allowed); takes_k:
+        # the rules have a parameter k (Slow Nim's and Diet Chomp's)
         self.ordered = value.startswith("monotonic-") or value == "diet-chomp"
         self.loopy = value.startswith("extended-")
-
-
-_NEEDS_K = frozenset(
-    {
-        Family.SLOW_NIM,
-        Family.EXTENDED_SLOW_NIM,
-        Family.MONOTONIC_SLOW_NIM,
-        Family.DIET_CHOMP,
-    }
-)
+        self.takes_k = value.endswith("slow-nim") or value == "diet-chomp"
 
 
 class Convention(enum.Enum):
@@ -84,7 +76,7 @@ class RuleSet(_Rules):
     def __new__(
         cls, family: Family, k: int | None = None, add_limit: int | None = None
     ):
-        if family in _NEEDS_K:
+        if family.takes_k:
             if k is None or k < 1:
                 raise ValueError(f"{family.value} requires k >= 1")
         elif k is not None:

@@ -27,7 +27,7 @@ def mex(values: Iterable[int]) -> int:
     return g
 
 
-def _ranks(caps: tuple) -> list:
+def ranks(caps: tuple) -> list:
     """G_c for each column c: a sorted board b below the sorted ``caps``
     sits at sum(G_c[b_c]), its rank among those boards in lexicographic
     order.  S_c[x] counts the sorted fillings of columns c.. below caps
@@ -37,38 +37,38 @@ def _ranks(caps: tuple) -> list:
     last column's G is x itself, a ``range``."""
     if not caps:
         return []
-    ranks, below = [range(caps[-1] + 1)], range(caps[-1] + 2)
+    gs, below = [range(caps[-1] + 1)], range(caps[-1] + 2)
     for cap in reversed(caps[:-1]):
         total = below[-1]
         here = list(accumulate([total - below[x] for x in range(cap + 1)], initial=0))
-        ranks.append([here[x] - below[x] for x in range(cap + 1)])
+        gs.append([here[x] - below[x] for x in range(cap + 1)])
         below = here
-    return ranks[::-1]
+    return gs[::-1]
 
 
-# Each _*_drops(k, a, v, ranks) lists the index drops of the moves on
+# Each _*_drops(k, a, v, gs) lists the index drops of the moves on
 # column c = len(a) of a board whose columns are a, then v at column c,
 # that keep the other columns in place; lattice_table carries the Nim
 # moves that re-sort column c below a[-1] from the column before.
 
 
-def _monotone_drops(k: int | None, a: tuple, v: int, ranks: list) -> list:
+def _monotone_drops(k: int | None, a: tuple, v: int, gs: list) -> list:
     # lower column c to w, with its left neighbour <= w and v - w <= k,
     # highest w first: the Nim carry relies on this order (its Slow Nim
     # budget keeps a prefix of it, and the last column's seed reverses it)
-    g, low = ranks[len(a)], max(a[-1] if a else 0, v - k if k else 0)
+    g, low = gs[len(a)], max(a[-1] if a else 0, v - k if k else 0)
     return list(map(g[v].__sub__, g[low:v][::-1]))
 
 
-def _diet_chomp_drops(k: int, a: tuple, v: int, ranks: list) -> list:
+def _diet_chomp_drops(k: int, a: tuple, v: int, gs: list) -> list:
     # a cut at (column c, height r) lowers the columns of height >= r to
     # r - 1; only the top k heights of column c can be legal
-    c, drops, g = len(a), [], ranks[len(a)]
+    c, drops, g = len(a), [], gs[len(a)]
     for r in range(max(1, v - k + 1), v + 1):
         removed, drop, i = v - r + 1, g[v] - g[r - 1], c - 1
         while i >= 0 and a[i] >= r and removed <= k:
             removed += a[i] - r + 1
-            drop += ranks[i][a[i]] - ranks[i][r - 1]
+            drop += gs[i][a[i]] - gs[i][r - 1]
             i -= 1
         if removed <= k:
             drops.append(drop)
@@ -83,7 +83,7 @@ def lattice_table(
     family: outcomes (1 = P) under ``convention``, or normal-play Grundy
     values when it is None.  The table has one cell per sorted board below
     caps, the tops' elementwise maximum, and board a sits at its rank
-    sum(G_c[a_c]) (``_ranks``); the cells of boards below no top hold 0.
+    sum(G_c[a_c]) (``ranks``); the cells of boards below no top hold 0.
 
     A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
     successor lies below the same top, a fixed drop lower, and filling the
@@ -102,10 +102,10 @@ def lattice_table(
     array takes bytes while the caps sum to at most 255, else unsigned ints.
     """
     caps = tuple(map(max, zip(*tops)))
-    k, m, ranks, seeded = rules.k, len(caps), _ranks(caps), not rules.family.ordered
+    k, m, gs, seeded = rules.k, len(caps), ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
     drops_of = _diet_chomp_drops if chomp else _monotone_drops
-    size = sum(map(getitem, ranks, caps)) + 1  # caps is the last board
+    size = sum(map(getitem, gs, caps)) + 1  # caps is the last board
     if convention is None and sum(caps) > 255:
         from array import array  # loaded only for the tables that need it
 
@@ -120,12 +120,12 @@ def lattice_table(
         # w first.  tops: those above the prefix a, highest at column c
         # first, so those above a + (v,) are the first n, and reach[n - 1]
         # is the highest last entry among them
-        c, n, lo, g = len(a), len(tops), a[-1] if a else 0, ranks[len(a)]
+        c, n, lo, g = len(a), len(tops), a[-1] if a else 0, gs[len(a)]
         reach = list(accumulate([t[-1] for t in tops], max))
         for v in range(lo, tops[0][c] + 1):
             while tops[n - 1][c] < v:
                 n -= 1
-            own = drops_of(k, a, v, ranks)
+            own = drops_of(k, a, v, gs)
             if seeded:  # below lo: column c - 1's moves, shifted, within k
                 # (clamped at 0: a negative stop would cut from the end)
                 shift = g[v] - g[lo]
@@ -157,7 +157,7 @@ def lattice_table(
             if here:
                 window = seen[-k:] if k else seen
                 if chomp and v - k < lo:  # k is set: window is a copy
-                    window += [table[here - d] for d in drops_of(k, a, v, ranks)]
+                    window += [table[here - d] for d in drops_of(k, a, v, gs)]
                 if convention is None:
                     table[here] = mex([table[here - d] for d in offsets] + window)
                 elif 1 in window:  # P iff no move reaches a P-board
@@ -200,9 +200,9 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     by_sum = sorted({caps} if caps in padded else set(padded), key=sum, reverse=True)
     for _, same_sum in groupby(by_sum, sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
-    ranks = _ranks(caps)
+    gs = ranks(caps)
     table = lattice_table(rules, convention, *tops)
-    cells = [table[sum(map(getitem, ranks, b))] for b in padded]
+    cells = [table[sum(map(getitem, gs, b))] for b in padded]
     return cells if convention is None else [cell == 1 for cell in cells]
 
 

@@ -135,6 +135,29 @@ def test_verify_bad_bounds_exit_2(capsys):
     assert code == 2
 
 
+# no position has more than 64 piles; a table over a wider sweep fills
+# one stack frame per pile, so at 1000 it would die of a RecursionError
+@pytest.mark.parametrize("piles", ["65", "1000"])
+@pytest.mark.parametrize(
+    "theorem", [name for name, t in theorems.THEOREMS.items() if "max_piles" in t.bounds]
+)
+def test_verify_more_piles_than_a_position_has_exit_2_before_any_table(
+    capsys, monkeypatch, theorem, piles
+):
+    def refuse(*args):
+        raise AssertionError("a case checker was built")
+
+    monkeypatch.setattr(theorems, "_case_checker", refuse)
+    args = ("verify", "--theorem", theorem, "--max-piles", piles, "--max-entry", "1")
+    assert run(capsys, *args) == (2, "", f"error: {piles} piles exceeds limit 64\n")
+
+
+def test_verify_at_the_pile_limit_still_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "thm1", "--max-heaps", "64",
+                       "--max-entry", "1")
+    assert (code, json.loads(out)["checked"]) == (0, 65)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -575,7 +598,7 @@ def test_windows_past_the_limit_or_loopy_exit_2_before_any_table(
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(tables, "lattice_table", refuse)
-    monkeypatch.setattr(tables, "_ranks", refuse)
+    monkeypatch.setattr(tables, "ranks", refuse)
     out_dir = tmp_path / "figs"
     out = ("--out", str(out_dir)) if args[0] == "figure" else ()
     assert run(capsys, *args, *out) == (2, "", err)

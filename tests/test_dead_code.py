@@ -1,8 +1,8 @@
 """Every public module-level name in src/gamesolve is used somewhere in the
 package other than its own definition and ``__init__.py``'s re-export: code
 that only tests use belongs in the tests.  Every private one is used in its
-own module other than its definition.  And every import is used by the
-module or function that makes it."""
+own module other than its definition, and no other module reads it.  And
+every import is used by the module or function that makes it."""
 
 import ast
 from collections import Counter
@@ -78,6 +78,24 @@ def test_every_private_name_in_src_has_a_use_in_its_module():
             and uses[name] == Counter(_references(node))[name]
         ]
     assert unused == []
+
+
+def test_no_module_in_src_reads_another_modules_private_name():
+    # a name another module needs is public: a private one may change
+    # with its own module alone
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    private = {
+        module: {name for name, _ in _definitions(tree) if name.startswith("_")}
+        for module, tree in trees.items()
+    }
+    read = [
+        f"{module}:{name} of {owner}"
+        for module, tree in sorted(trees.items())
+        for name in sorted(set(_references(tree)) - private[module])
+        for owner in sorted(private)
+        if name in private[owner] and not name.startswith("__")
+    ]
+    assert read == []
 
 
 def _own_nodes(scope):

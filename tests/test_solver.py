@@ -323,7 +323,7 @@ def test_ranks_number_the_sorted_boards_in_lexicographic_order():
     rng = random.Random(0)
     for _ in range(300):
         caps = tuple(sorted(rng.randrange(8) for _ in range(rng.randrange(6))))
-        ranks, boards = tables._ranks(caps), raw_boards(caps)
+        ranks, boards = tables.ranks(caps), raw_boards(caps)
         assert [sum(map(getitem, ranks, b)) for b in boards] == list(range(len(boards)))
 
 

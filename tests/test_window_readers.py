@@ -209,3 +209,40 @@ def test_translation_windows_out_of_range_raise_the_per_point_error(
     assert raised_before_any_table(
         translation_period_check, rules, Convention.NORMAL, *window
     ) == expected
+
+
+near_or_past_the_limit = st.one_of(
+    st.integers(0, 5), st.integers(MAX_ENTRY - 5, MAX_ENTRY + 5)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(
+        [RuleSet(Family.DIET_CHOMP, k=2), RuleSet(Family.EXTENDED_NIM, add_limit=1)]
+    ),
+    st.integers(MAX_ENTRY - 20, MAX_ENTRY), st.integers(0, 12),
+    st.one_of(
+        st.just(PINNED_BULK_MARGINS),
+        st.builds(Margins, near_or_past_the_limit, near_or_past_the_limit),
+    ),
+)
+def test_bulk_windows_out_of_range_raise_the_per_point_error(
+    rules, max_a1, spare, margins
+):
+    # spare + 1 rows (a1, a2) of each a1 lie outside the margins
+    y0, x0 = margins
+    max_extent = x0 + y0 + spare
+    # a board with a1 + max_extent <= MAX_ENTRY is in range: listed from past those
+    points = (
+        (a1, a2, a3)
+        for a1 in range(max(0, MAX_ENTRY - max_extent), max_a1 + 1)
+        for a2 in range(a1 + x0, a1 + max_extent - y0 + 1)
+        for a3 in range(a2 + y0, a1 + max_extent + 1)
+    )
+    expected = first_error(rules, points)
+    assume(expected is not None)
+    window = max_a1, max_extent, margins
+    assert raised_before_any_table(
+        bulk_formula_agreement, rules, Convention.MISERE, *window
+    ) == expected
