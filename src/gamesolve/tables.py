@@ -1,9 +1,9 @@
 """The retrograde engine: Sprague-Grundy values and outcomes of the
 acyclic families, from one pruned table per (rules, convention) and list
-of boards, with one cell per sorted board, at its rank (``lattice_table``,
-read through ``board_values``).  A move is an index drop computed from
-the rules, so the engine shares no code with ``games``, whose successors
-the DFS in ``solver`` (the tests' oracle) expands.
+of tops, with one cell per sorted board at its rank (``lattice_table``;
+``board_values`` reads a list of boards from one).  A move is an index
+drop computed from the rules, so the engine shares no code with ``games``,
+whose successors the DFS in ``solver`` (the tests' oracle) expands.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def lattice_table(
 ) -> bytearray | array:
     """Values of the raw, zero-padded, non-decreasing boards that lie
     elementwise below one of ``tops`` (boards of one width), for an acyclic
-    family: outcomes (1 = P) under ``convention``, or normal-play Grundy
-    values when it is None.  The table has one cell per sorted board below
-    caps, the tops' elementwise maximum, and board a sits at its rank
-    sum(G_c[a_c]) (``ranks``); the cells of boards below no top hold 0.
+    family (a loopy one raises ``LoopyFamily``): outcomes (1 = P) under
+    ``convention``, or normal-play Grundy values when it is None.  The table
+    has one cell per sorted board below caps, the tops' elementwise maximum:
+    board a at its rank sum(G_c[a_c]) (``ranks``); cells below no top hold 0.
 
     A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
     successor lies below the same top, a fixed drop lower, and filling the
@@ -95,12 +95,14 @@ def lattice_table(
     shifted by G_c[v] - G_c[lo].  The last column fills a row (a fixed
     prefix) at a time: the cells that its moves reach form a running
     window, except for Diet Chomp cuts that lower earlier columns too, and
-    an outcome cell stops at its first move to a P-board.  The tops above a
-    prefix are sorted on the next column, so a larger value there keeps a
-    prefix of them, and the last column runs up to a running maximum: no
-    column rescans a gone top.  A mex is at most the entry sum, so a Grundy
-    array takes bytes while the caps sum to at most 255, else unsigned ints.
+    an outcome cell stays N (0) unless no move reaches a P-board.  The tops
+    above a prefix are sorted on the next column, so a larger value there
+    keeps a prefix of them, and the last column runs up to a running max:
+    no column rescans a gone top.  A mex is at most the entry sum, so Grundy
+    values take bytes while the caps sum to at most 255, else unsigned ints.
     """
+    if rules.family.loopy:
+        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     caps = tuple(map(max, zip(*tops)))
     k, m, gs, seeded = rules.k, len(caps), ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
@@ -160,12 +162,9 @@ def lattice_table(
                     window += [table[here - d] for d in drops_of(k, a, v, gs)]
                 if convention is None:
                     table[here] = mex([table[here - d] for d in offsets] + window)
-                elif 1 in window:  # P iff no move reaches a P-board
-                    table[here] = 0
-                else:
+                elif 1 not in window:  # P iff no move reaches a P-board
                     for d in offsets:
                         if table[here - d] == 1:
-                            table[here] = 0
                             break
                     else:
                         table[here] = 1
@@ -185,10 +184,9 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     ``LoopyFamily`` first).  Each board is padded to the widest, so it may
     be canonical or raw with leading zeros; boards are read unchecked, and
     outside input is canonicalized first.  A board reaches exactly the
-    boards below it, so the tops are the box corner when it is itself a
-    board, else the boards that no other board dominates.  A board
-    dominates another only if its sum is larger, so each sum's boards are
-    checked against the tops kept from larger sums alone."""
+    boards below it, so the tops are the boards that no other board
+    dominates.  Two distinct boards of one sum never dominate each other,
+    so each sum's boards, by falling sum, meet only the larger sums' tops."""
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
     if not boards:  # no table for no boards
@@ -197,8 +195,7 @@ def board_values(rules: RuleSet, convention: Convention | None, boards: list) ->
     padded = [(0,) * (m - len(b)) + b for b in boards]
     caps = tuple(map(max, zip(*padded)))
     tops = []
-    by_sum = sorted({caps} if caps in padded else set(padded), key=sum, reverse=True)
-    for _, same_sum in groupby(by_sum, sum):
+    for _, same_sum in groupby(sorted(set(padded), key=sum, reverse=True), sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
     gs = ranks(caps)
     table = lattice_table(rules, convention, *tops)

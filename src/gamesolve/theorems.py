@@ -10,7 +10,7 @@ from itertools import chain, combinations_with_replacement, islice
 from typing import Callable, NamedTuple
 
 from . import closedforms, tables
-from .core import MAX_PILES, BoundsExceeded, Convention, Family, RuleSet
+from .core import MAX_ENTRY, MAX_PILES, BoundsExceeded, Convention, Family, RuleSet
 
 DEFAULT_KS = (1, 2, 3)
 DEFAULT_ADD_LIMITS = (1, 2)
@@ -213,8 +213,8 @@ THEOREMS = {
 
 def verify_theorem(name: str, opts) -> tables.VerificationReport:
     """Run the THEOREMS entry ``name``; each domain bound is the option's
-    value, else the entry's default.  A pile count past ``MAX_PILES``,
-    which no position has, raises before any table."""
+    value, else the entry's default.  A pile count or entry past its limit
+    (``MAX_PILES``, ``MAX_ENTRY``), which no position has, raises first."""
     theorem = THEOREMS[name]
     bounds = dict(theorem.fixed)
     for option, default in theorem.bounds.items():
@@ -222,6 +222,8 @@ def verify_theorem(name: str, opts) -> tables.VerificationReport:
         bounds[option] = default if value is None else value
     if bounds.get("max_piles", 0) > MAX_PILES:
         raise BoundsExceeded(f"{bounds['max_piles']} piles exceeds limit {MAX_PILES}")
+    if bounds.get("max_entry", 0) > MAX_ENTRY:
+        raise BoundsExceeded(f"entry {bounds['max_entry']} exceeds limit {MAX_ENTRY}")
     check, report = _case_checker(theorem.check, bounds), tables.VerificationReport()
     for tag, rules, convention, form in theorem.cases(opts):
         sub = check(rules, convention, form)

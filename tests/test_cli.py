@@ -152,6 +152,27 @@ def test_verify_more_piles_than_a_position_has_exit_2_before_any_table(
     assert run(capsys, *args) == (2, "", f"error: {piles} piles exceeds limit 64\n")
 
 
+# no position has an entry past 2**32 - 1; a sweep up to one would list
+# 2**32 entries per column for its ranks or positions before it failed
+@pytest.mark.parametrize("option", ["--max-entry", "--max-height"])
+@pytest.mark.parametrize(
+    "theorem", [name for name, t in theorems.THEOREMS.items() if "max_entry" in t.bounds]
+)
+def test_verify_an_entry_past_the_limit_exits_2_before_any_table(
+    capsys, monkeypatch, theorem, option
+):
+    def refuse(*args):
+        raise AssertionError("a case checker was built")
+
+    monkeypatch.setattr(theorems, "_case_checker", refuse)
+    args = ("verify", "--theorem", theorem, option, "4294967296")
+    err = "error: entry 4294967296 exceeds limit 4294967295\n"
+    assert run(capsys, *args) == (2, "", err)
+    if "max_piles" in theorems.THEOREMS[theorem].bounds:  # piles are checked first
+        err = "error: 65 piles exceeds limit 64\n"
+        assert run(capsys, *args, "--max-piles", "65") == (2, "", err)
+
+
 def test_verify_at_the_pile_limit_still_runs(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "thm1", "--max-heaps", "64",
                        "--max-entry", "1")

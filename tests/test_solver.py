@@ -679,12 +679,13 @@ def test_board_values_of_no_boards_builds_no_table(monkeypatch):
     assert built == []
 
 
+LOOPY_RULES = [
+    RuleSet(Family.EXTENDED_NIM, add_limit=1), RuleSet(Family.EXTENDED_SLOW_NIM, k=2)
+]
+
+
 @pytest.mark.parametrize("boards", [[], [(1, 2), (3,)]])
-@pytest.mark.parametrize(
-    "rules",
-    [RuleSet(Family.EXTENDED_NIM, add_limit=1), RuleSet(Family.EXTENDED_SLOW_NIM, k=2)],
-    ids=RuleSet.describe,
-)
+@pytest.mark.parametrize("rules", LOOPY_RULES, ids=RuleSet.describe)
 def test_board_values_rejects_loopy_families_before_any_table(
     monkeypatch, rules, boards
 ):
@@ -693,6 +694,17 @@ def test_board_values_rejects_loopy_families_before_any_table(
         with pytest.raises(LoopyFamily):
             tables.board_values(rules, convention, boards)
     assert built == []
+
+
+@pytest.mark.parametrize("rules", LOOPY_RULES, ids=RuleSet.describe)
+def test_lattice_table_rejects_loopy_families(rules):
+    # a loopy rule set has no table: its add-moves are not index drops, so
+    # a fill would give the values of the game without them
+    message = f"^{rules.family.value} has add-moves; use the verifiers$"
+    for convention in [*Convention, None]:
+        for tops in [((3, 5),), ((1, 2), (0, 4)), ((),)]:
+            with pytest.raises(LoopyFamily, match=message):
+                tables.lattice_table(rules, convention, *tops)
 
 
 def pairwise_tops(boards):
@@ -716,9 +728,13 @@ def random_batch(rng):
     ]
 
 
-# 200 random batches of widths 1..4 with leading zeros; an antichain of
-# one sum; and narrower boards padded under wider ones
+# 200 random batches of widths 1..4 with leading zeros; the box corner
+# given twice over boards of one sum below it; an antichain of one sum with
+# duplicates; an antichain of one sum; and narrower boards padded under
+# wider ones
 TOP_BATCHES = [random_batch(random.Random(seed)) for seed in range(200)] + [
+    [(2, 3, 4), (1, 2, 4), (2, 2, 3), (2, 3, 4), (1, 3, 3), (3, 4)],
+    [(1, 5), (2, 4), (6,), (3, 3), (2, 4), (0, 6), (1, 5)],
     [p for p in combinations_with_replacement(range(1, 34), 4) if sum(p) == 36],
     MIXED_ANTICHAIN,
 ]
