@@ -2,8 +2,9 @@
 three-column boards, plus PBM/ASCII rendering.  The rasters, the
 translation check and the bulk check take their window's bounds, and
 read each row (a1, a2) of it, a3 running, as one slice of one table
-(``_window``); the directional scan reads its points through
-``lattice_values``.  Both check the boards built from user options first.
+(``_window``); the directional scan reads its points through the
+function it is given.  The window readers check the boards built from
+user options first.
 
 Coordinates: a three-column board (a1, a2, a3) maps to raster cell
 x = a2 - a1, y = a3 - a2, so the raster covers a full rectangle whose
@@ -61,23 +62,13 @@ def directional_period(
     return PeriodReport(base, direction, 0, None)
 
 
-def lattice_values(
-    rules: RuleSet, convention: Convention | None, points: Iterable[tuple]
-) -> list:
-    """``tables.board_values`` of lattice points built from user options, in
-    order: P-booleans under ``convention``, Grundy values when it is None.
-    Each point is canonicalized first, so the first bad one (negative, or
-    past ``MAX_ENTRY``) raises before any table is filled."""
-    boards = [canonicalize(p, rules.family) for p in points]
-    return tables.board_values(rules, convention, boards)
-
-
 def _window(
     rules: RuleSet, convention: Convention, probes: Iterable[tuple], top: tuple
-) -> tuple:
-    """The outcome table over ``top``, the largest board of a window, and
-    the ranks G_0, G_1 that place its row (a1, a2) at G_0[a1] + G_1[a2]:
-    the cell of (a1, a2, a3) is that plus a3.  ``probes`` are the boards
+) -> Callable:
+    """``row(a1, a2, lo, hi)``: the cells of the boards (a1, a2, a3),
+    lo <= a3 <= hi, as one slice of the outcome table over ``top``, the
+    largest board of a window, whose ranks G_0, G_1 place the cell of
+    (a1, a2, a3) at G_0[a1] + G_1[a2] + a3.  ``probes`` are the boards
     from which the window's entries rise by 1 in its reader's listing
     order, so the first board of that order out of range has the first
     bad probe's error, else entry MAX_ENTRY + 1: the probes, then ``top``
@@ -87,7 +78,8 @@ def _window(
         canonicalize(board, rules.family)
     if rules.family.loopy:
         raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-    return tables.lattice_table(rules, convention, top), *tables.ranks(top)[:2]
+    table, (g0, g1, _) = tables.lattice_table(rules, convention, top), tables.ranks(top)
+    return lambda a1, a2, lo, hi: table[(at := g0[a1] + g1[a2]) + lo : at + hi + 1]
 
 
 def translation_period_check(
@@ -106,17 +98,16 @@ def translation_period_check(
     reports = [tables.VerificationReport(boards) for _ in periods]
     shift = max_a1 + max(periods)
     top = (shift, shift + max_extent, shift + max_extent)
-    table, g0, g1 = _window(rules, convention, ((t, t, t) for t in periods), top)
+    row = _window(rules, convention, ((t, t, t) for t in periods), top)
     for a1 in range(max_a1 + 1):
         last = a1 + max_extent
         for a2 in range(a1, last + 1):
-            here = g0[a1] + g1[a2]
-            row = table[here + a2 : here + last + 1]
+            here = row(a1, a2, a2, last)
             for t, report in zip(periods, reports):
-                there = g0[a1 + t] + g1[a2 + t] + t
-                if table[there + a2 : there + last + 1] != row:
-                    for a3 in range(a2, last + 1):
-                        if table[here + a3] != table[there + a3]:
+                there = row(a1 + t, a2 + t, a2 + t, last + t)
+                if there != here:
+                    for a3, x, y in zip(range(a2, last + 1), here, there):
+                        if x != y:
                             shifted = (a1 + t, a2 + t, a3 + t)
                             reason = f"outcome differs from translate {shifted}"
                             report.add((a1, a2, a3), reason)
@@ -142,15 +133,14 @@ def figure_grids(
         top = (hi, hi + min(width, height) - 1, hi + height - 1)
     else:
         top = (hi, hi + width - 1, hi + width + height - 2)
-    table, g0, g1 = _window(rules, convention, [(a1_values[0],) * 3], top)
+    row = _window(rules, convention, [(a1_values[0],) * 3], top)
     grids = []
     for a1 in a1_values:
         columns = []
         for x in range(width):
             below, cells = min(x, height) if triangular else 0, b""
             if below < height:  # from the cell (a1, a1+x, a1+x), at y = below
-                start = g0[a1] + g1[a1 + x] + a1 + x
-                cells = table[start : start + height - below]
+                cells = row(a1, a1 + x, a1 + x, a1 + x + height - below - 1)
             columns.append([*repeat(False, below), *map(bool, cells)])
         grids.append(tuple(zip(*columns)))
     return grids
@@ -182,18 +172,17 @@ class Margins(NamedTuple):
 def bulk_formula_agreement(
     rules: RuleSet,
     convention: Convention,
+    form: Callable[[tuple], bool],
     max_a1: int,
     max_extent: int,
     margins: Margins,
 ) -> tables.VerificationReport:
-    """Compare solver outcomes against the three-column bulk formula over
-    the boards (a1, a2, a3) with a1 <= max_a1 and a3 - a1 <= max_extent
-    outside the margins, in lexicographic order; those inside are skipped.
-    The formula is asked once per board, and its verdicts on a row
-    (a1, a2) are compared with the table's row as bytes."""
-    from . import closedforms  # only the bulk check reads a closed form
-
-    form, y0, x0 = closedforms.diet2_misere_bulk_conjecture, *margins
+    """Compare solver outcomes against ``form``, a P-test of three-column
+    boards, over the boards (a1, a2, a3) with a1 <= max_a1 and
+    a3 - a1 <= max_extent outside the margins, in lexicographic order;
+    those inside are skipped.  ``form`` is asked once per board, and its
+    verdicts on a row (a1, a2) are compared with the table's row as bytes."""
+    y0, x0 = margins
     # per a1, the n rows x = a2 - a1 = x0 .. x0 + n - 1 are checked from
     # y = a3 - a2 = y0 up, max_extent - y0 - x + 1 boards each
     n = max(0, max_extent - y0 - x0 + 1)
@@ -203,14 +192,14 @@ def bulk_formula_agreement(
     if not checked:  # no table
         return report
     top = (max_a1, max_a1 + max_extent - y0, max_a1 + max_extent)
-    table, g0, g1 = _window(rules, convention, [(0, x0, x0 + y0)], top)
+    row = _window(rules, convention, [(0, x0, x0 + y0)], top)
     for a1 in range(max_a1 + 1):
+        last = a1 + max_extent
         for a2 in range(a1 + x0, a1 + x0 + n):
-            row = list(zip(repeat(a1), repeat(a2), range(a2 + y0, a1 + max_extent + 1)))
-            start = g0[a1] + g1[a2] + a2 + y0
-            cells, expected = table[start : start + len(row)], bytes(map(form, row))
+            boards = list(zip(repeat(a1), repeat(a2), range(a2 + y0, last + 1)))
+            cells, expected = row(a1, a2, a2 + y0, last), bytes(map(form, boards))
             if expected != cells:
-                for p, x, y in zip(row, expected, cells):
+                for p, x, y in zip(boards, expected, cells):
                     if x != y:
                         report.add(p, "bulk formula disagrees with solver")
     return report

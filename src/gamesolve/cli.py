@@ -139,7 +139,9 @@ def cmd_period(opts) -> int:
     if opts.base is None or opts.direction is None:
         raise ValueError("need --base and --direction (or --translation)")
     report = analysis.directional_period(
-        partial(analysis.lattice_values, rules, convention),
+        lambda points: tables.board_values(
+            rules, convention, [canonicalize(p, rules.family) for p in points]
+        ),
         opts.base, opts.direction, opts.probe, opts.max_period, opts.max_preperiod,
     )
     print(json.dumps(report._asdict()))
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
         return COMMANDS[opts.command].run(opts)
     except (GameError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a table too large for this machine
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -18,25 +18,21 @@ class TooWide(GameError):
     """Narrow-board predicate called on a position with too many columns."""
 
 
-def xor_all(entries) -> int:
-    return reduce(xor, entries, 0)
-
-
 def nim_grundy_formula(p: Position) -> int:
     """XOR of heap sizes; empty position -> 0."""
-    return xor_all(p)
+    return reduce(xor, p, 0)
 
 
 def nim_p_misere(p: Position) -> bool:
     """Misere Nim: XOR = 0 when some heap exceeds 1, else XOR = 1
     (an odd number of one-token heaps)."""
     target = 0 if any(a > 1 for a in p) else 1
-    return xor_all(p) == target
+    return nim_grundy_formula(p) == target
 
 
 def slow_nim_grundy_formula(k: int, p: Position) -> int:
     """XOR of heap sizes reduced mod k+1."""
-    return xor_all(a % (k + 1) for a in p)
+    return reduce(xor, (a % (k + 1) for a in p), 0)
 
 
 def slow_nim_p_misere(k: int, p: Position) -> bool:

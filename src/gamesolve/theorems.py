@@ -27,12 +27,12 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     per sweep: for "pset" and "labels" the list of canonical positions
     that the local verifier checks, and for "monotone" each raw sequence's
     difference position.  The value sweeps list no positions."""
-    if check == "bulk":  # the formula is the one bulk_formula_agreement applies
+    if check == "bulk":
         from . import analysis
 
         window = bounds["max_a1"], bounds["max_extent"], analysis.PINNED_BULK_MARGINS
         return lambda rules, convention, form: analysis.bulk_formula_agreement(
-            rules, convention, *window
+            rules, convention, form, *window
         )
     m, top = bounds["max_piles"], bounds["max_entry"]
     if check in ("pset", "labels"):  # in lexicographic order, as reports list them
@@ -109,8 +109,8 @@ class Theorem(NamedTuple):
     is None, else P-booleans; "monotone": P-booleans on raw sequences,
     the closed form reading their difference positions),
     locally as the loopy games need ("pset": ``verify_pset``; "labels":
-    ``verify_grundy_consistency``), or through
-    ``analysis.bulk_formula_agreement`` ("bulk")."""
+    ``verify_grundy_consistency``), or with P-booleans of three-column boards
+    outside the pinned margins ("bulk": ``analysis.bulk_formula_agreement``)."""
 
     check: str
     bounds: dict  # each domain option the sweep reads -> its default
@@ -206,7 +206,7 @@ THEOREMS = {
     ], fixed={"max_piles": 2}),
     # the bulk three-column formula is exact away from the pinned margins
     "bulk-conjecture": Theorem("bulk", {"max_a1": 11, "max_extent": 20}, lambda opts: [
-        (None, DC2, Convention.MISERE, None),
+        (None, DC2, Convention.MISERE, closedforms.diet2_misere_bulk_conjecture),
     ]),
 }
 

@@ -1,6 +1,8 @@
-"""Position lists that the tests share."""
+"""Position lists, and lattice reads, that the tests share."""
 
 from itertools import combinations_with_replacement
+
+from gamesolve import canonicalize, tables
 
 
 def recursive_positions(max_piles, max_entry, lo):
@@ -23,6 +25,23 @@ def positions(max_piles, max_entry):
     """The canonical positions of at most ``max_piles`` entries in
     1..max_entry, in lexicographic order."""
     return list(recursive_positions(max_piles, max_entry, 1))
+
+
+def raw_sequences(max_piles, max_entry):
+    """The raw sequences (zeros allowed) of at most ``max_piles`` entries in
+    0..max_entry, in lexicographic order: what "monotone" sweeps check."""
+    return sorted(
+        raw
+        for n in range(max_piles + 1)
+        for raw in combinations_with_replacement(range(max_entry + 1), n)
+    )
+
+
+def lattice_values(rules, convention, points):
+    """``tables.board_values`` of lattice points given as user options, each
+    canonicalized first, as ``period``'s directional scan reads them."""
+    boards = [canonicalize(p, rules.family) for p in points]
+    return tables.board_values(rules, convention, boards)
 
 
 def three_column_domain(max_a1, max_extent):

@@ -16,6 +16,7 @@ from gamesolve.analysis import (
     translation_period_check,
 )
 from gamesolve.closedforms import (
+    diet2_misere_bulk_conjecture,
     diet2_misere_p_narrow,
     diet2_normal_p,
     nim_grundy_formula,
@@ -160,9 +161,12 @@ def test_criterion_9_figure_rasters_and_directional_periods():
 def test_criterion_10_bulk_formula_margins():
     t0 = time.perf_counter()
     pinned = bulk_formula_agreement(
-        DC2, Convention.MISERE, 11, 20, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, diet2_misere_bulk_conjecture, 11, 20,
+        PINNED_BULK_MARGINS,
     )
-    bare = bulk_formula_agreement(DC2, Convention.MISERE, 11, 20, Margins())
+    bare = bulk_formula_agreement(
+        DC2, Convention.MISERE, diet2_misere_bulk_conjecture, 11, 20, Margins()
+    )
     check(
         10, "bulk formula exact inside pinned margins, not without",
         pinned.ok and pinned.checked_count > 0 and not bare.ok,
@@ -174,7 +178,8 @@ def test_criterion_10_bulk_formula_wide_window():
     # the README's computed observation, read from one retrograde table
     t0 = time.perf_counter()
     report = bulk_formula_agreement(
-        DC2, Convention.MISERE, 40, 80, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, diet2_misere_bulk_conjecture, 40, 80,
+        PINNED_BULK_MARGINS,
     )
     counts = (report.checked_count, report.skipped_boundary_count)
     check(

@@ -1,6 +1,6 @@
 import pytest
 
-from gamesolve import Convention, Family, RuleSet, analysis
+from gamesolve import Convention, Family, RuleSet, analysis, closedforms
 from gamesolve.analysis import (
     InsufficientProbe,
     Margins,
@@ -8,14 +8,14 @@ from gamesolve.analysis import (
     bulk_formula_agreement,
     directional_period,
     figure_grids,
-    lattice_values,
     render_ascii,
     render_pbm,
     translation_period_check,
 )
-from helpers import three_column_domain
+from helpers import lattice_values, three_column_domain
 
 DC2 = RuleSet(Family.DIET_CHOMP, k=2)
+BULK = closedforms.diet2_misere_bulk_conjecture
 
 
 def parse_pbm(data: bytes) -> tuple:
@@ -117,16 +117,41 @@ def test_pbm_round_trip():
 
 def test_bulk_agreement_pinned_margins():
     result = bulk_formula_agreement(
-        DC2, Convention.MISERE, 8, 16, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, BULK, 8, 16, PINNED_BULK_MARGINS
     )
     assert result.ok
     assert result.checked_count > 0
 
 
 def test_bulk_agreement_zero_margins_fails():
-    result = bulk_formula_agreement(DC2, Convention.MISERE, 8, 16, Margins())
+    result = bulk_formula_agreement(DC2, Convention.MISERE, BULK, 8, 16, Margins())
     assert not result.ok
     assert result.counterexamples
+
+
+@pytest.mark.parametrize("k, wrong", [(1, 0), (3, 324)])
+def test_bulk_reader_checks_the_formula_it_is_given(k, wrong):
+    # the bulk rule mod k+1 on misere k-Diet Chomp: exact for k = 1, not
+    # for k = 3; each counterexample is a board whose per-point outcome
+    # differs from the formula's verdict
+    rules = RuleSet(Family.DIET_CHOMP, k=k)
+
+    def form(p):
+        return (p[0] + p[2] - p[1]) % (k + 1) == 1
+
+    report = bulk_formula_agreement(
+        rules, Convention.MISERE, form, 11, 20, PINNED_BULK_MARGINS
+    )
+    y0, x0 = PINNED_BULK_MARGINS
+    inside = [
+        p for p in three_column_domain(11, 20)
+        if p[1] - p[0] >= x0 and p[2] - p[1] >= y0
+    ]
+    values = lattice_values(rules, Convention.MISERE, inside)
+    expected = [p for p, is_p in zip(inside, values) if is_p != form(p)]
+    assert (report.checked_count, report.skipped_boundary_count) == (1440, 1332)
+    assert [p for p, _ in report.counterexamples] == expected
+    assert len(expected) == wrong
 
 
 def test_three_column_domain_matches_the_triple_loop():
@@ -146,7 +171,7 @@ def test_bulk_window_inside_the_margins_checks_nothing(monkeypatch):
     # in the excluded fringe, so no table is filled
     monkeypatch.setattr(analysis.tables, "lattice_table", None)
     result = bulk_formula_agreement(
-        DC2, Convention.MISERE, 5, 5, PINNED_BULK_MARGINS
+        DC2, Convention.MISERE, BULK, 5, 5, PINNED_BULK_MARGINS
     )
     assert result.to_dict() == {
         "checked": 0, "skipped_boundary": 126, "counterexamples": [], "ok": True

@@ -1,6 +1,6 @@
 from argparse import Namespace
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import product
 import json
 import os
 import subprocess
@@ -24,7 +24,7 @@ from gamesolve import (
 )
 from gamesolve.cli import main
 from gamesolve.solver import verify_pset
-from helpers import positions, recursive_positions
+from helpers import positions, raw_sequences, recursive_positions
 
 
 def run(capsys, *args):
@@ -650,6 +650,38 @@ def test_windows_past_the_limit_at_a_large_a1_exit_2_at_once(args):
     )
 
 
+DC2_MISERE = ("--game", "diet-chomp", "--k", "2", "--convention", "misere")
+
+
+# valid commands whose tables do not fit in a 1 GiB address space
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("figure", "--a1", "0", "--width", "60000", "--height", "60000",
+         "--out", "{out}"),
+        ("verify", "--theorem", "thm1", "--max-entry", "3000"),
+        ("outcome", *DC2_MISERE, "--position", "60000,60000,60000"),
+        ("batch", *DC2_MISERE, "--input", "{input}"),
+    ],
+)
+def test_tables_too_large_for_memory_exit_2_without_a_traceback(tmp_path, args):
+    # the child's address space is capped: uncapped, the figure alone would
+    # zero-fill about 3.6 GB
+    (tmp_path / "in.txt").write_text("60000,60000,60000\n")
+    out_dir = tmp_path / "figs"
+    argv = [a.format(out=out_dir, input=tmp_path / "in.txt") for a in args]
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import sys; from gamesolve.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    result = run_process("-c", code)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, b"", b"error: out of memory\n"
+    )
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1228,16 +1260,6 @@ def test_cor2_reads_successors_up_to_the_first_witness(monkeypatch):
     assert report.ok
     full = sum(len(list(real(None, False, p))) for p in positions(3, 6))
     assert 0 < len(drawn) < full
-
-
-def raw_sequences(piles, entry):
-    """The raw sequences (zeros allowed) of at most ``piles`` entries in
-    0..entry that thm7 checks, in lexicographic order."""
-    return sorted(
-        raw
-        for n in range(piles + 1)
-        for raw in combinations_with_replacement(range(entry + 1), n)
-    )
 
 
 def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):

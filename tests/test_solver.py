@@ -24,6 +24,7 @@ from gamesolve import (
     canonicalize,
 )
 from gamesolve.closedforms import (
+    diet2_misere_bulk_conjecture,
     nim_grundy_formula,
     nim_p_misere,
     slow_nim_grundy_formula,
@@ -36,7 +37,7 @@ from gamesolve.solver import (
     verify_grundy_consistency,
     verify_pset,
 )
-from helpers import positions, recursive_positions
+from helpers import lattice_values, positions, recursive_positions
 
 
 def naive_outcome(rules, convention, p):
@@ -434,7 +435,7 @@ def test_lattice_outcomes_match_the_dfs(monkeypatch, rules, points, kinds, conve
     memo = MemoTable()
     canonical = [canonicalize(p, rules.family) for p in points]
     expected = [outcome(rules, convention, p, memo) for p in canonical]
-    assert analysis.lattice_values(rules, convention, points) == expected
+    assert lattice_values(rules, convention, points) == expected
     assert list(map(type, built)) == kinds
     if built:
         reached = memo.outcomes[(rules, convention)]
@@ -461,7 +462,7 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, kind):
     memo = MemoTable()
     canonical = [canonicalize(p, rules.family) for p in points]
     expected = [grundy(rules, p, memo) for p in canonical]
-    assert analysis.lattice_values(rules, None, points) == expected
+    assert lattice_values(rules, None, points) == expected
     assert list(map(type, built)) == [kind]
     assert_cells_hold_the_dfs(built[0], canonical, memo.grundy_values[rules], None)
 
@@ -765,7 +766,7 @@ def lattice_sweeps():
         for period in (12, 3)
     ] + [
         analysis.bulk_formula_agreement(
-            DC2, Convention.MISERE, 4, 10, margins
+            DC2, Convention.MISERE, diet2_misere_bulk_conjecture, 4, 10, margins
         ).to_dict()
         for margins in (analysis.PINNED_BULK_MARGINS, analysis.Margins())
     ]

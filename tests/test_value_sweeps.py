@@ -6,28 +6,17 @@ memory is pinned to a small multiple of the table."""
 
 import tracemalloc
 from argparse import Namespace
-from itertools import combinations_with_replacement
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from gamesolve import Convention, closedforms, tables, theorems
 from gamesolve.tables import VerificationReport
-from helpers import positions
+from helpers import positions, raw_sequences
 
 VALUE_SWEEPS = [
     name for name, t in theorems.THEOREMS.items() if t.check in ("values", "monotone")
 ]
-
-
-def raw_sequences(max_piles, max_entry):
-    """The raw sequences (zeros allowed) of the domain, in lexicographic
-    order: what "monotone" sweeps check."""
-    return sorted(
-        raw
-        for n in range(max_piles + 1)
-        for raw in combinations_with_replacement(range(max_entry + 1), n)
-    )
 
 
 def per_point_report(theorem, bounds, cases) -> VerificationReport:

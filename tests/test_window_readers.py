@@ -38,6 +38,7 @@ GAMES = [
     RuleSet(Family.DIET_CHOMP, k=4),
 ]
 games = st.sampled_from(GAMES)
+BULK = closedforms.diet2_misere_bulk_conjecture
 conventions = st.sampled_from(list(Convention))
 
 
@@ -134,7 +135,7 @@ def test_bulk_check_matches_the_per_point_route(
     rules, convention, max_a1, max_extent, margins
 ):
     window = max_a1, max_extent, margins
-    report = bulk_formula_agreement(rules, convention, *window)
+    report = bulk_formula_agreement(rules, convention, BULK, *window)
     assert report.to_dict() == per_point_bulk(rules, convention, *window).to_dict()
 
 
@@ -244,5 +245,5 @@ def test_bulk_windows_out_of_range_raise_the_per_point_error(
     assume(expected is not None)
     window = max_a1, max_extent, margins
     assert raised_before_any_table(
-        bulk_formula_agreement, rules, Convention.MISERE, *window
+        bulk_formula_agreement, rules, Convention.MISERE, BULK, *window
     ) == expected
