@@ -2,9 +2,9 @@
 three-column boards, plus PBM/ASCII rendering.  The rasters, the
 translation check and the bulk check take their window's bounds, and
 read each row (a1, a2) of it, a3 running, as one slice of one table
-(``_window``); the directional scan reads its points through the
-function it is given.  The window readers check the boards built from
-user options first.
+through the ``tables.reader`` that ``_window`` returns; the directional
+scan reads its points through the function it is given.  The window
+readers check the boards built from user options first.
 
 Coordinates: a three-column board (a1, a2, a3) maps to raster cell
 x = a2 - a1, y = a3 - a2, so the raster covers a full rectangle whose
@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import MAX_ENTRY, Convention, GameError, LoopyFamily, RuleSet, canonicalize
+from .core import MAX_ENTRY, Convention, GameError, RuleSet, canonicalize
 from . import tables
 
 
@@ -65,21 +65,18 @@ def directional_period(
 def _window(
     rules: RuleSet, convention: Convention, probes: Iterable[tuple], top: tuple
 ) -> Callable:
-    """``row(a1, a2, lo, hi)``: the cells of the boards (a1, a2, a3),
-    lo <= a3 <= hi, as one slice of the outcome table over ``top``, the
-    largest board of a window, whose ranks G_0, G_1 place the cell of
-    (a1, a2, a3) at G_0[a1] + G_1[a2] + a3.  ``probes`` are the boards
-    from which the window's entries rise by 1 in its reader's listing
-    order, so the first board of that order out of range has the first
-    bad probe's error, else entry MAX_ENTRY + 1: the probes, then ``top``
-    capped at that entry, are canonicalized in order.  A loopy family
-    raises next, before any table."""
+    """The ``tables.reader`` of the outcome table over ``top``, the largest
+    board of a window: ``read((a1, a2, lo), hi - lo + 1)`` is the row of
+    cells (a1, a2, a3), lo <= a3 <= hi, as one slice.  ``probes`` are the
+    boards from which the window's entries rise by 1 in its reader's
+    listing order, so the first board of that order out of range has the
+    first bad probe's error, else entry MAX_ENTRY + 1: the probes, then
+    ``top`` capped at that entry, are canonicalized in order.  A loopy
+    family raises next, before any table."""
     for board in (*probes, tuple(min(e, MAX_ENTRY + 1) for e in top)):
         canonicalize(board, rules.family)
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
-    table, (g0, g1, _) = tables.lattice_table(rules, convention, top), tables.ranks(top)
-    return lambda a1, a2, lo, hi: table[(at := g0[a1] + g1[a2]) + lo : at + hi + 1]
+    rules.family.refuse_loopy()
+    return tables.reader(rules, convention, top)
 
 
 def translation_period_check(
@@ -98,13 +95,13 @@ def translation_period_check(
     reports = [tables.VerificationReport(boards) for _ in periods]
     shift = max_a1 + max(periods)
     top = (shift, shift + max_extent, shift + max_extent)
-    row = _window(rules, convention, ((t, t, t) for t in periods), top)
+    read = _window(rules, convention, ((t, t, t) for t in periods), top)
     for a1 in range(max_a1 + 1):
         last = a1 + max_extent
         for a2 in range(a1, last + 1):
-            here = row(a1, a2, a2, last)
+            here = read((a1, a2, a2), last - a2 + 1)
             for t, report in zip(periods, reports):
-                there = row(a1 + t, a2 + t, a2 + t, last + t)
+                there = read((a1 + t, a2 + t, a2 + t), last - a2 + 1)
                 if there != here:
                     for a3, x, y in zip(range(a2, last + 1), here, there):
                         if x != y:
@@ -133,14 +130,14 @@ def figure_grids(
         top = (hi, hi + min(width, height) - 1, hi + height - 1)
     else:
         top = (hi, hi + width - 1, hi + width + height - 2)
-    row = _window(rules, convention, [(a1_values[0],) * 3], top)
+    read = _window(rules, convention, [(a1_values[0],) * 3], top)
     grids = []
     for a1 in a1_values:
         columns = []
         for x in range(width):
             below, cells = min(x, height) if triangular else 0, b""
             if below < height:  # from the cell (a1, a1+x, a1+x), at y = below
-                cells = row(a1, a1 + x, a1 + x, a1 + x + height - below - 1)
+                cells = read((a1, a1 + x, a1 + x), height - below)
             columns.append([*repeat(False, below), *map(bool, cells)])
         grids.append(tuple(zip(*columns)))
     return grids
@@ -192,12 +189,12 @@ def bulk_formula_agreement(
     if not checked:  # no table
         return report
     top = (max_a1, max_a1 + max_extent - y0, max_a1 + max_extent)
-    row = _window(rules, convention, [(0, x0, x0 + y0)], top)
+    read = _window(rules, convention, [(0, x0, x0 + y0)], top)
     for a1 in range(max_a1 + 1):
         last = a1 + max_extent
         for a2 in range(a1 + x0, a1 + x0 + n):
             boards = list(zip(repeat(a1), repeat(a2), range(a2 + y0, last + 1)))
-            cells, expected = row(a1, a2, a2 + y0, last), bytes(map(form, boards))
+            cells, expected = read(boards[0], len(boards)), bytes(map(form, boards))
             if expected != cells:
                 for p, x, y in zip(boards, expected, cells):
                     if x != y:

@@ -53,6 +53,10 @@ class Family(enum.Enum):
         self.loopy = value.startswith("extended-")
         self.takes_k = value.endswith("slow-nim") or value == "diet-chomp"
 
+    def refuse_loopy(self) -> None:  # neither the DFS nor the tables solve cycles
+        if self.loopy:
+            raise LoopyFamily(f"{self.value} has add-moves; use the verifiers")
+
 
 class Convention(enum.Enum):
     NORMAL = "normal"

@@ -115,17 +115,12 @@ def diet_chomp2_moves_explicit(p: Position) -> list[Position]:
         if p[i] > left + 1:
             out.add(_replace(p, i, p[i] - 2))
         if i + 1 < n and p[i + 1] == p[i] > left:
-            out.add(
-                canonicalize(
-                    p[:i] + (p[i] - 1, p[i + 1] - 1) + p[i + 2 :],
-                    Family.DIET_CHOMP,
-                )
-            )
+            out.add(_replace(p, i, p[i] - 1, p[i + 1] - 1))
     return sorted(out)
 
 
-def _replace(p: Position, i: int, value: int) -> Position:
-    return canonicalize(p[:i] + (value,) + p[i + 1 :], Family.DIET_CHOMP)
+def _replace(p: Position, i: int, *values: int) -> Position:
+    return canonicalize(p[:i] + values + p[i + len(values) :], Family.DIET_CHOMP)
 
 
 def move_records(rules: RuleSet, p: Position) -> list[MoveRecord]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .core import Convention, LoopyFamily, Position, RuleSet
+from .core import Convention, Position, RuleSet
 from .games import successor_stream
 from .tables import VerificationReport, mex
 
@@ -41,8 +41,7 @@ def _solve(rules: RuleSet, p: Position, tables: dict, key, value):
     left unsolved.  A position on the stack is an ancestor of the top,
     so without cycles none is pushed twice.
     """
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    rules.family.refuse_loopy()
     table = tables.setdefault(key, {})
     if p in table:
         return table[p]

@@ -1,18 +1,19 @@
 """The retrograde engine: Sprague-Grundy values and outcomes of the
 acyclic families, from one pruned table per (rules, convention) and list
 of tops, with one cell per sorted board at its rank (``lattice_table``;
-``board_values`` reads a list of boards from one).  A move is an index
-drop computed from the rules, so the engine shares no code with ``games``,
+only ``reader`` turns a board into its cells).  A move is an index drop
+computed from the rules, so the engine shares no code with ``games``,
 whose successors the DFS in ``solver`` (the tests' oracle) expands.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, groupby
 from operator import getitem, itemgetter, le
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from .core import Convention, Family, LoopyFamily, Position, RuleSet
+from .core import Convention, Family, Position, RuleSet
 
 if TYPE_CHECKING:
     from array import array
@@ -27,7 +28,7 @@ def mex(values: Iterable[int]) -> int:
     return g
 
 
-def ranks(caps: tuple) -> list:
+def _ranks(caps: tuple) -> list:
     """G_c for each column c: a sorted board b below the sorted ``caps``
     sits at sum(G_c[b_c]), its rank among those boards in lexicographic
     order.  S_c[x] counts the sorted fillings of columns c.. below caps
@@ -83,7 +84,8 @@ def lattice_table(
     family (a loopy one raises ``LoopyFamily``): outcomes (1 = P) under
     ``convention``, or normal-play Grundy values when it is None.  The table
     has one cell per sorted board below caps, the tops' elementwise maximum:
-    board a at its rank sum(G_c[a_c]) (``ranks``); cells below no top hold 0.
+    board a at its rank sum(G_c[a_c]), read by ``reader``; cells below no top
+    hold 0, and more cells than an index reaches raise ``MemoryError`` first.
 
     A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
     successor lies below the same top, a fixed drop lower, and filling the
@@ -101,13 +103,14 @@ def lattice_table(
     no column rescans a gone top.  A mex is at most the entry sum, so Grundy
     values take bytes while the caps sum to at most 255, else unsigned ints.
     """
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    rules.family.refuse_loopy()
     caps = tuple(map(max, zip(*tops)))
-    k, m, gs, seeded = rules.k, len(caps), ranks(caps), not rules.family.ordered
+    k, m, gs, seeded = rules.k, len(caps), _ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
     drops_of = _diet_chomp_drops if chomp else _monotone_drops
     size = sum(map(getitem, gs, caps)) + 1  # caps is the last board
+    if size > sys.maxsize:  # no memory holds what no index reaches
+        raise MemoryError(f"a table of {size} cells")
     if convention is None and sum(caps) > 255:
         from array import array  # loaded only for the tables that need it
 
@@ -177,29 +180,34 @@ def lattice_table(
     return table
 
 
+def reader(rules: RuleSet, convention: Convention | None, *tops: tuple) -> Callable:
+    """``read(board, n=1)``: the cells of ``board`` (sorted, as wide as the
+    tops, below their caps) and of the n - 1 sorted boards after it in
+    lexicographic order, one slice of ``lattice_table(rules, convention, *tops)``."""
+    table = lattice_table(rules, convention, *tops)
+    gs = _ranks(tuple(map(max, zip(*tops))))
+    return lambda board, n=1: table[(at := sum(map(getitem, gs, board))) : at + n]
+
+
 def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:
     """The values of ``boards``, in order, under (rules, convention): True
     for a P-board under ``convention``, or the normal-play Grundy value
-    when it is None, from one ``lattice_table`` (a loopy family raises
+    when it is None, each read from one ``reader`` (a loopy family raises
     ``LoopyFamily`` first).  Each board is padded to the widest, so it may
     be canonical or raw with leading zeros; boards are read unchecked, and
     outside input is canonicalized first.  A board reaches exactly the
     boards below it, so the tops are the boards that no other board
     dominates.  Two distinct boards of one sum never dominate each other,
     so each sum's boards, by falling sum, meet only the larger sums' tops."""
-    if rules.family.loopy:
-        raise LoopyFamily(f"{rules.family.value} has add-moves; use the verifiers")
+    rules.family.refuse_loopy()
     if not boards:  # no table for no boards
         return []
     m = max(map(len, boards))
-    padded = [(0,) * (m - len(b)) + b for b in boards]
-    caps = tuple(map(max, zip(*padded)))
-    tops = []
+    padded, tops = [(0,) * (m - len(b)) + b for b in boards], []
     for _, same_sum in groupby(sorted(set(padded), key=sum, reverse=True), sum):
         tops += [b for b in same_sum if not any(all(map(le, b, t)) for t in tops)]
-    gs = ranks(caps)
-    table = lattice_table(rules, convention, *tops)
-    cells = [table[sum(map(getitem, gs, b))] for b in padded]
+    read = reader(rules, convention, *tops)
+    cells = [read(b)[0] for b in padded]
     return cells if convention is None else [cell == 1 for cell in cells]
 
 

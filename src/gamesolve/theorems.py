@@ -50,12 +50,11 @@ def _case_checker(check: str, bounds: dict) -> Callable:
             rules, form, positions
         )
     # closed form vs engine, from one table per case over the caps
-    # (max_entry,) * max_piles, whose cells in rank order are the sorted
-    # boards below the caps in lexicographic order.  The board with m - L
-    # zeros in front is the canonical position of its L other entries, so
-    # "values" reads the positions of length 0, 1, ..., m from consecutive
-    # cells; "monotone" reads the raw sequences of each length L (zeros
-    # allowed, as the difference map reads them) from cells 0, 1, ...
+    # (max_entry,) * max_piles.  The board with m - L zeros in front is the
+    # canonical position of its L other entries ("values") or the raw
+    # sequence itself ("monotone": zeros allowed, as the difference map
+    # reads them), and the boards of one length L are consecutive in rank
+    # order, so each chunk is read as one slice from its first board
     caps, lo = (top,) * m, int(check == "values")  # lo: the least entry
     # "monotone": the closed form reads difference positions.  Each raw
     # sequence is mapped to its own once per sweep, kept as the index of
@@ -72,24 +71,21 @@ def _case_checker(check: str, bounds: dict) -> Callable:
             indices.append(array("I", run))
 
     def check_values(rules, convention, form) -> tables.VerificationReport:
-        table, failures, checked = tables.lattice_table(rules, convention, caps), [], 0
+        read, failures, checked = tables.reader(rules, convention, caps), [], 0
         verdicts = list(map(form, differences))
         for length in range(m + 1):
-            start = checked if lo else 0
+            zeros = (0,) * (m - length)
             points = combinations_with_replacement(range(lo, top + 1), length)
+            if not lo:  # the verdict of each raw sequence's difference position
+                runs = map(verdicts.__getitem__, indices[length])
             while chunk := list(islice(points, CHUNK)):
-                stop = start + len(chunk)
-                if lo:
-                    expected = list(map(form, chunk))
-                else:  # the verdict of each raw sequence's difference position
-                    run = indices[length][start:stop]
-                    expected = list(map(verdicts.__getitem__, run))
-                cells = table[start:stop]
+                expected = list(map(form, chunk) if lo else islice(runs, len(chunk)))
+                cells = read(zeros + chunk[0], len(chunk))
                 if expected != list(cells):  # agreement, the usual case, is in C
                     failures += [
                         (p, x, y) for p, x, y in zip(chunk, expected, cells) if x != y
                     ]
-                checked, start = checked + len(chunk), stop
+                checked += len(chunk)
         # counterexamples in lexicographic order, as the local verifiers
         # list them: a case fails at most once per point, so points decide
         report = tables.VerificationReport(checked_count=checked)

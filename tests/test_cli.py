@@ -619,7 +619,7 @@ def test_windows_past_the_limit_or_loopy_exit_2_before_any_table(
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(tables, "lattice_table", refuse)
-    monkeypatch.setattr(tables, "ranks", refuse)
+    monkeypatch.setattr(tables, "_ranks", refuse)
     out_dir = tmp_path / "figs"
     out = ("--out", str(out_dir)) if args[0] == "figure" else ()
     assert run(capsys, *args, *out) == (2, "", err)
@@ -651,9 +651,11 @@ def test_windows_past_the_limit_at_a_large_a1_exit_2_at_once(args):
 
 
 DC2_MISERE = ("--game", "diet-chomp", "--k", "2", "--convention", "misere")
+HEAPS_1_TO_40 = ",".join(map(str, range(1, 41)))
 
 
-# valid commands whose tables do not fit in a 1 GiB address space
+# valid commands whose tables do not fit in a 1 GiB address space; from the
+# outcome of 40 heaps on, their tables have more cells than an index reaches
 @pytest.mark.parametrize(
     "args",
     [
@@ -662,14 +664,23 @@ DC2_MISERE = ("--game", "diet-chomp", "--k", "2", "--convention", "misere")
         ("verify", "--theorem", "thm1", "--max-entry", "3000"),
         ("outcome", *DC2_MISERE, "--position", "60000,60000,60000"),
         ("batch", *DC2_MISERE, "--input", "{input}"),
+        ("outcome", "--game", "nim", "--position", HEAPS_1_TO_40),
+        ("outcome", "--game", "nim", "--convention", "misere", "--position",
+         HEAPS_1_TO_40),
+        ("batch", "--game", "nim", "--input", "{heaps}"),
+        ("verify", "--theorem", "thm1", "--max-heaps", "64", "--max-entry", "100"),
+        ("verify", "--theorem", "thm3", "--max-heaps", "30", "--max-entry", "1000"),
+        ("verify", "--theorem", "lemma8", "--max-cols", "40", "--max-height", "100"),
     ],
 )
 def test_tables_too_large_for_memory_exit_2_without_a_traceback(tmp_path, args):
     # the child's address space is capped: uncapped, the figure alone would
     # zero-fill about 3.6 GB
     (tmp_path / "in.txt").write_text("60000,60000,60000\n")
+    (tmp_path / "heaps.txt").write_text(HEAPS_1_TO_40 + "\n")
     out_dir = tmp_path / "figs"
-    argv = [a.format(out=out_dir, input=tmp_path / "in.txt") for a in args]
+    paths = {"input": tmp_path / "in.txt", "heaps": tmp_path / "heaps.txt"}
+    argv = [a.format(out=out_dir, **paths) for a in args]
     code = (
         "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
         "import sys; from gamesolve.cli import main\n"

@@ -2,7 +2,7 @@ from argparse import Namespace
 import ast
 import builtins
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -324,8 +324,90 @@ def test_ranks_number_the_sorted_boards_in_lexicographic_order():
     rng = random.Random(0)
     for _ in range(300):
         caps = tuple(sorted(rng.randrange(8) for _ in range(rng.randrange(6))))
-        ranks, boards = tables.ranks(caps), raw_boards(caps)
+        ranks, boards = tables._ranks(caps), raw_boards(caps)
         assert [sum(map(getitem, ranks, b)) for b in boards] == list(range(len(boards)))
+
+
+def read_mismatches(read, rules, convention, tops):
+    """Each (board, n) where ``read(board, n)``, for a sorted board below
+    one of ``tops`` (all of one width) and any n up to the table's end, is
+    not the DFS values of that board and the n - 1 sorted boards after it
+    (1 for a P-board in an outcome table; 0 for a board below no top, whose
+    cell is never filled), in the storage of the reader's table."""
+    boards, memo = raw_boards(tuple(map(max, zip(*tops)))), MemoTable()
+
+    def below_a_top(b):
+        return any(all(map(le, b, t)) for t in tops)
+
+    def dfs(b):
+        p = canonicalize(b, rules.family)
+        if convention is None:
+            return grundy(rules, p, memo)
+        return int(outcome(rules, convention, p, memo))
+
+    values = [dfs(b) if below_a_top(b) else 0 for b in boards]
+    cells = array("I", values) if type(read(boards[0])) is array else bytearray(values)
+    return [
+        (b, n)
+        for i, b in enumerate(boards)
+        if below_a_top(b)
+        for n in range(1, len(boards) - i + 1)
+        if read(b, n) != cells[i : i + n]
+    ]
+
+
+READER_RULES = [
+    RuleSet(Family.NIM),
+    RuleSet(Family.MONOTONIC_NIM),
+    *(RuleSet(f, k=2) for f in (Family.SLOW_NIM, Family.MONOTONIC_SLOW_NIM)),
+    RuleSet(Family.DIET_CHOMP, k=1),
+    RuleSet(Family.DIET_CHOMP, k=3),
+]
+
+
+def random_tops(rng, width):
+    """One to three sorted tops of ``width`` columns, small enough that
+    every (board, n) of their table can be read."""
+    cap = (0, 12, 8, 6, 4, 3)[width]
+    return [
+        tuple(sorted(rng.randrange(cap + 1) for _ in range(width)))
+        for _ in range(rng.randrange(1, 4))
+    ]
+
+
+@pytest.mark.parametrize("convention", [*Convention, None])  # None: Grundy values
+@pytest.mark.parametrize("rules", READER_RULES, ids=RuleSet.describe)
+def test_the_reader_slices_the_dfs_values_at_every_width(rules, convention):
+    rng = random.Random(f"{rules.describe()} {convention}")
+    for width in range(6):
+        for _ in range(2):
+            tops = random_tops(rng, width)
+            read = tables.reader(rules, convention, *tops)
+            assert type(read((0,) * width)) is bytearray
+            assert read_mismatches(read, rules, convention, tops) == []
+
+
+@pytest.mark.parametrize("rules", READER_RULES[:3], ids=RuleSet.describe)
+def test_the_reader_slices_wide_grundy_cells(rules):
+    # the caps sum to 256, so the Grundy cells are unsigned ints; the boards
+    # (1, 201..255) lie below no top
+    tops = [(1, 200), (0, 255)]
+    read = tables.reader(rules, None, *tops)
+    assert type(read((0, 0))) is array
+    assert read_mismatches(read, rules, None, tops) == []
+
+
+@pytest.mark.parametrize("convention", [Convention.MISERE, None])
+def test_an_off_by_one_reader_fails_the_reader_check(convention):
+    tops = [(1, 3, 4), (2, 2, 3)]
+    read = tables.reader(DC2, convention, *tops)
+    assert read_mismatches(read, DC2, convention, tops) == []
+    for wrong in (
+        lambda b, n=1: read(b, n + 1)[1:],  # the board after b, onwards
+        lambda b, n=1: read(b, n + 1),  # one cell too many
+        lambda b, n=1: read(b, n)[:-1],  # one cell too few
+    ):
+        assert read_mismatches(wrong, DC2, convention, tops) != []
 
 
 def assert_cells_hold_the_dfs(table, tops, reached, convention):
@@ -744,8 +826,8 @@ TOP_BATCHES = [random_batch(random.Random(seed)) for seed in range(200)] + [
 def test_board_values_hands_its_table_the_undominated_boards(monkeypatch):
     handed = []
     monkeypatch.setattr(
-        tables, "lattice_table",
-        lambda rules, convention, *tops: handed.append(tops) or defaultdict(int),
+        tables, "reader",
+        lambda rules, convention, *tops: handed.append(tops) or (lambda b: [0]),
     )
     assert len(TOP_BATCHES[-2]) == 351
     for boards in TOP_BATCHES:
