@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -44,21 +43,18 @@ def game_of(opts) -> tuple[RuleSet, Convention]:
 def solve_position(rules: RuleSet, convention: Convention, boards: list) -> list:
     """One result dict per canonical board, in order: its outcome, and in
     normal play its Grundy value (P iff 0).  The loopy extended families
-    are answered via their non-extended closed forms, which ``verify
-    --theorem thm6-*`` checks for local consistency only (no route shows
-    that play ends), the others by ``tables.board_values``."""
+    are answered by their base family's closed form, ``nim_value`` (no
+    route shows that play ends): ``verify --theorem thm6-*`` checks the
+    normal-play answers for local consistency, no sweep the misere ones.
+    The others are answered by ``tables.board_values``."""
     normal = convention is Convention.NORMAL
+    asked = None if normal else convention  # None: Grundy values
     if rules.family.loopy:
         from . import closedforms
 
-        if rules.family is Family.EXTENDED_SLOW_NIM:
-            grundy_of = partial(closedforms.slow_nim_grundy_formula, rules.k)
-            is_p = partial(closedforms.slow_nim_p_misere, rules.k)
-        else:
-            grundy_of, is_p = closedforms.nim_grundy_formula, closedforms.nim_p_misere
-        values = list(map(grundy_of if normal else is_p, boards))
+        values = [closedforms.nim_value(rules.k, asked, b) for b in boards]
     else:
-        values = tables.board_values(rules, None if normal else convention, boards)
+        values = tables.board_values(rules, asked, boards)
     if normal:
         return [{"outcome": "P" if g == 0 else "N", "grundy": g} for g in values]
     return [{"outcome": "P" if v else "N", "grundy": None} for v in values]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import le, sub, xor
 
-from .core import Convention, Family, GameError, NonMonotoneInput, Position, RuleSet
+from .core import Convention, GameError, NonMonotoneInput, Position
 
 
 class TooWide(GameError):
@@ -53,15 +53,15 @@ def difference_position(raw) -> Position:
     return tuple(map(sub, seq[1::2], seq[::2]))
 
 
-def difference_p(rules: RuleSet, convention: Convention, b: Position) -> bool:
-    """P-position test for the monotone games via the difference reduction:
-    a raw sequence is P iff the matching (Slow-)Nim predicate holds on its
-    difference position b (``difference_position``)."""
-    slow = rules.family is Family.MONOTONIC_SLOW_NIM
-    if convention is Convention.NORMAL:
-        g = slow_nim_grundy_formula(rules.k, b) if slow else nim_grundy_formula(b)
-        return g == 0
-    return slow_nim_p_misere(rules.k, b) if slow else nim_p_misere(b)
+def nim_value(k: int | None, convention: Convention | None, p: Position) -> int | bool:
+    """The (Slow) Nim answer at p, Slow Nim's when k is set: its normal-play
+    Grundy value when ``convention`` is None, else whether p is P under
+    ``convention``.  The extended games keep these answers, and a monotone
+    game's raw sequence is P iff its ``difference_position`` is P here."""
+    if convention is Convention.MISERE:
+        return slow_nim_p_misere(k, p) if k else nim_p_misere(p)
+    g = slow_nim_grundy_formula(k, p) if k else nim_grundy_formula(p)
+    return g if convention is None else g == 0
 
 
 def diet2_normal_p(p: Position) -> bool:

@@ -1,8 +1,8 @@
 """The retrograde engine: Sprague-Grundy values and outcomes of the
 acyclic families, from one pruned table per (rules, convention) and list
-of tops, with one cell per sorted board at its rank (``lattice_table``;
-only ``reader`` turns a board into its cells).  A move is an index drop
-computed from the rules, so the engine shares no code with ``games``,
+of tops, with one cell per sorted board at its rank (built by ``reader``,
+the only function that turns a board into its cells).  A move is an index
+drop computed from the rules, so the engine shares no code with ``games``,
 whose successors the DFS in ``solver`` (the tests' oracle) expands.
 """
 
@@ -11,12 +11,9 @@ from __future__ import annotations
 import sys
 from itertools import accumulate, groupby
 from operator import getitem, itemgetter, le
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .core import Convention, Family, Position, RuleSet
-
-if TYPE_CHECKING:
-    from array import array
 
 
 def mex(values: Iterable[int]) -> int:
@@ -49,7 +46,7 @@ def _ranks(caps: tuple) -> list:
 
 # Each _*_drops(k, a, v, gs) lists the index drops of the moves on
 # column c = len(a) of a board whose columns are a, then v at column c,
-# that keep the other columns in place; lattice_table carries the Nim
+# that keep the other columns in place; reader carries the Nim
 # moves that re-sort column c below a[-1] from the column before.
 
 
@@ -76,16 +73,16 @@ def _diet_chomp_drops(k: int, a: tuple, v: int, gs: list) -> list:
     return drops
 
 
-def lattice_table(
-    rules: RuleSet, convention: Convention | None, *tops: tuple
-) -> bytearray | array:
-    """Values of the raw, zero-padded, non-decreasing boards that lie
-    elementwise below one of ``tops`` (boards of one width), for an acyclic
-    family (a loopy one raises ``LoopyFamily``): outcomes (1 = P) under
-    ``convention``, or normal-play Grundy values when it is None.  The table
-    has one cell per sorted board below caps, the tops' elementwise maximum:
-    board a at its rank sum(G_c[a_c]), read by ``reader``; cells below no top
-    hold 0, and more cells than an index reaches raise ``MemoryError`` first.
+def reader(rules: RuleSet, convention: Convention | None, *tops: tuple) -> Callable:
+    """``read(board, n=1)``: the cells of ``board`` and of the n - 1 sorted
+    boards after it in lexicographic order, as one slice of the table of the
+    raw, zero-padded, non-decreasing boards below one of ``tops`` (boards of
+    one width), for an acyclic family (a loopy one raises ``LoopyFamily``):
+    outcomes (1 = P) under ``convention``, or normal-play Grundy values when
+    it is None.  The table has one cell per sorted board below caps, the
+    tops' elementwise maximum: board a at its rank sum(G_c[a_c]); cells below
+    no top hold 0, and more cells than an index reaches raise ``MemoryError``
+    first.  A board read is sorted, as wide as the tops and below the caps.
 
     A move replaces a prefix a[:c+1] with an elementwise-lower one, so its
     successor lies below the same top, a fixed drop lower, and filling the
@@ -108,7 +105,11 @@ def lattice_table(
     k, m, gs, seeded = rules.k, len(caps), _ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
     drops_of = _diet_chomp_drops if chomp else _monotone_drops
-    size = sum(map(getitem, gs, caps)) + 1  # caps is the last board
+
+    def rank(board: tuple) -> int:
+        return sum(map(getitem, gs, board))
+
+    size = rank(caps) + 1  # caps is the last board
     if size > sys.maxsize:  # no memory holds what no index reaches
         raise MemoryError(f"a table of {size} cells")
     if convention is None and sum(caps) > 255:
@@ -177,16 +178,7 @@ def lattice_table(
         fill_last((), 0, [], [], caps[0])
     elif m:
         fill((), 0, [], [], sorted(tops, key=itemgetter(0), reverse=True))
-    return table
-
-
-def reader(rules: RuleSet, convention: Convention | None, *tops: tuple) -> Callable:
-    """``read(board, n=1)``: the cells of ``board`` (sorted, as wide as the
-    tops, below their caps) and of the n - 1 sorted boards after it in
-    lexicographic order, one slice of ``lattice_table(rules, convention, *tops)``."""
-    table = lattice_table(rules, convention, *tops)
-    gs = _ranks(tuple(map(max, zip(*tops))))
-    return lambda board, n=1: table[(at := sum(map(getitem, gs, board))) : at + n]
+    return lambda board, n=1: table[(at := rank(board)) : at + n]
 
 
 def board_values(rules: RuleSet, convention: Convention | None, boards: list) -> list:

@@ -126,9 +126,7 @@ def _extended_cases(opts):
     variants = [RuleSet(Family.EXTENDED_SLOW_NIM, k=k) for k in _ks(opts)]
     variants += [RuleSet(Family.EXTENDED_NIM, add_limit=n) for n in limits]
     return [
-        (r.describe(), r, Convention.NORMAL,
-         partial(closedforms.slow_nim_grundy_formula, r.k) if r.k
-         else closedforms.nim_grundy_formula)
+        (r.describe(), r, Convention.NORMAL, partial(closedforms.nim_value, r.k, None))
         for r in variants
     ]
 
@@ -138,7 +136,7 @@ def _monotone_cases(opts):
     variants = [RuleSet(Family.MONOTONIC_NIM)]
     variants += [RuleSet(Family.MONOTONIC_SLOW_NIM, k=k) for k in _ks(opts)]
     return [
-        (f"{r.describe()} {c.value}", r, c, partial(closedforms.difference_p, r, c))
+        (f"{r.describe()} {c.value}", r, c, partial(closedforms.nim_value, r.k, c))
         for r in variants
         for c in conventions
     ]

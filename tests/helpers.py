@@ -1,5 +1,6 @@
 """Position lists, and lattice reads, that the tests share."""
 
+import sys
 from itertools import combinations_with_replacement
 
 from gamesolve import canonicalize, tables
@@ -35,6 +36,31 @@ def raw_sequences(max_piles, max_entry):
         for n in range(max_piles + 1)
         for raw in combinations_with_replacement(range(max_entry + 1), n)
     )
+
+
+def whole_table(read, width):
+    """Every cell of the table behind ``read``, a ``tables.reader`` over
+    tops of ``width`` columns, in rank order: the slice from the zero board,
+    rank 0, to the end."""
+    return read((0,) * width, sys.maxsize)
+
+
+def table_of(rules, convention, *tops):
+    """The whole table that ``tables.reader`` builds over ``tops``."""
+    return whole_table(tables.reader(rules, convention, *tops), len(tops[0]))
+
+
+def recording_reader(built):
+    """A stand-in for ``tables.reader`` that appends the whole table of each
+    reader it builds to ``built`` and returns the reader."""
+    real = tables.reader
+
+    def record(rules, convention, *tops):
+        read = real(rules, convention, *tops)
+        built.append(whole_table(read, len(tops[0])))
+        return read
+
+    return record
 
 
 def lattice_values(rules, convention, points):

@@ -169,7 +169,7 @@ def test_three_column_domain_matches_the_triple_loop():
 def test_bulk_window_inside_the_margins_checks_nothing(monkeypatch):
     # extent 5 < 3 + 3: every board, (5, 6, 8) among them (x = 1 < 3), sits
     # in the excluded fringe, so no table is filled
-    monkeypatch.setattr(analysis.tables, "lattice_table", None)
+    monkeypatch.setattr(analysis.tables, "reader", None)
     result = bulk_formula_agreement(
         DC2, Convention.MISERE, BULK, 5, 5, PINNED_BULK_MARGINS
     )

@@ -324,6 +324,30 @@ def test_misere_extended_answers_are_a_consistent_p_set(capsys):
     assert json.loads(out) == {"position": [1], "outcome": "P", "grundy": None}
 
 
+EXTENDED_BASES = [
+    *((RuleSet(Family.EXTENDED_SLOW_NIM, k=k), RuleSet(Family.SLOW_NIM, k=k))
+      for k in (1, 2, 3)),
+    *((RuleSet(Family.EXTENDED_NIM, add_limit=n), RuleSet(Family.NIM)) for n in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize(
+    "extended, base", EXTENDED_BASES, ids=[e.describe() for e, _ in EXTENDED_BASES]
+)
+def test_extended_answers_are_the_base_familys_answers(
+    monkeypatch, extended, base, convention
+):
+    # over thm6's domain: the loopy games are answered without a table, by
+    # the closed form their base family's table agrees with
+    boards, calls = positions(**theorems.EXTENDED_DOMAIN), Counter()
+    counting(monkeypatch, tables, "reader", calls)
+    answers = cli.solve_position(extended, convention, boards)
+    assert not calls
+    assert answers == cli.solve_position(base, convention, boards)
+    assert sum(calls.values()) == 1
+
+
 def test_period_translation(capsys):
     code, out, _ = run(
         capsys, "period", "--game", "diet-chomp", "--k", "2",
@@ -618,7 +642,7 @@ def test_windows_past_the_limit_or_loopy_exit_2_before_any_table(
     def refuse(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(tables, "lattice_table", refuse)
+    monkeypatch.setattr(tables, "reader", refuse)
     monkeypatch.setattr(tables, "_ranks", refuse)
     out_dir = tmp_path / "figs"
     out = ("--out", str(out_dir)) if args[0] == "figure" else ()
@@ -1284,14 +1308,14 @@ def test_monotone_sweep_maps_each_raw_board_once(monkeypatch):
 
 def test_thm7_asks_each_case_once_per_difference_position(monkeypatch):
     calls = Counter()
-    counting(monkeypatch, closedforms, "difference_p", calls)
+    counting(monkeypatch, closedforms, "nim_value", calls)
     report = theorems.verify_theorem("thm7", verify_opts(max_piles=4, max_entry=11))
     assert report.ok
     positions = set(map(closedforms.difference_position, raw_sequences(4, 11)))
     assert len(positions) == 91
     cases = theorems.THEOREMS["thm7"].cases(verify_opts())
     assert calls == Counter(
-        ("difference_p", rules, convention, b)
+        ("nim_value", rules.k, convention, b)
         for _, rules, convention, _ in cases
         for b in positions
     )
@@ -1330,7 +1354,7 @@ def test_value_sweeps_fill_one_table_per_case_and_list_no_domain(
 ):
     # each case walks its own table's cells in rank order
     calls = Counter()
-    counting(monkeypatch, tables, "lattice_table", calls)
+    counting(monkeypatch, tables, "reader", calls)
     opts = verify_opts(max_piles=3, max_entry=6)
     report = theorems.verify_theorem(theorem, opts)
     cases = theorems.THEOREMS[theorem].cases(opts)

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -9,10 +10,10 @@ from gamesolve.closedforms import (
     diet2_misere_bulk_conjecture,
     diet2_misere_p_narrow,
     diet2_normal_p,
-    difference_p,
     difference_position,
     nim_grundy_formula,
     nim_p_misere,
+    nim_value,
     slow_nim_grundy_formula,
     slow_nim_p_misere,
     stairs_mod3_fact,
@@ -66,9 +67,9 @@ def test_difference_position():
 
 
 def monotonic_p(rules, convention, raw):
-    """The P-test of a raw sequence of a monotone game: ``difference_p`` on
+    """The P-test of a raw sequence of a monotone game: ``nim_value`` on
     its difference position."""
-    return difference_p(rules, convention, difference_position(raw))
+    return nim_value(rules.k, convention, difference_position(raw))
 
 
 def test_monotonic_p_examples():
@@ -103,8 +104,9 @@ def test_monotonic_p_raw_vs_stripped_agree():
 
 
 def old_monotonic_p(rules, convention, raw):
-    """``monotonic_p`` as it was before ``difference_p``: the (Slow-)Nim
-    predicate computed on the difference position of a raw sequence."""
+    """``monotonic_p`` as it was before one function chose the (Slow-)Nim
+    formula: the predicate computed on the difference position of a raw
+    sequence."""
     b = difference_position(raw)
     slow = rules.family is Family.MONOTONIC_SLOW_NIM
     if convention is Convention.NORMAL:
@@ -125,7 +127,7 @@ MONOTONE_RULES = st.one_of(
     st.sampled_from(list(Convention)),
     st.lists(st.integers(-3, 9), max_size=6),
 )
-def test_difference_p_matches_the_old_body(rules, convention, entries):
+def test_nim_value_matches_the_old_body(rules, convention, entries):
     # a raw board with zeros allowed, asked twice: no memo carries a
     # verdict from one call to the next
     raw = tuple(sorted(map(abs, entries)))
@@ -202,3 +204,15 @@ def test_nim_formulas_match_solver():
         assert nim_grundy_formula(p) == grundy(rules, p, memo)
         solver_p = outcome(rules, Convention.MISERE, p, memo)
         assert nim_p_misere(p) == solver_p
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_nim_value_picks_the_formula_of_its_family_and_convention(k):
+    # None: Nim; else Slow Nim with that k.  A P-test is a bool, not 0 or 1
+    grundy_of = partial(slow_nim_grundy_formula, k) if k else nim_grundy_formula
+    misere_p = partial(slow_nim_p_misere, k) if k else nim_p_misere
+    for p in positions(4, 9):
+        g = grundy_of(p)
+        assert nim_value(k, None, p) == g
+        assert nim_value(k, Convention.NORMAL, p) is (g == 0)
+        assert nim_value(k, Convention.MISERE, p) is misere_p(p)

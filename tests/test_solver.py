@@ -37,7 +37,13 @@ from gamesolve.solver import (
     verify_grundy_consistency,
     verify_pset,
 )
-from helpers import lattice_values, positions, recursive_positions
+from helpers import (
+    lattice_values,
+    positions,
+    recording_reader,
+    recursive_positions,
+    table_of,
+)
 
 
 def naive_outcome(rules, convention, p):
@@ -429,7 +435,7 @@ def assert_cells_hold_the_dfs(table, tops, reached, convention):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_outcome_table_matches_dfs(k, convention, caps, count):
     rules = RuleSet(Family.DIET_CHOMP, k=k)
-    table = tables.lattice_table(rules, convention, caps)
+    table = table_of(rules, convention, caps)
     memo = MemoTable()
 
     def dfs(board):
@@ -456,7 +462,7 @@ TABLE_RULES = [
 @pytest.mark.parametrize("rules", TABLE_RULES, ids=RuleSet.describe)
 def test_lattice_tables_match_dfs_for_every_acyclic_family(rules, convention):
     caps = (9, 9, 9, 9)
-    table = tables.lattice_table(rules, convention, caps)
+    table = table_of(rules, convention, caps)
     memo = MemoTable()
 
     def dfs(board):
@@ -491,12 +497,10 @@ TRIPLES =list(combinations_with_replacement(range(7), 3))
 
 
 def record_tables(monkeypatch):
-    """Patch ``tables.lattice_table`` to append each table it builds to the
-    returned list."""
-    built, real = [], tables.lattice_table
-    monkeypatch.setattr(
-        tables, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
-    )
+    """Patch ``tables.reader`` to append the whole table of each reader it
+    builds to the returned list."""
+    built = []
+    monkeypatch.setattr(tables, "reader", recording_reader(built))
     return built
 
 
@@ -551,11 +555,11 @@ def test_lattice_grundy_matches_the_dfs(monkeypatch, rules, points, kind):
 
 def test_grundy_tables_widen_past_a_byte():
     nim = RuleSet(Family.NIM)
-    assert isinstance(tables.lattice_table(nim, None, (255,)), bytearray)
-    wide = tables.lattice_table(nim, None, (256,))
+    assert isinstance(table_of(nim, None, (255,)), bytearray)
+    wide = table_of(nim, None, (256,))
     assert wide.typecode == "I" and list(wide) == list(range(257))
     # outcome tables stay bytes whatever the caps
-    assert isinstance(tables.lattice_table(nim, Convention.MISERE, (256,)), bytearray)
+    assert isinstance(table_of(nim, Convention.MISERE, (256,)), bytearray)
 
 
 def test_the_tables_import_neither_games_nor_the_dfs():
@@ -576,7 +580,7 @@ def test_the_tables_import_neither_games_nor_the_dfs():
 def test_a_table_holds_only_its_sorted_boards():
     # the box of (10,)*8 holds 11**8 > 2**24 boards, the table its 43,758
     # sorted ones, each at its rank
-    table = tables.lattice_table(RuleSet(Family.NIM), Convention.MISERE, (10,) * 8)
+    table = table_of(RuleSet(Family.NIM), Convention.MISERE, (10,) * 8)
     assert isinstance(table, bytearray)
     assert len(table) == comb(18, 8) == 43_758
     boards = raw_boards((10,) * 8)
@@ -718,10 +722,8 @@ def test_board_values_match_the_dfs_on_random_boards(rules, convention, boards):
     else:
         expected = [outcome(rules, convention, p, memo) for p in boards]
         reached = memo.outcomes[(rules, convention)]
-    built, real = [], tables.lattice_table
-    with patch.object(
-        tables, "lattice_table", lambda *args: built.append(real(*args)) or built[-1]
-    ):
+    built = []
+    with patch.object(tables, "reader", recording_reader(built)):
         assert tables.board_values(rules, convention, boards) == expected
     assert_cells_hold_the_dfs(built[0], boards, reached, convention)
 
@@ -787,7 +789,7 @@ def test_lattice_table_rejects_loopy_families(rules):
     for convention in [*Convention, None]:
         for tops in [((3, 5),), ((1, 2), (0, 4)), ((),)]:
             with pytest.raises(LoopyFamily, match=message):
-                tables.lattice_table(rules, convention, *tops)
+                tables.reader(rules, convention, *tops)
 
 
 def pairwise_tops(boards):
@@ -870,17 +872,17 @@ def test_sweep_tables_hold_the_dfs_value_in_every_cell(monkeypatch, capsys, tmp_
     # order against a DFS from the tops it was handed
     mixed = tmp_path / "mixed.txt"
     mixed.write_text(MIXED_BATCH)
-    handed, real = [], tables.lattice_table
+    handed, built = [], []
+    record = recording_reader(built)
     monkeypatch.setattr(
-        tables, "lattice_table",
-        lambda *args: handed.append((args, real(*args))) or handed[-1][1],
+        tables, "reader", lambda *args: handed.append(args) or record(*args)
     )
     sweeps = lattice_sweeps()
     assert cli.main(["batch", "--game", "diet-chomp", "--convention", "misere",
                      "--input", str(mixed)]) == 0
     capsys.readouterr()
-    assert len(handed) == len(sweeps) + 1
-    for (rules, convention, *tops), table in handed:
+    assert len(handed) == len(built) == len(sweeps) + 1
+    for (rules, convention, *tops), table in zip(handed, built):
         memo = MemoTable()
         for top in tops:
             reached = solve_into(rules, convention, canonicalize(top, rules.family), memo)
@@ -890,13 +892,13 @@ def test_sweep_tables_hold_the_dfs_value_in_every_cell(monkeypatch, capsys, tmp_
 def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
     forbid_the_dfs(monkeypatch)
     builds = []
-    real = tables.lattice_table
+    real = tables.reader
 
     def counting(rules, convention, *tops):
         builds.append(tops)
         return real(rules, convention, *tops)
 
-    monkeypatch.setattr(tables, "lattice_table", counting)
+    monkeypatch.setattr(tables, "reader", counting)
 
     def tops():
         found = list(builds)
@@ -942,6 +944,29 @@ def test_lattice_sweeps_read_one_table_and_never_expand(monkeypatch, tmp_path):
                         ("thm7", 8)):
         assert cli.main(["verify", "--theorem", name, "--max-entry", "7"]) == 0
         assert list(map(len, tops())) == [1] * cases, name
+
+
+def test_each_table_builds_its_ranks_once(monkeypatch):
+    # the caps' G_c serve both the table's size check and every read, so a
+    # reader builds them once: through board_values, through analysis's
+    # window (each lattice sweep), and in a value sweep's one case
+    calls = Counter()
+    for name in ("reader", "_ranks"):
+        real = getattr(tables, name)
+        monkeypatch.setattr(
+            tables, name,
+            lambda *args, name=name, real=real: calls.update([name]) or real(*args),
+        )
+    nim, opts = RuleSet(Family.NIM), Namespace(max_piles=3, max_entry=6)
+    for route, count in [
+        (lambda: tables.board_values(DC2, Convention.MISERE, [(1, 2, 3), (4,)]), 1),
+        (lambda: tables.board_values(nim, None, [(3, 5), (7,)]), 1),
+        (lambda: theorems.verify_theorem("thm1", opts), 1),
+        (lattice_sweeps, 8),  # 4 rasters, 2 translation and 2 bulk checks
+    ]:
+        calls.clear()
+        route()
+        assert calls == {"reader": count, "_ranks": count}
 
 
 # ---------------------------------------------------------------------------

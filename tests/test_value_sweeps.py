@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamesolve import Convention, closedforms, tables, theorems
 from gamesolve.tables import VerificationReport
-from helpers import positions, raw_sequences
+from helpers import positions, raw_sequences, whole_table
 
 VALUE_SWEEPS = [
     name for name, t in theorems.THEOREMS.items() if t.check in ("values", "monotone")
@@ -105,19 +105,20 @@ def test_value_sweeps_match_the_per_point_route(
 def test_a_five_column_sweep_peaks_within_a_small_multiple_of_its_table():
     # thm3 over 5 piles of entries <= 20: one 53,130-cell table, whose
     # points the route before the table walk listed at 9.3 MB
-    built, real = [], tables.lattice_table
+    reads, real = [], tables.reader
 
     def keep(*args):
-        built.append(real(*args))
-        return built[-1]
+        reads.append(real(*args))
+        return reads[-1]
 
     opts = Namespace(max_piles=5, max_entry=20, k=None, convention=None)
-    with patch.object(tables, "lattice_table", keep):
+    with patch.object(tables, "reader", keep):
         tracemalloc.start()
         try:
             report = theorems.verify_theorem("thm3", opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert report.ok and report.checked_count == len(built[0]) == 53_130
-    assert peak < 5 * len(built[0])  # 3.3 times on CPython 3.11
+    size = len(whole_table(reads[0], 5))  # a copy, taken untraced
+    assert report.ok and report.checked_count == size == 53_130
+    assert peak < 5 * size  # 3.3 times on CPython 3.11

@@ -156,7 +156,7 @@ def raised_before_any_table(read, *args):
     def refuse(*args):
         raise AssertionError("a table was built")
 
-    with patch.object(tables, "lattice_table", refuse):
+    with patch.object(tables, "reader", refuse):
         with pytest.raises(Exception) as info:
             read(*args)
     return type(info.value), str(info.value)
