@@ -57,7 +57,7 @@ def directional_period(
     ])
     for pre in range(max_preperiod + 1):
         for per in range(1, max_period + 1):
-            if all(seq[t] == seq[t + per] for t in range(pre, probe_length - per)):
+            if seq[pre : probe_length - per] == seq[pre + per :]:
                 return PeriodReport(base, direction, pre, per)
     return PeriodReport(base, direction, 0, None)
 

@@ -106,11 +106,10 @@ def verify_pset(
     the first claimed P-position; only one without such a witness reads
     them all again.
     """
-    report = VerificationReport()
     terminal_is_p = convention is Convention.NORMAL
     labels = {p: claimed_p(p) for p in positions}
+    report = VerificationReport(checked_count=len(labels))
     for p, is_p in labels.items():
-        report.checked_count += 1
         if not is_p and any(map(labels.get, successor_stream(rules, p))):
             continue
         succ = list(successor_stream(rules, p))

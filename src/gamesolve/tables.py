@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate, groupby
+from math import comb
 from operator import getitem, itemgetter, le
 from typing import Callable, Iterable
 
@@ -102,6 +103,10 @@ def reader(rules: RuleSet, convention: Convention | None, *tops: tuple) -> Calla
     """
     rules.family.refuse_loopy()
     caps = tuple(map(max, zip(*tops)))
+    # caps rise, so the sorted boards with zeros before a column j and entries
+    # <= caps[j] from it on lie below them: if too many, fail before the ranks
+    if any(comb(cap + n, n) > sys.maxsize for n, cap in enumerate(caps[::-1], 1)):
+        raise MemoryError("a table of more cells than an index reaches")
     k, m, gs, seeded = rules.k, len(caps), _ranks(caps), not rules.family.ordered
     chomp = rules.family is Family.DIET_CHOMP
     drops_of = _diet_chomp_drops if chomp else _monotone_drops

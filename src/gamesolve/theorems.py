@@ -6,7 +6,7 @@ engine (``THEOREMS``; ``verify_theorem`` runs one).
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, filterfalse, islice
 from typing import Callable, NamedTuple
 
 from . import closedforms, tables
@@ -57,41 +57,36 @@ def _case_checker(check: str, bounds: dict) -> Callable:
     # order, so each chunk is read as one slice from its first board
     caps, lo = (top,) * m, int(check == "values")  # lo: the least entry
     # "monotone": the closed form reads difference positions.  Each raw
-    # sequence is mapped to its own once per sweep, kept as the index of
-    # that position in ``differences``, and each case asks the closed form
-    # once per distinct position
-    differences, indices = {}, []  # indices: one array per length
+    # sequence is mapped to its own once per sweep, kept in one array over
+    # every length, in walk order, as the index of that position in
+    # ``differences``; each case asks the closed form once per position
+    differences, index = {}, ()
     if check == "monotone":
         from array import array
 
-        for length in range(m + 1):
-            raws = combinations_with_replacement(range(top + 1), length)
-            found = map(closedforms.difference_position, raws)
-            run = (differences.setdefault(b, len(differences)) for b in found)
-            indices.append(array("I", run))
+        runs = (combinations_with_replacement(range(top + 1), n) for n in range(m + 1))
+        found = map(closedforms.difference_position, chain.from_iterable(runs))
+        index = array("I", (differences.setdefault(b, len(differences)) for b in found))
 
     def check_values(rules, convention, form) -> tables.VerificationReport:
-        read, failures, checked = tables.reader(rules, convention, caps), [], 0
-        verdicts = list(map(form, differences))
+        read = tables.reader(rules, convention, caps)
+        report, verdicts = tables.VerificationReport(), list(map(form, differences))
+        runs = map(verdicts.__getitem__, index)  # each raw sequence's verdict
         for length in range(m + 1):
             zeros = (0,) * (m - length)
             points = combinations_with_replacement(range(lo, top + 1), length)
-            if not lo:  # the verdict of each raw sequence's difference position
-                runs = map(verdicts.__getitem__, indices[length])
             while chunk := list(islice(points, CHUNK)):
                 expected = list(map(form, chunk) if lo else islice(runs, len(chunk)))
                 cells = read(zeros + chunk[0], len(chunk))
                 if expected != list(cells):  # agreement, the usual case, is in C
-                    failures += [
-                        (p, x, y) for p, x, y in zip(chunk, expected, cells) if x != y
-                    ]
-                checked += len(chunk)
+                    for p, x, cell in zip(chunk, expected, cells):
+                        if x != cell:
+                            actual = cell if convention is None else cell == 1
+                            report.add(p, f"closed form {x} != solver {actual}")
+                report.checked_count += len(chunk)
         # counterexamples in lexicographic order, as the local verifiers
         # list them: a case fails at most once per point, so points decide
-        report = tables.VerificationReport(checked_count=checked)
-        for p, expected, cell in sorted(failures):
-            actual = cell if convention is None else cell == 1
-            report.add(p, f"closed form {expected} != solver {actual}")
+        report.counterexamples.sort()
         return report
 
     return check_values
@@ -227,8 +222,7 @@ def verify_theorem(name: str, opts) -> tables.VerificationReport:
             report.add(p, f"{tag}: {reason}" if tag else reason)
     if theorem.fact is not None:
         reason, positions, holds = theorem.fact
-        for p in positions:
-            report.checked_count += 1
-            if not holds(p):
-                report.add(p, reason)
+        report.checked_count += len(positions)
+        for p in filterfalse(holds, positions):
+            report.add(p, reason)
     return report

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamesolve import Convention, Family, RuleSet, analysis, closedforms
 from gamesolve.analysis import (
@@ -77,6 +78,45 @@ def test_preperiod_preferred_over_period():
         lambda ps: [seq[p[0]] for p in ps], (0,), (1,), 60, 16, 24
     )
     assert (report.preperiod, report.period) == (1, 1)
+
+
+def per_element_period(seq, max_period, max_preperiod):
+    """``directional_period``'s scan as it compared one element at a time."""
+    for pre in range(max_preperiod + 1):
+        for per in range(1, max_period + 1):
+            if all(seq[t] == seq[t + per] for t in range(pre, len(seq) - per)):
+                return pre, per
+    return 0, None
+
+
+@st.composite
+def probed_sequences(draw):
+    """(seq, probe_length, max_period, max_preperiod): short sequences that
+    repeat a cycle after a head, with random values, or with no period."""
+    max_period, max_preperiod = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    least = 2 * max_period + max_preperiod
+    probe = draw(st.integers(least, least + 6))
+    values = st.integers(0, 2)
+    head = draw(st.lists(values, max_size=max_preperiod + 2))
+    cycle = draw(st.lists(values, min_size=1, max_size=max_period + 2))
+    seq = draw(st.sampled_from([
+        (head + cycle * probe)[:probe],
+        draw(st.lists(values, min_size=probe, max_size=probe)),
+        list(range(probe)),  # no two values alike
+    ]))
+    return seq, probe, max_period, max_preperiod
+
+
+@settings(max_examples=300, deadline=None)
+@given(probed_sequences())
+def test_directional_period_matches_a_per_element_scan(case):
+    seq, probe, max_period, max_preperiod = case
+    report = directional_period(
+        lambda ps: [seq[p[0]] for p in ps], (0,), (1,), probe, max_period,
+        max_preperiod,
+    )
+    expected = per_element_period(seq, max_period, max_preperiod)
+    assert (report.preperiod, report.period) == expected
 
 
 def test_translation_period_twelve():

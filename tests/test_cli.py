@@ -674,6 +674,32 @@ def test_windows_past_the_limit_at_a_large_a1_exit_2_at_once(args):
     )
 
 
+# valid windows whose tables hold more cells than an index reaches: the
+# reader refuses them from a lower bound on their size, before the ranks
+# (which would list 2^32 entries per column) or any table
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("period", "--translation", "4294967295", "--max-a1", "0",
+         "--max-extent", "0"),
+        ("figure", "--a1", "4294967295", "--width", "1", "--height", "1"),
+        ("figure", "--a1", "0..4294967295", "--width", "1", "--height", "1"),
+        ("verify", "--theorem", "thm1", "--max-entry", "4294967295"),
+        ("verify", "--theorem", "lemma9", "--max-entry", "4294967295"),
+    ],
+)
+def test_tables_past_any_index_exit_2_before_their_ranks(
+    capsys, monkeypatch, tmp_path, args
+):
+    def refuse(*args):
+        raise AssertionError("the ranks were built")
+
+    monkeypatch.setattr(tables, "_ranks", refuse)
+    out = ("--out", str(tmp_path / "figs")) if args[0] == "figure" else ()
+    assert run(capsys, *args, *out) == (2, "", "error: out of memory\n")
+    assert not (tmp_path / "figs").exists()
+
+
 DC2_MISERE = ("--game", "diet-chomp", "--k", "2", "--convention", "misere")
 HEAPS_1_TO_40 = ",".join(map(str, range(1, 41)))
 
